@@ -28,8 +28,8 @@ from .families import (DriftSpec, constant_correlation_family,
                        constant_skew_family, drift_spec_from_descriptor,
                        horizon_family)
 from .fokker_planck import FpConfig, solve_kfe
-from .io import (density_grid_summary, density_grid_to_csv, ensemble_to_binary,
-                 ensemble_to_csv, write_json)
+from .io import (columns_to_csv, density_grid_summary, density_grid_to_csv,
+                 ensemble_to_binary, ensemble_to_csv, write_json)
 from .ou_skew import ou_mixture_probability, repulsive_ou_tpd, simulate_ou_skew_noise
 from .sde import SimConfig, TimeGrid, mixture_probability, simulate, \
     simulate_bivariate_censoring, simulate_mixture
@@ -140,10 +140,8 @@ def cmd_family(args) -> int:
     if args.table_t:
         ts = np.asarray(_parse_floats(args.table_t))
         tab = outdir / "family_table.csv"
-        with tab.open("w") as fh:
-            fh.write("t,psi,alpha\n")
-            for t in ts:
-                fh.write(f"{t!r},{float(fam.psi(t))!r},{float(fam.alpha(t))!r}\n")
+        columns_to_csv(tab, ("t", "psi", "alpha"), ts,
+                       [fam.psi(t) for t in ts], [fam.alpha(t) for t in ts])
         artifacts.append(tab)
     _write_manifest(outdir, "family", args, artifacts, t0)
     return 0
@@ -269,10 +267,7 @@ def cmd_censor(args) -> int:
                         "threshold": ks_threshold(n_surv),
                         "n_effective": n_surv, "correlation": r_eff})
         kde_path = outdir / f"kde_t{j}.csv"
-        with kde_path.open("w") as fh:
-            fh.write("x,density\n")
-            for xv, dv in zip(xg, dens):
-                fh.write(f"{xv!r},{dv!r}\n")
+        columns_to_csv(kde_path, ("x", "density"), xg, dens)
         artifacts.append(kde_path)
     rp = outdir / "censor_results.json"
     write_json(rp, {"checks": results})
@@ -373,7 +368,6 @@ def cmd_validate(args) -> int:
     outdir = _outdir(args)
     from .suite import build_core_report
     report = build_core_report(seed=args.seed, quick=(args.suite == "quick"))
-    report.wall_time_s = round(time.perf_counter() - t0, 3)
     rp = outdir / "validation_report.json"
     rp.write_text(report.to_json() + "\n")
     _write_manifest(outdir, "validate", args, [rp], t0)

@@ -1,8 +1,11 @@
 """Artifact serialization: ensemble CSV / binary round-trip, density exports.
 
-Floats are written with Python repr (shortest round-trip form) so repeated
-runs with the same configuration produce byte-identical files.  The binary
-ensemble layout is little-endian:
+CSV contract: every float cell is the shortest round-trip Python repr of a
+plain float (``0.1``, ``-0.0``, ``nan``, ``inf``; never a NumPy scalar
+repr), so ``float(cell)`` recovers the value exactly and repeated runs with
+the same configuration produce byte-identical files.  Density tables are
+long-form, one ``x,t,q`` row per node pair; ensembles are one row per path.
+The binary ensemble layout is little-endian:
 
     magic "SKDF" | u16 version | u16 flags (bit0 = labels present)
     | u64 n_paths | u64 n_times | i64 seed | f64 t_start | f64 t_end
@@ -29,6 +32,21 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _reprs(values) -> list:
+    """`_fmt` of every value of a 1-D array, formatted in one C-level pass
+    (the repr of the plain-float list) instead of one call per value."""
+    vals = np.asarray(values, dtype=float).tolist()
+    return repr(vals)[1:-1].split(", ") if vals else []
+
+
+def columns_to_csv(path, names, *columns) -> None:
+    """Header `names`, then one row per index of the equal-length columns."""
+    cells = [_reprs(c) for c in columns]
+    with Path(path).open("w", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+
+
 def ensemble_to_csv(ens: PathEnsemble, path) -> None:
     """One row per path; metadata in a leading comment, times in the header."""
     path = Path(path)
@@ -40,14 +58,12 @@ def ensemble_to_csv(ens: PathEnsemble, path) -> None:
                  f"epsilon={_fmt(ens.grid.terminal_cutoff_epsilon)} "
                  f"record_stride={ens.record_stride} clamp_events={ens.clamp_events}\n")
         cols = ["path"] + (["label"] if ens.labels is not None else []) \
-            + [f"t={_fmt(t)}" for t in times]
+            + [f"t={t}" for t in _reprs(times)]
         fh.write(",".join(cols) + "\n")
-        for i in range(ens.n_paths):
-            row = [str(i)]
-            if ens.labels is not None:
-                row.append(str(int(ens.labels[i])))
-            row.extend(_fmt(v) for v in ens.values[i])
-            fh.write(",".join(row) + "\n")
+        labels = None if ens.labels is None else ens.labels.tolist()
+        for i, row in enumerate(ens.values):
+            head = f"{i}," if labels is None else f"{i},{labels[i]},"
+            fh.write(head + ",".join(_reprs(row)) + "\n")
 
 
 def ensemble_to_binary(ens: PathEnsemble, path) -> None:
@@ -96,13 +112,18 @@ def ensemble_from_binary(path) -> PathEnsemble:
 
 
 def density_grid_to_csv(grid: DensityGrid, path) -> None:
-    """Long-form x,t,q rows (one per node pair)."""
-    path = Path(path)
-    with path.open("w", newline="\n") as fh:
+    """Long-form x,t,q rows (one per node pair), one time slice at a time.
+
+    The x column is formatted once and each t once per slice; a slice is
+    converted with one `tolist` (not the whole grid, which would hold every
+    value as a Python float at once) and written with a single call.
+    """
+    xs = _reprs(grid.x_nodes)
+    with Path(path).open("w", newline="\n") as fh:
         fh.write("x,t,q\n")
-        for j, t in enumerate(grid.t_nodes):
-            for i, x in enumerate(grid.x_nodes):
-                fh.write(f"{_fmt(x)},{_fmt(t)},{_fmt(grid.values[j, i])}\n")
+        for t, row in zip(grid.t_nodes.tolist(), grid.values):
+            mid = f",{t!r},"
+            fh.write("".join([f"{x}{mid}{q}\n" for x, q in zip(xs, _reprs(row))]))
 
 
 def density_grid_summary(grid: DensityGrid) -> dict:

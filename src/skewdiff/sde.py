@@ -18,7 +18,7 @@ from typing import Callable, Optional, TYPE_CHECKING
 import numpy as np
 
 from .dists import std_normal_cdf
-from .errors import HorizonError, SimulationError
+from .errors import HorizonError, SchemaError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .families import DriftSpec
@@ -33,12 +33,25 @@ _TAG_LABELS = 2
 
 
 def thread_count(requested: Optional[int] = None) -> int:
-    """Worker threads to use; SKEWDIFF_THREADS caps/sets the default."""
+    """Worker threads to use; SKEWDIFF_THREADS caps/sets the default.
+
+    A SKEWDIFF_THREADS that is not a positive integer is a configuration
+    error (SchemaError).
+    """
     env = os.environ.get("SKEWDIFF_THREADS")
-    if requested is None:
-        return max(1, int(env)) if env else 1
+    cap = None
     if env:
-        return max(1, min(int(requested), int(env)))
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise SchemaError(
+                f"SKEWDIFF_THREADS must be a positive integer, got {env!r}")
+    if requested is None:
+        return cap or 1
+    if cap:
+        requested = min(int(requested), cap)
     return max(1, int(requested))
 
 
@@ -194,6 +207,12 @@ def simulate(drift: "DriftSpec", x0: float, grid: TimeGrid, cfg: SimConfig,
         x = np.full(m, float(x0))
         values[lo:hi, 0] = x
         lab = _labels[lo:hi] if _labels is not None else None
+        if lab is not None:
+            # each drift is evaluated only on its own paths; every drift
+            # operation is elementwise, so the values match a full evaluation
+            ip = np.flatnonzero(lab > 0)
+            im = np.flatnonzero(lab <= 0)
+            mu = np.empty(m)
         clamps = 0
         step = 0
         while step < grid.n_steps:
@@ -208,7 +227,10 @@ def simulate(drift: "DriftSpec", x0: float, grid: TimeGrid, cfg: SimConfig,
                 if lab is None:
                     mu = drift.mu(x, t)
                 else:
-                    mu = np.where(lab > 0, drift.mu(x, t), _drift_minus.mu(x, t))
+                    if ip.size:
+                        mu[ip] = drift.mu(x[ip], t)
+                    if im.size:
+                        mu[im] = _drift_minus.mu(x[im], t)
                 inc = mu * dt
                 over = np.abs(inc) > cfg.drift_clamp
                 if over.any():

@@ -36,7 +36,6 @@ class CheckResult:
 class ValidationReport:
     checks: List[CheckResult] = field(default_factory=list)
     seed: Optional[int] = None
-    wall_time_s: float = 0.0
 
     def add(self, name: str, statistic: float, threshold: float,
             n_effective: int = 0, notes: str = "", larger_is_failure: bool = True):
@@ -52,7 +51,7 @@ class ValidationReport:
 
     def to_dict(self) -> dict:
         return {"checks": [asdict(c) for c in self.checks],
-                "seed": self.seed, "wall_time_s": self.wall_time_s,
+                "seed": self.seed,
                 "all_passed": self.all_passed}
 
     def to_json(self, indent: int = 2) -> str:

@@ -2,6 +2,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from skewdiff import constant_skew_tpd
 from skewdiff.cli import main
@@ -159,3 +160,43 @@ class TestOtherCommands:
         report = json.loads((tmp_path / "validation_report.json").read_text())
         assert report["all_passed"] is True
         assert len(report["checks"]) > 15
+
+
+def _float_cells(path, header):
+    lines = path.read_text().splitlines()
+    assert lines[0] == header
+    # float() rejects NumPy scalar reprs such as np.float64(0.5)
+    return [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+
+
+class TestArtifactFormat:
+    def test_tables_hold_plain_floats(self, tmp_path):
+        assert run(tmp_path, "family", "--kind", "constant-skew", "--alpha", "1.0",
+                   "--table-t", "0.5,1.0,2.5") == 0
+        rows = _float_cells(tmp_path / "family_table.csv", "t,psi,alpha")
+        assert [r[0] for r in rows] == [0.5, 1.0, 2.5]
+        assert run(tmp_path, "censor", "--t-end", "1.0", "--steps", "50",
+                   "--paths", "4000", "--check-t", "0.5", "--seed", "2") == 0
+        kde = sorted(tmp_path.glob("kde_t*.csv"))
+        assert len(kde) == 1
+        rows = _float_cells(kde[0], "x,density")
+        assert len(rows) > 10 and all(len(r) == 2 for r in rows)
+
+    def test_validation_report_identical_across_reruns(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main(["validate", "--suite", "quick", "--seed", "3",
+                         "--output-dir", str(out)]) == 0
+        assert (a / "validation_report.json").read_bytes() == \
+            (b / "validation_report.json").read_bytes()
+        assert "wall_time_s" in json.loads((a / "manifest.json").read_text())
+
+
+class TestThreadEnv:
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_thread_setting_is_schema_error(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("SKEWDIFF_THREADS", value)
+        code = run(tmp_path, "simulate", "--kind", "constant-skew", "--alpha", "1.0",
+                   "--t-end", "0.5", "--steps", "10", "--paths", "8")
+        assert code == 2
+        assert not (tmp_path / "diagnostics.json").exists()

@@ -1,9 +1,12 @@
 """Ensemble and density serialization round trips."""
+import hashlib
+
 import numpy as np
 import pytest
 
 from skewdiff import DriftSpec, SimConfig, TimeGrid, density_grid, simulate, \
     simulate_mixture, constant_skew_family, constant_skew_tpd
+from skewdiff.densities import DensityGrid
 from skewdiff.io import (density_grid_summary, density_grid_to_csv,
                          ensemble_from_binary, ensemble_to_binary,
                          ensemble_to_csv)
@@ -79,6 +82,37 @@ class TestCsv:
         ensemble_to_csv(small_ensemble, p1)
         ensemble_to_csv(small_ensemble, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# sha256 of the bytes the row-at-a-time writers produced; the CSV layout
+# is a contract, so these must not move
+DENSITY_CSV_SHA256 = \
+    "014bb4999a35a21d65ddec9a035ef87a476401a2a8517cebd7bc0ff9087733b9"
+ENSEMBLE_CSV_SHA256 = \
+    "411d3b3e7997b21c32c9dbacfe911fc8f1e652b967302e81961314836c40e06c"
+
+
+def _special_grid():
+    x = np.array([-1e300, -0.0, 5e-324, 0.1, 1.0 / 3.0, 1e300])
+    t = np.array([0.0, 0.25, 1e-7])
+    v = np.array([[-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300],
+                  [0.1, 0.2, 0.30000000000000004, 1e-310, 2.5e-16, 123456789.0],
+                  [1.0, -1.0, 1e22, 1e16, 9.999999999999999e-5, 0.0]])
+    with np.errstate(all="ignore"):
+        return DensityGrid(x, t, v)
+
+
+class TestPinnedBytes:
+    def test_density_csv_with_special_values(self, tmp_path):
+        p = tmp_path / "d.csv"
+        density_grid_to_csv(_special_grid(), p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == DENSITY_CSV_SHA256
+        assert p.read_text().splitlines()[2] == "-0.0,0.0,nan"
+
+    def test_labeled_ensemble_csv(self, labeled_ensemble, tmp_path):
+        p = tmp_path / "e.csv"
+        ensemble_to_csv(labeled_ensemble, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == ENSEMBLE_CSV_SHA256
 
 
 class TestDensityExports:

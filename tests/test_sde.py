@@ -1,11 +1,13 @@
 """Simulation engine: reproducibility, laws, mixtures, censoring driver."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from skewdiff import (DriftSpec, HorizonError, SimConfig, SimulationError,
+from skewdiff import (DriftSpec, HorizonError, SchemaError, SimConfig,
+                      SimulationError,
                       TimeGrid, constant_skew_family, horizon_family,
                       mixture_probability, simulate,
                       simulate_bivariate_censoring, simulate_mixture,
@@ -210,6 +212,55 @@ class TestMixture:
                                                                record_stride=10))
 
 
+def _mixture_digest(ens) -> str:
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(ens.values, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(ens.labels, dtype="<i1").tobytes())
+    h.update(str(ens.clamp_events).encode())
+    return h.hexdigest()
+
+
+def _pinned_mixture(case: str, n_threads: int):
+    """8200 paths: one full noise block of 8192 and a short second one."""
+    if case == "horizon_clamp":
+        plus = DriftSpec(kind="horizon", family=horizon_family(1.0, +1))
+        minus = DriftSpec(kind="horizon", family=horizon_family(1.0, -1))
+        return simulate_mixture(
+            plus, minus, 0.5, 0.0, TimeGrid(0.0, 1.0, 40, terminal_cutoff_epsilon=1e-4),
+            SimConfig(n_paths=8200, seed=29, record_stride=8, drift_clamp=0.2,
+                      n_threads=n_threads))
+    p_plus, extra = {"p0": (0.0, {}), "p05": (0.5, {}), "p1": (1.0, {}),
+                     "antithetic": (0.5, {"antithetic": True}),
+                     "flip_noise": (0.3, {"flip_noise": True})}[case]
+    return simulate_mixture(skew_drift(1.0, +1), skew_drift(1.0, -1), p_plus, 0.2,
+                            TimeGrid(0.0, 0.5, 10),
+                            SimConfig(n_paths=8200, seed=23, record_stride=5,
+                                      n_threads=n_threads, **extra))
+
+
+# sha256 of (values, labels, clamp_events), recorded when the mixture
+# branch still evaluated both drifts on every path
+MIXTURE_PINS = {
+    "p0": "863a615397049d6448d6d5d2bdb8f741fd90361331eb8d5bea547b2eb9d147a3",
+    "p05": "2a681bc59c624b700cb75383bf9c6c7793ceebeec1292c11a5b88d425d2c3e0a",
+    "p1": "26eca7258465d04126c097eda2bbb1fb7596f96402f12fcce546eec4f35398c2",
+    "antithetic": "c9aceb5d676b4ca994ec58a4c30b92a9fc2836e46a203924b396bb87c1dde5b4",
+    "flip_noise": "6b9895bd088738cdced7402c4dfeb9dd20e651d16ce0d8874d975a915f363390",
+    "horizon_clamp": "6bc5ecc86e52d793fdadd9cea2dd0f5105203d9ff3f55fb0e3aad1c8ec39e2cc",
+}
+
+
+class TestMixturePinnedBytes:
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("case", sorted(MIXTURE_PINS))
+    def test_matches_recorded_digest(self, case, n_threads):
+        ens = _pinned_mixture(case, n_threads)
+        assert _mixture_digest(ens) == MIXTURE_PINS[case]
+
+    def test_clamp_case_clamps(self):
+        assert _pinned_mixture("horizon_clamp", 1).clamp_events > 0
+
+
 class TestMixtureProbability:
     def test_symmetric_at_origin(self):
         assert mixture_probability(0.0, 5.0) == (0.5, 0.5)
@@ -236,3 +287,12 @@ class TestThreadCap:
         monkeypatch.delenv("SKEWDIFF_THREADS")
         assert thread_count() == 1
         assert thread_count(6) == 6
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_env_value_is_schema_error(self, monkeypatch, value):
+        from skewdiff.sde import thread_count
+        monkeypatch.setenv("SKEWDIFF_THREADS", value)
+        with pytest.raises(SchemaError):
+            thread_count()
+        with pytest.raises(SchemaError):
+            thread_count(2)
