@@ -1,4 +1,5 @@
 """Mean-reversion extensions: reversal transform, skew noise, state map."""
+import hashlib
 import math
 
 import numpy as np
@@ -161,6 +162,34 @@ class TestSkewNoiseDriver:
         with pytest.raises(SkewDiffError):
             simulate_ou_skew_noise(1.0, 0.0, 2.0, grid,
                                    SimConfig(n_paths=10, seed=1, record_stride=100))
+
+
+def _skew_noise_pinned(seed: int, n_threads: int):
+    """8200 paths (two noise blocks), noise horizon T=2 well past t_end=1."""
+    return simulate_ou_skew_noise(
+        1.0, 0.3, 2.0, TimeGrid(0.0, 1.0, 40),
+        SimConfig(n_paths=8200, seed=seed, record_stride=8, n_threads=n_threads))
+
+
+# sha256 of the (X, Z) values and clamp counts, recorded while the skew-noise
+# driver still ran its own block loop
+SKEW_NOISE_PINS = {
+    5: "e785406f8477127cb18fb4aabe7050020ffe65e1a7924a9271d1954b3a0a3276",
+    6: "677cd6104d4733b21163e0921b2bd12114c12e63f192d9b6f833da94ef3b30e2",
+}
+
+
+class TestSkewNoisePinnedBytes:
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("seed", sorted(SKEW_NOISE_PINS))
+    def test_matches_recorded_digest(self, seed, n_threads):
+        ens_x, ens_z = _skew_noise_pinned(seed, n_threads)
+        assert ens_x.clamp_events == 0 and ens_z.clamp_events == 0
+        h = hashlib.sha256()
+        for ens in (ens_x, ens_z):
+            h.update(np.ascontiguousarray(ens.values, dtype="<f8").tobytes())
+            h.update(str(ens.clamp_events).encode())
+        assert h.hexdigest() == SKEW_NOISE_PINS[seed]
 
 
 class TestStateTransform:

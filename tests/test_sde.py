@@ -261,6 +261,65 @@ class TestMixturePinnedBytes:
         assert _pinned_mixture("horizon_clamp", 1).clamp_events > 0
 
 
+def _ensembles_digest(*ensembles) -> str:
+    h = hashlib.sha256()
+    for ens in ensembles:
+        h.update(np.ascontiguousarray(ens.values, dtype="<f8").tobytes())
+        h.update(str(ens.clamp_events).encode())
+    return h.hexdigest()
+
+
+def _pinned_simulation(case: str, seed: int, n_threads: int):
+    """8200 paths (two noise blocks) through `simulate` or the censoring pair."""
+    if case == "bivariate_sqrt_rho":
+        return simulate_bivariate_censoring(
+            lambda t: math.sqrt(t), TimeGrid(0.0, 1.0, 40),
+            SimConfig(n_paths=8200, seed=seed, record_stride=8, n_threads=n_threads))
+    if case == "horizon_clamp":
+        return (simulate(DriftSpec(kind="horizon", family=horizon_family(1.0, +1)), 0.0,
+                         TimeGrid(0.0, 1.0, 40, terminal_cutoff_epsilon=1e-4),
+                         SimConfig(n_paths=8200, seed=seed, record_stride=8,
+                                   drift_clamp=0.2, n_threads=n_threads)),)
+    extra = {"constant_skew": {},
+             "antithetic_flip": {"antithetic": True, "flip_noise": True}}[case]
+    return (simulate(skew_drift(1.0, +1), 0.2, TimeGrid(0.0, 0.5, 10),
+                     SimConfig(n_paths=8200, seed=seed, record_stride=5,
+                               n_threads=n_threads, **extra)),)
+
+
+# sha256 of each ensemble's (values, clamp_events), recorded while each
+# simulator still ran its own block loop
+SIMULATION_PINS = {
+    ("constant_skew", 5):
+        "6f16a97104ec00eac3440d5c7f8f65265d26199ea8328ac2d08dd766462b1009",
+    ("constant_skew", 6):
+        "2c765125c86ca6ccc74af5e309a57bc2dfd687bd07db83345c9ef9af8924b017",
+    ("horizon_clamp", 5):
+        "d0633448ded1a654f54c363cd3c72e4bf25e52df667a5addd51c39094a6e6c20",
+    ("horizon_clamp", 6):
+        "8bbbb9cdff450a201c08bf94c5125f1fa482efe35064fabfc9334a12a53b1665",
+    ("antithetic_flip", 5):
+        "0ca5f31bacc9fc39e70e4a608bea5ddff986cc2b27d69c6b126b5d85f2795908",
+    ("antithetic_flip", 6):
+        "dcf7b04721359038dc73eee1136dd9636619680ff481acd1550a21f5efee77bd",
+    ("bivariate_sqrt_rho", 5):
+        "62c4ddbc4db9f3d00495177aa9a984059821d00ea6c17501d6bd19431975a795",
+    ("bivariate_sqrt_rho", 6):
+        "6afb91f5f2102e348aa89b1889b1cd90d4f761c805e57610822af31a18a5c4b6",
+}
+
+
+class TestSimulationPinnedBytes:
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("case,seed", sorted(SIMULATION_PINS))
+    def test_matches_recorded_digest(self, case, seed, n_threads):
+        ensembles = _pinned_simulation(case, seed, n_threads)
+        assert _ensembles_digest(*ensembles) == SIMULATION_PINS[case, seed]
+
+    def test_clamp_case_clamps(self):
+        assert _pinned_simulation("horizon_clamp", 5, 1)[0].clamp_events > 0
+
+
 class TestMixtureProbability:
     def test_symmetric_at_origin(self):
         assert mixture_probability(0.0, 5.0) == (0.5, 0.5)
