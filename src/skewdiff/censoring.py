@@ -55,13 +55,12 @@ def verify_selection_representation(family: SkewFamily, x: float, t: float,
     right chirality (mirrored to the below-side mean for left chirality).
     Returns (drift_direct, drift_via_selection, abs_diff).
     """
-    kind = "horizon" if family.kind == "horizon" else "general"
-    spec = DriftSpec(kind=kind, family=family, shift=shift)
+    spec = DriftSpec(kind=family.kind, family=family, shift=shift)
     direct = float(drift_value(spec, np.asarray(x, dtype=float), t))
 
     a = float(family.alpha(t))
     p = float(family.psi(t))
-    u = x if family.kind == "horizon" else x - shift
+    u = x - shift
     if family.chirality > 0:
         sel_mean = truncated_normal_mean(
             TruncatedNormalSpec(mean=0.0, std=1.0, threshold=-a * u, side="above"))

@@ -81,8 +81,7 @@ def _drift_from_args(args) -> DriftSpec:
                 # bare family descriptor: wrap it in its natural drift
                 from .families import family_from_descriptor
                 fam = family_from_descriptor(desc)
-                kind = "horizon" if fam.kind == "horizon" else "general"
-                return DriftSpec(kind=kind, family=fam)
+                return DriftSpec(kind=fam.kind, family=fam)
             return drift_spec_from_descriptor(desc)
         except (KeyError, ValueError, json.JSONDecodeError) as e:
             raise SchemaError(f"bad drift descriptor: {e}") from e
@@ -94,8 +93,7 @@ def _drift_from_args(args) -> DriftSpec:
         return DriftSpec(kind="ou_htransform",
                          params={"lam": args.lam, "chirality": args.chirality})
     fam = _family_from_args(args)
-    kind = "horizon" if fam.kind == "horizon" else "general"
-    return DriftSpec(kind=kind, family=fam, shift=getattr(args, "shift", 0.0) or 0.0)
+    return DriftSpec(kind=fam.kind, family=fam, shift=getattr(args, "shift", 0.0) or 0.0)
 
 
 def _write_manifest(outdir: Path, command: str, args, artifacts, t0: float):
@@ -119,6 +117,12 @@ def _outdir(args) -> Path:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _sim_config(args) -> SimConfig:
+    return SimConfig(n_paths=args.paths, seed=args.seed, drift_clamp=args.clamp,
+                     antithetic=args.antithetic, record_stride=args.record_stride,
+                     n_threads=args.threads)
 
 
 def _emit_ensemble(ens, outdir: Path, stem: str, fmt: str):
@@ -161,10 +165,7 @@ def cmd_simulate(args) -> int:
         raise SchemaError(
             f"drift is singular at t={grid.t_start} for this family; "
             "pass a positive --t-start")
-    cfg = SimConfig(n_paths=args.paths, seed=args.seed, drift_clamp=args.clamp,
-                    antithetic=args.antithetic, record_stride=args.record_stride,
-                    n_threads=args.threads)
-    ens = simulate(drift, args.x0, grid, cfg)
+    ens = simulate(drift, args.x0, grid, _sim_config(args))
     artifacts = [_emit_ensemble(ens, outdir, "ensemble", args.format)]
     terminal = ens.values[:, -1]
     summary = {"terminal_mean": float(terminal.mean()),
@@ -283,8 +284,7 @@ def cmd_mixture(args) -> int:
         (1e-4 * args.t_end if args.kind == "horizon" else 0.0)
     grid = TimeGrid(t_start=0.0, t_end=args.t_end, n_steps=args.steps,
                     terminal_cutoff_epsilon=grid_eps)
-    cfg = SimConfig(n_paths=args.paths, seed=args.seed,
-                    record_stride=args.record_stride, n_threads=args.threads)
+    cfg = _sim_config(args)
     if args.kind == "horizon":
         if args.T is None:
             raise SchemaError("--T required")
@@ -326,8 +326,7 @@ def cmd_mixture(args) -> int:
 def cmd_ou(args) -> int:
     t0 = time.perf_counter()
     outdir = _outdir(args)
-    cfg = SimConfig(n_paths=args.paths, seed=args.seed,
-                    record_stride=args.record_stride, n_threads=args.threads)
+    cfg = _sim_config(args)
     artifacts = []
     if args.mode == "htransform":
         drift = DriftSpec(kind="ou_htransform",
@@ -378,13 +377,11 @@ def cmd_validate(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _add_common(p, with_format=True):
+def _add_common(p):
     p.add_argument("--output-dir", default=".", help="directory for artifacts")
     p.add_argument("--seed", type=int, default=1, help="master RNG seed")
     p.add_argument("--config", default=None,
                    help="JSON file whose keys override the flags")
-    if with_format:
-        p.add_argument("--format", choices=("csv", "json", "binary"), default="csv")
 
 
 def _add_family_params(p, kind_required=True):
@@ -408,6 +405,8 @@ def _add_sim_params(p):
     p.add_argument("--clamp", type=float, default=10.0)
     p.add_argument("--antithetic", action="store_true")
     p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--format", choices=("csv", "binary"), default="csv",
+                   help="ensemble file format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ou)
 
     p = sub.add_parser("validate", help="run the verification suite")
-    _add_common(p, with_format=False)
+    _add_common(p)
     p.add_argument("--suite", choices=("core", "quick"), default="core")
     p.set_defaults(func=cmd_validate)
 

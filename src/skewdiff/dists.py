@@ -61,11 +61,6 @@ class ExtendedSkewNormalParams:
                 raise ValueError("ESN parameters must be finite")
 
 
-def std_normal_pdf(x):
-    x, scalar = _as_array(x)
-    return _ret(np.exp(-0.5 * x * x - LOG_SQRT_2PI), scalar)
-
-
 def std_normal_logpdf(x):
     x, scalar = _as_array(x)
     return _ret(-0.5 * x * x - LOG_SQRT_2PI, scalar)

@@ -26,5 +26,6 @@ class PdeInstabilityError(SkewDiffError):
         self.diagnostics = diagnostics or {}
 
 
-class SchemaError(SkewDiffError):
-    """A CLI configuration violated the per-command parameter schema."""
+class SchemaError(SkewDiffError, ValueError):
+    """A configuration violated its schema: a CLI parameter, or a grid,
+    simulation or drift setting rejected at construction."""

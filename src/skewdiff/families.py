@@ -24,7 +24,7 @@ from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.optimize import brentq
 
 from .dists import mills
-from .errors import HorizonError
+from .errors import HorizonError, SchemaError
 
 VALID_KINDS = ("horizon", "constant_skew", "constant_correlation", "general", "ou_htransform", "custom")
 
@@ -366,11 +366,11 @@ class DriftSpec:
     """Named, evaluable drift built from a family or an OU transform.
 
     kind selects the formula:
-      - "horizon": amplitude * alpha_t * mills(alpha_t * x / sigma); the
-        raw state enters (the harmonic transform is shift-free, the initial
-        condition only rescales the density normalization).
-      - "constant_skew" / "general": same Mills form but evaluated at
-        x - shift, the modified drift required for a nonzero start.
+      - "horizon", "constant_skew", "constant_correlation", "general":
+        amplitude * alpha_t * mills(alpha_t * (x - shift) / sigma); the
+        shift is the modified drift required for a nonzero start.  The
+        horizon drift is shift-free (the initial condition only rescales
+        the density normalization), so a nonzero shift is rejected there.
       - "ou_htransform": lam*x + chirality * sqrt(2 lam) *
         mills(chirality * sqrt(2 lam) * x); params = {"lam", "chirality"}.
       - "custom": user-supplied mu(x, t).
@@ -385,17 +385,19 @@ class DriftSpec:
 
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
-            raise ValueError(f"unknown drift kind {self.kind!r}")
+            raise SchemaError(f"unknown drift kind {self.kind!r}")
         if not self.diffusion_scale > 0:
-            raise ValueError("diffusion_scale must be positive")
+            raise SchemaError("diffusion_scale must be positive")
         if self.kind in ("horizon", "constant_skew", "constant_correlation", "general"):
             if self.family is None:
-                raise ValueError(f"kind {self.kind!r} requires a family")
+                raise SchemaError(f"kind {self.kind!r} requires a family")
+        if self.kind == "horizon" and self.shift != 0.0:
+            raise SchemaError("the horizon drift is shift-free; shift must be 0")
         if self.kind == "ou_htransform":
             if "lam" not in self.params or "chirality" not in self.params:
-                raise ValueError("ou_htransform requires params {'lam', 'chirality'}")
+                raise SchemaError("ou_htransform requires params {'lam', 'chirality'}")
         if self.kind == "custom" and self.mu_fn is None:
-            raise ValueError("custom drift requires mu_fn")
+            raise SchemaError("custom drift requires mu_fn")
 
     @property
     def validity_horizon(self) -> float:
@@ -438,5 +440,4 @@ def drift_value(spec: DriftSpec, x, t: float):
     fam.check_time(t)
     a = fam.alpha(t)
     p = fam.psi(t)
-    arg = x if spec.kind == "horizon" else x - spec.shift
-    return p * a * mills(a * arg / spec.diffusion_scale)
+    return p * a * mills(a * (x - spec.shift) / spec.diffusion_scale)

@@ -16,8 +16,7 @@ from scipy.integrate import quad
 
 from .dists import LOG_SQRT_2PI, mills, std_normal_cdf, std_normal_logcdf
 from .errors import SkewDiffError
-from .sde import (PathEnsemble, SimConfig, TimeGrid, _BLOCK_SIZE, _TAG_PRIMARY,
-                  _check_finite, _run_blocks, _stream)
+from .sde import PathEnsemble, SimConfig, TimeGrid, _clamp, _integrate
 
 
 @dataclass(frozen=True)
@@ -126,51 +125,31 @@ def simulate_ou_skew_noise(lam: float, x0: float, T: float, grid: TimeGrid,
 
     X is driven by the *same* increments dZ, not by fresh noise -- the pair
     is a degenerate two-dimensional diffusion with a single Gaussian source,
-    and splitting the streams would change the law of X.  Returns the
-    (X, Z) ensembles.
+    and splitting the streams would change the law of X.  The skew drift
+    increment of Z is clamped at cfg.drift_clamp like every drift in
+    `simulate`; both ensembles carry the event count.  Returns the (X, Z)
+    ensembles.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
     if grid.t_end - grid.terminal_cutoff_epsilon > T + 1e-12:
         raise SkewDiffError("grid reaches the noise horizon; shorten it or add a cutoff")
-    if grid.n_steps % cfg.record_stride:
-        raise ValueError("record_stride must divide n_steps")
     dt = grid.dt
     sqdt = math.sqrt(dt)
     times = grid.times()
-    n_rec = grid.n_steps // cfg.record_stride + 1
-    xv = np.empty((cfg.n_paths, n_rec))
-    zv = np.empty((cfg.n_paths, n_rec))
-    chunk_size = 512
 
-    def worker(blk):
-        lo, hi = blk
-        m = hi - lo
-        rng = _stream(cfg.seed, _TAG_PRIMARY, lo // _BLOCK_SIZE)
-        z = np.zeros(m)
-        x = np.full(m, float(x0))
-        xv[lo:hi, 0] = x
-        zv[lo:hi, 0] = z
-        step = 0
-        while step < grid.n_steps:
-            chunk = min(chunk_size, grid.n_steps - step)
-            noise = rng.standard_normal((chunk, m))
-            for j in range(chunk):
-                t = times[step + j]
-                a = 1.0 / math.sqrt(T - t)
-                dz = a * mills(a * z) * dt + sqdt * noise[j]
-                x = x + (-lam * x) * dt + dz
-                z = z + dz
-                k = step + j + 1
-                if k % cfg.record_stride == 0:
-                    xv[lo:hi, k // cfg.record_stride] = x
-                    zv[lo:hi, k // cfg.record_stride] = z
-            step += chunk
-            _check_finite(x, step, lo)
+    def step(states, zs, k):
+        x, z = states
+        a = 1.0 / math.sqrt(T - times[k])
+        inc, n = _clamp(a * mills(a * z) * dt, cfg.drift_clamp)
+        dz = inc + sqdt * zs[0]
+        return (x + (-lam * x) * dt + dz, z + dz), n
 
-    _run_blocks(worker, cfg.n_paths, cfg.n_threads)
-    ens_x = PathEnsemble(grid=grid, values=xv, seed=cfg.seed, record_stride=cfg.record_stride)
-    ens_z = PathEnsemble(grid=grid, values=zv, seed=cfg.seed, record_stride=cfg.record_stride)
+    (xv, zv), clamps = _integrate(lambda lo, hi: step, (x0, 0.0), grid, cfg)
+    ens_x = PathEnsemble(grid=grid, values=xv, seed=cfg.seed,
+                         record_stride=cfg.record_stride, clamp_events=clamps)
+    ens_z = PathEnsemble(grid=grid, values=zv, seed=cfg.seed,
+                         record_stride=cfg.record_stride, clamp_events=clamps)
     return ens_x, ens_z
 
 

@@ -26,9 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover
 _BLOCK_SIZE = 8192          # paths per noise block; fixed so outputs never depend on threading
 _STEP_CHUNK = 512           # steps drawn per RNG call, bounds scratch memory
 
-# component tags for independent streams under one master seed
-_TAG_PRIMARY = 0
-_TAG_SECONDARY = 1
+# stream tag for the mixture labels; noise streams use tags 0 (primary)
+# and 1 (secondary), see _integrate
 _TAG_LABELS = 2
 
 
@@ -66,13 +65,13 @@ class TimeGrid:
 
     def __post_init__(self):
         if self.t_start < 0:
-            raise ValueError("t_start must be nonnegative")
+            raise SchemaError("t_start must be nonnegative")
         if self.n_steps < 1:
-            raise ValueError("n_steps must be positive")
+            raise SchemaError("n_steps must be positive")
         if self.terminal_cutoff_epsilon < 0:
-            raise ValueError("terminal cutoff must be nonnegative")
+            raise SchemaError("terminal cutoff must be nonnegative")
         if not self.t_end - self.terminal_cutoff_epsilon > self.t_start:
-            raise ValueError("empty grid: t_end - epsilon must exceed t_start")
+            raise SchemaError("empty grid: t_end - epsilon must exceed t_start")
 
     @property
     def dt(self) -> float:
@@ -96,13 +95,13 @@ class SimConfig:
 
     def __post_init__(self):
         if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
+            raise SchemaError("n_paths must be >= 1")
         if not (self.drift_clamp > 0 and math.isfinite(self.drift_clamp)):
-            raise ValueError("drift_clamp must be positive and finite")
+            raise SchemaError("drift_clamp must be positive and finite")
         if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
+            raise SchemaError("record_stride must be >= 1")
         if self.antithetic and self.n_paths % 2:
-            raise ValueError("antithetic sampling needs an even n_paths")
+            raise SchemaError("antithetic sampling needs an even n_paths")
 
 
 @dataclass
@@ -152,23 +151,82 @@ def _draw_labels(seed: int, n_paths: int, p_plus: float) -> np.ndarray:
     return out
 
 
-def _run_blocks(worker: Callable, n_paths: int, n_threads: Optional[int]):
-    blocks = _blocks(n_paths)
-    workers = thread_count(n_threads)
-    if workers <= 1 or len(blocks) == 1:
-        for blk in blocks:
-            worker(blk)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(worker, blocks))
-
-
 def _check_finite(x: np.ndarray, step: int, path_offset: int):
     if not np.all(np.isfinite(x)):
         bad = int(np.nonzero(~np.isfinite(x))[0][0])
         raise SimulationError(
             f"non-finite value at path {path_offset + bad}, step {step}",
             path_index=path_offset + bad, step_index=step)
+
+
+def _clamp(inc: np.ndarray, limit: float):
+    """Clip a drift increment to [-limit, limit]; returns (inc, events)."""
+    over = np.abs(inc) > limit
+    if over.any():
+        return np.clip(inc, -limit, limit), int(over.sum())
+    return inc, 0
+
+
+def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
+               n_noise: int = 1):
+    """The one Euler-Maruyama engine behind every simulator.
+
+    `step_for(lo, hi)` builds the step for paths lo:hi; the step maps
+    (states, zs, k) to (new states, clamp events), where states holds one
+    array per component and zs one standard normal row per noise stream
+    for the step from grid time k to k + 1.  Stream tag i (0 = primary,
+    1 = secondary) is keyed by (seed, i, block), so the ensemble does not
+    depend on the thread count.  Returns one n_paths x n_recorded array
+    per component (started at x0s) and the total clamp events.
+    """
+    if grid.n_steps % cfg.record_stride:
+        raise SchemaError("record_stride must divide n_steps")
+    n_rec = grid.n_steps // cfg.record_stride + 1
+    outs = tuple(np.empty((cfg.n_paths, n_rec)) for _ in x0s)
+    blocks = _blocks(cfg.n_paths)
+    clamp_total = np.zeros(len(blocks), dtype=np.int64)
+
+    def worker(blk):
+        lo, hi = blk
+        m = hi - lo
+        block = lo // _BLOCK_SIZE
+        rngs = [_stream(cfg.seed, tag, block) for tag in range(n_noise)]
+        step = step_for(lo, hi)
+        states = tuple(np.full(m, float(v)) for v in x0s)
+        for out, x in zip(outs, states):
+            out[lo:hi, 0] = x
+        clamps = 0
+        k0 = 0
+        while k0 < grid.n_steps:
+            chunk = min(_STEP_CHUNK, grid.n_steps - k0)
+            zs = []
+            for rng in rngs:
+                z = rng.standard_normal((chunk, m))
+                if cfg.antithetic:
+                    z[:, 1::2] = -z[:, 0::2]
+                if cfg.flip_noise:
+                    z = -z
+                zs.append(z)
+            for j in range(chunk):
+                k = k0 + j
+                states, n = step(states, [z[j] for z in zs], k)
+                clamps += n
+                if (k + 1) % cfg.record_stride == 0:
+                    for out, x in zip(outs, states):
+                        out[lo:hi, (k + 1) // cfg.record_stride] = x
+            k0 += chunk
+            for x in states:
+                _check_finite(x, k0, lo)
+        clamp_total[block] = clamps
+
+    workers = thread_count(cfg.n_threads)
+    if workers <= 1 or len(blocks) == 1:
+        for blk in blocks:
+            worker(blk)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(worker, blocks))
+    return outs, int(clamp_total.sum())
 
 
 def simulate(drift: "DriftSpec", x0: float, grid: TimeGrid, cfg: SimConfig,
@@ -188,67 +246,39 @@ def simulate(drift: "DriftSpec", x0: float, grid: TimeGrid, cfg: SimConfig,
     if _drift_minus is not None and \
             grid.t_end - grid.terminal_cutoff_epsilon > _drift_minus.validity_horizon + 1e-12:
         raise HorizonError("grid beyond the second drift's validity horizon")
-    if grid.n_steps % cfg.record_stride:
-        raise ValueError("record_stride must divide n_steps")
 
     dt = grid.dt
     sqdt = math.sqrt(dt)
     sigma = drift.diffusion_scale
     times = grid.times()
-    n_rec = grid.n_steps // cfg.record_stride + 1
-    values = np.empty((cfg.n_paths, n_rec))
-    clamp_total = np.zeros(len(_blocks(cfg.n_paths)), dtype=np.int64)
-    noise_sign = -1.0 if cfg.flip_noise else 1.0
 
-    def worker(blk):
-        lo, hi = blk
-        m = hi - lo
-        rng = _stream(cfg.seed, _TAG_PRIMARY, lo // _BLOCK_SIZE)
-        x = np.full(m, float(x0))
-        values[lo:hi, 0] = x
-        lab = _labels[lo:hi] if _labels is not None else None
-        if lab is not None:
+    def step_for(lo, hi):
+        mu_at = drift.mu
+        if _labels is not None:
             # each drift is evaluated only on its own paths; every drift
             # operation is elementwise, so the values match a full evaluation
+            lab = _labels[lo:hi]
             ip = np.flatnonzero(lab > 0)
             im = np.flatnonzero(lab <= 0)
-            mu = np.empty(m)
-        clamps = 0
-        step = 0
-        while step < grid.n_steps:
-            chunk = min(_STEP_CHUNK, grid.n_steps - step)
-            z = rng.standard_normal((chunk, m))
-            if cfg.antithetic:
-                z[:, 1::2] = -z[:, 0::2]
-            if noise_sign < 0:
-                z = -z
-            for j in range(chunk):
-                t = times[step + j]
-                if lab is None:
-                    mu = drift.mu(x, t)
-                else:
-                    if ip.size:
-                        mu[ip] = drift.mu(x[ip], t)
-                    if im.size:
-                        mu[im] = _drift_minus.mu(x[im], t)
-                inc = mu * dt
-                over = np.abs(inc) > cfg.drift_clamp
-                if over.any():
-                    clamps += int(over.sum())
-                    inc = np.clip(inc, -cfg.drift_clamp, cfg.drift_clamp)
-                x = x + inc + sigma * sqdt * z[j]
-                k = step + j + 1
-                if k % cfg.record_stride == 0:
-                    values[lo:hi, k // cfg.record_stride] = x
-            step += chunk
-            _check_finite(x, step, lo)
-        clamp_total[lo // _BLOCK_SIZE] = clamps
+            mu = np.empty(hi - lo)
 
-    _run_blocks(worker, cfg.n_paths, cfg.n_threads)
+            def mu_at(x, t):
+                if ip.size:
+                    mu[ip] = drift.mu(x[ip], t)
+                if im.size:
+                    mu[im] = _drift_minus.mu(x[im], t)
+                return mu
+
+        def step(states, zs, k):
+            x, = states
+            inc, n = _clamp(mu_at(x, times[k]) * dt, cfg.drift_clamp)
+            return (x + inc + sigma * sqdt * zs[0],), n
+        return step
+
+    (values,), clamps = _integrate(step_for, (x0,), grid, cfg)
     return PathEnsemble(grid=grid, values=values, seed=cfg.seed,
                         labels=None if _labels is None else _labels.copy(),
-                        record_stride=cfg.record_stride,
-                        clamp_events=int(clamp_total.sum()))
+                        record_stride=cfg.record_stride, clamp_events=clamps)
 
 
 def simulate_mixture(drift_plus: "DriftSpec", drift_minus: "DriftSpec",
@@ -277,42 +307,14 @@ def simulate_bivariate_censoring(rho, grid: TimeGrid, cfg: SimConfig):
         raise ValueError("|rho(t)| must not exceed 1 on the grid")
     rho_vals = np.clip(rho_vals, -1.0, 1.0)
     ortho = np.sqrt(1.0 - rho_vals**2)
+    sqdt = math.sqrt(grid.dt)
 
-    dt = grid.dt
-    sqdt = math.sqrt(dt)
-    if grid.n_steps % cfg.record_stride:
-        raise ValueError("record_stride must divide n_steps")
-    n_rec = grid.n_steps // cfg.record_stride + 1
-    xv = np.empty((cfg.n_paths, n_rec))
-    yv = np.empty((cfg.n_paths, n_rec))
+    def step(states, zs, k):
+        x, y = states
+        dx = sqdt * zs[0]
+        return (x + dx, y + rho_vals[k] * dx + ortho[k] * sqdt * zs[1]), 0
 
-    def worker(blk):
-        lo, hi = blk
-        m = hi - lo
-        rng_x = _stream(cfg.seed, _TAG_PRIMARY, lo // _BLOCK_SIZE)
-        rng_y = _stream(cfg.seed, _TAG_SECONDARY, lo // _BLOCK_SIZE)
-        x = np.zeros(m)
-        y = np.zeros(m)
-        xv[lo:hi, 0] = x
-        yv[lo:hi, 0] = y
-        step = 0
-        while step < grid.n_steps:
-            chunk = min(_STEP_CHUNK, grid.n_steps - step)
-            zx = rng_x.standard_normal((chunk, m))
-            zy = rng_y.standard_normal((chunk, m))
-            for j in range(chunk):
-                k = step + j
-                dx = sqdt * zx[j]
-                x = x + dx
-                y = y + rho_vals[k] * dx + ortho[k] * sqdt * zy[j]
-                if (k + 1) % cfg.record_stride == 0:
-                    xv[lo:hi, (k + 1) // cfg.record_stride] = x
-                    yv[lo:hi, (k + 1) // cfg.record_stride] = y
-            step += chunk
-            _check_finite(x, step, lo)
-            _check_finite(y, step, lo)
-
-    _run_blocks(worker, cfg.n_paths, cfg.n_threads)
+    (xv, yv), _ = _integrate(lambda lo, hi: step, (0.0, 0.0), grid, cfg, n_noise=2)
     ens_x = PathEnsemble(grid=grid, values=xv, seed=cfg.seed, record_stride=cfg.record_stride)
     ens_y = PathEnsemble(grid=grid, values=yv, seed=cfg.seed, record_stride=cfg.record_stride)
     return ens_x, ens_y

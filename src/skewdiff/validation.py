@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field, asdict
 from typing import Callable, List, Optional
 
@@ -56,16 +55,6 @@ class ValidationReport:
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-
-class timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.t0
-        return False
 
 
 def ks_statistic(samples, cdf: Callable) -> float:
@@ -141,20 +130,25 @@ def kl_grid(p: DensityGrid, q: DensityGrid, t_index: int = -1,
     return float(np.trapezoid(integrand, p.x_nodes))
 
 
-def girsanov_energy(family: SkewFamily, paths: PathEnsemble):
-    """Monte Carlo estimate of half the time-integrated squared drift along
-    an ensemble simulated under the skewed dynamics (left Riemann on the
-    recorded grid).  Returns (estimate, standard_error)."""
-    kind = "horizon" if family.kind == "horizon" else "general"
-    spec = DriftSpec(kind=kind, family=family)
+def _energy_paths(family: SkewFamily, paths: PathEnsemble) -> np.ndarray:
+    """Half the time-integrated squared drift along each path (left Riemann
+    on the recorded grid)."""
+    spec = DriftSpec(kind=family.kind, family=family)
     times = paths.times
     dt = np.diff(times)
     acc = np.zeros(paths.n_paths)
     for j, t in enumerate(times[:-1]):
         mu = drift_value(spec, paths.values[:, j], float(t))
         acc += mu * mu * dt[j]
-    acc *= 0.5
-    return float(acc.mean()), float(acc.std(ddof=1) / math.sqrt(len(acc)))
+    return 0.5 * acc
+
+
+def girsanov_energy(family: SkewFamily, paths: PathEnsemble):
+    """Monte Carlo estimate of half the time-integrated squared drift along
+    an ensemble simulated under the skewed dynamics (left Riemann on the
+    recorded grid).  Returns (estimate, standard_error)."""
+    energy = _energy_paths(family, paths)
+    return float(energy.mean()), float(energy.std(ddof=1) / math.sqrt(len(energy)))
 
 
 def path_kl_telescoped(family: SkewFamily, paths: PathEnsemble, x0: float):
@@ -178,20 +172,12 @@ def girsanov_kl_gap(family: SkewFamily, paths: PathEnsemble, x0: float):
     """Per-path gap between the telescoped log ratio and the quadratic
     energy; zero in the mean exactly when the optimality equality holds.
     Returns (gap_mean, gap_se)."""
-    kind = "horizon" if family.kind == "horizon" else "general"
-    spec = DriftSpec(kind=kind, family=family)
     times = paths.times
-    dt = np.diff(times)
-    acc = np.zeros(paths.n_paths)
-    for j, t in enumerate(times[:-1]):
-        mu = drift_value(spec, paths.values[:, j], float(t))
-        acc += mu * mu * dt[j]
-    energy_paths = 0.5 * acc
     a_end = family.alpha(float(times[-1]))
     a_0 = family.alpha(float(times[0]))
     kl_paths = (std_normal_logcdf(a_end * paths.values[:, -1])
                 - std_normal_logcdf(a_0 * x0))
-    gap = kl_paths - energy_paths
+    gap = kl_paths - _energy_paths(family, paths)
     return float(gap.mean()), float(gap.std(ddof=1) / math.sqrt(len(gap)))
 
 

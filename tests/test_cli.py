@@ -94,6 +94,41 @@ class TestSimulateCommand:
         assert run(tmp_path, *args, "--t-start", "0.01") == 0
 
 
+class TestConfigurationErrors:
+    SIM = ("--t-end", "0.5", "--steps", "10", "--paths", "8")
+
+    def test_zero_paths_exits_2(self, tmp_path):
+        assert run(tmp_path, "simulate", "--kind", "constant-skew", "--alpha", "1.0",
+                   "--t-end", "0.5", "--steps", "10", "--paths", "0") == 2
+        assert not (tmp_path / "diagnostics.json").exists()
+
+    def test_horizon_shift_exits_2(self, tmp_path):
+        args = ("simulate", "--kind", "horizon", "--T", "1.0", *self.SIM)
+        assert run(tmp_path, *args) == 0
+        assert run(tmp_path, *args, "--shift", "1") == 2
+
+    @pytest.mark.parametrize("command", [
+        ("simulate", "--kind", "constant-skew", "--alpha", "1.0", *SIM),
+        ("family", "--kind", "horizon", "--T", "1.0")])
+    def test_json_format_rejected(self, tmp_path, command):
+        assert run(tmp_path, *command, "--format", "json") == 2
+
+    def test_format_only_on_ensemble_commands(self, tmp_path):
+        assert run(tmp_path, "density", "--kind", "constant-skew", "--alpha", "1.0",
+                   "--t", "1.0", "--x", "0:1:0.5", "--format", "csv") == 2
+
+    def test_mixture_honors_clamp(self, tmp_path):
+        def clamps(out, *extra):
+            assert main(["mixture", "--kind", "horizon", "--T", "1.0", "--t-end", "0.5",
+                         "--steps", "10", "--paths", "200", "--seed", "3",
+                         "--output-dir", str(out), *extra]) in (0, 1)
+            header = (out / "mixture.csv").read_text().split("\n", 1)[0]
+            return int(header.rsplit("clamp_events=", 1)[1])
+
+        assert clamps(tmp_path / "default") == 0
+        assert clamps(tmp_path / "tight", "--clamp", "0.01") > 0
+
+
 class TestConfigOverlay:
     def test_config_overrides_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"

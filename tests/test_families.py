@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from skewdiff import (DriftSpec, HorizonError, amplitude_from_family,
+from skewdiff import (DriftSpec, HorizonError, SchemaError, amplitude_from_family,
                       constant_correlation_family, constant_skew_family,
                       drift_value, family_from_amplitude,
                       family_from_descriptor, horizon_family, mills,
@@ -182,12 +182,11 @@ class TestDriftValue:
         with pytest.raises(HorizonError):
             drift_value(spec, 0.0, 1.0)
 
-    def test_shift_ignored_for_horizon_kind(self):
+    def test_shift_rejected_for_horizon_kind(self):
         fam = horizon_family(1.0, +1)
-        a = DriftSpec(kind="horizon", family=fam, shift=0.0)
-        b = DriftSpec(kind="horizon", family=fam, shift=2.0)
-        xs = np.linspace(-2, 2, 11)
-        assert_allclose(drift_value(a, xs, 0.4), drift_value(b, xs, 0.4))
+        DriftSpec(kind="horizon", family=fam, shift=0.0)
+        with pytest.raises(SchemaError):
+            DriftSpec(kind="horizon", family=fam, shift=2.0)
 
     def test_shift_applied_for_general_kind(self):
         fam = constant_skew_family(1.0, +1)

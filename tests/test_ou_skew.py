@@ -157,6 +157,26 @@ class TestSkewNoiseDriver:
         v = ens_x.values[:, -1].var(ddof=1)
         assert abs(v - 0.05) < 0.05 * 0.15
 
+    def test_clamps_counted_on_both_ensembles(self):
+        grid = TimeGrid(0.0, 1.0, 40)
+        free = simulate_ou_skew_noise(1.0, 0.3, 2.0, grid,
+                                      SimConfig(n_paths=200, seed=73, record_stride=8))
+        tight = simulate_ou_skew_noise(1.0, 0.3, 2.0, grid,
+                                       SimConfig(n_paths=200, seed=73, record_stride=8,
+                                                 drift_clamp=1e-3))
+        assert free[0].clamp_events == free[1].clamp_events == 0
+        assert tight[0].clamp_events == tight[1].clamp_events > 0
+        # the clamp holds the skew drift down, so Z ends lower on every path
+        assert np.all(tight[1].values[:, -1] < free[1].values[:, -1])
+
+    def test_antithetic_pairs_share_magnitudes_at_first_step(self):
+        grid = TimeGrid(0.0, 1.0, 40)
+        _, z = simulate_ou_skew_noise(1.0, 0.0, 2.0, grid,
+                                      SimConfig(n_paths=200, seed=79, antithetic=True))
+        # from Z=0 the first drift increment is the same on every path
+        drift = z.values[0::2, 1] + z.values[1::2, 1]
+        assert_allclose(drift, drift[0], rtol=0, atol=1e-15)
+
     def test_horizon_guard(self):
         grid = TimeGrid(0.0, 2.5, 100)
         with pytest.raises(SkewDiffError):

@@ -131,6 +131,23 @@ class TestSafeguards:
             simulate(drift, 0.0, TimeGrid(0.0, 1.5, 100), SimConfig(n_paths=2, seed=1,
                                                                     record_stride=100))
 
+    def test_every_state_component_checked(self):
+        from skewdiff.sde import _integrate
+
+        def step(states, zs, k):
+            x, y = states
+            return (x + zs[0], y + (np.nan if k == 2 else 0.0)), 0
+
+        with pytest.raises(SimulationError) as err:
+            _integrate(lambda lo, hi: step, (0.0, 0.0), TimeGrid(0.0, 1.0, 10),
+                       SimConfig(n_paths=3, seed=1))
+        assert err.value.path_index == 0
+
+    def test_record_stride_must_divide_steps(self):
+        with pytest.raises(SchemaError):
+            simulate(skew_drift(), 0.0, TimeGrid(0.0, 1.0, 10),
+                     SimConfig(n_paths=2, seed=1, record_stride=3))
+
 
 class TestMirrorAndAntithetic:
     def test_mirror_law_exact_negation(self):
@@ -181,6 +198,18 @@ class TestBivariateCensoring:
                 continue
             assert abs(x.values[:, j].var(ddof=1) - t) < 4 * math.sqrt(2.0 / n) * t
             assert abs(y.values[:, j].var(ddof=1) - t) < 4 * math.sqrt(2.0 / n) * t
+
+    def test_antithetic_and_flip_negate_the_pair(self):
+        grid = TimeGrid(0.0, 1.0, 40)
+        rho = lambda t: math.sqrt(t)
+        base = simulate_bivariate_censoring(rho, grid, SimConfig(n_paths=200, seed=43))
+        flip = simulate_bivariate_censoring(rho, grid, SimConfig(n_paths=200, seed=43,
+                                                                 flip_noise=True))
+        anti = simulate_bivariate_censoring(rho, grid, SimConfig(n_paths=200, seed=43,
+                                                                 antithetic=True))
+        for b, f, a in zip(base, flip, anti):
+            assert np.array_equal(f.values, -b.values)
+            assert np.array_equal(a.values[1::2], -a.values[0::2])
 
     def test_rejects_bad_correlation(self):
         with pytest.raises(ValueError):
