@@ -169,7 +169,7 @@ class TestSkewNoiseDriver:
         # the clamp holds the skew drift down, so Z ends lower on every path
         assert np.all(tight[1].values[:, -1] < free[1].values[:, -1])
 
-    def test_antithetic_pairs_share_magnitudes_at_first_step(self):
+    def test_antithetic_pairs_mirror_the_noise(self):
         grid = TimeGrid(0.0, 1.0, 40)
         _, z = simulate_ou_skew_noise(1.0, 0.0, 2.0, grid,
                                       SimConfig(n_paths=200, seed=79, antithetic=True))
