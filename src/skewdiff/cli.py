@@ -52,57 +52,105 @@ def _parse_range(text: str) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
-def _family_from_args(args):
-    chir = args.chirality
-    if args.kind == "horizon":
-        if args.T is None:
-            raise SchemaError("--T is required for kind=horizon")
-        return horizon_family(args.T, chir)
-    if args.kind == "constant-skew":
-        if args.alpha is None:
-            raise SchemaError("--alpha is required for kind=constant-skew")
-        return constant_skew_family(args.alpha, chir)
-    if args.kind == "constant-correlation":
-        if args.C is None:
-            raise SchemaError("--C is required for kind=constant-correlation")
-        return constant_correlation_family(args.C, chir)
-    raise SchemaError(f"unknown family kind {args.kind!r}")
+def _params(args, flags, what):
+    """The values of `flags`; a SchemaError names those left unset."""
+    missing = ["--" + f.replace("_", "-") for f in flags if getattr(args, f) is None]
+    if missing:
+        raise SchemaError(f"{what} requires {', '.join(missing)}")
+    return [getattr(args, f) for f in flags]
+
+
+def _ou_drift(lam, chirality) -> DriftSpec:
+    return DriftSpec(kind="ou_htransform", params={"lam": lam, "chirality": chirality})
+
+
+def _horizon_mixture(T, x0):
+    """Horizon drifts of both chiralities; their mixture is Brownian motion."""
+    def target(grid):
+        t = grid.t_end - grid.terminal_cutoff_epsilon
+        return cdf_from_pdf(
+            lambda v: np.exp(-0.5 * (v - x0) ** 2 / t) / math.sqrt(2 * math.pi * t),
+            x0 - 8 * math.sqrt(t), x0 + 8 * math.sqrt(t))
+    drifts = [DriftSpec(kind="horizon", family=horizon_family(T, c)) for c in (1, -1)]
+    return drifts, mixture_probability(x0, T), target, "brownian"
+
+
+def _ou_mixture(lam, x0):
+    """OU h-transforms of both chiralities; their mixture is the growing OU."""
+    def target(grid):
+        t = grid.t_end
+        sd = math.sqrt((math.exp(2 * lam * t) - 1) / (2 * lam))
+        m = x0 * math.exp(lam * t)
+        return cdf_from_pdf(lambda v: repulsive_ou_tpd(v, t, lam, x0), m - 8 * sd, m + 8 * sd)
+    drifts = [_ou_drift(lam, c) for c in (1, -1)]
+    return drifts, ou_mixture_probability(lam, x0), target, "growing-ou"
+
+
+# One table per --kind axis: kind -> (constructor, the flags passed to it in order).
+FAMILY_KINDS = {
+    "horizon": (horizon_family, ("T", "chirality")),
+    "constant-skew": (constant_skew_family, ("alpha", "chirality")),
+    "constant-correlation": (constant_correlation_family, ("C", "chirality")),
+}
+# simulate and fokker-planck also take the OU h-transform drift
+DRIFT_KINDS = (*FAMILY_KINDS, "ou-htransform")
+# density constructors are the densities themselves, called as f(x, t, *flags)
+DENSITY_KINDS = {
+    "horizon": (horizon_tpd, ("x0", "T", "chirality")),
+    "constant-skew": (constant_skew_tpd, ("alpha", "chirality")),
+    "censored": (censored_posterior, ("rho",)),
+    "ou-htransform": (ou_htransform_tpd, ("lam", "x0", "chirality")),
+    "ou-noise-marginal": (ou_skew_driven_marginal, ("lam", "x0", "T")),
+}
+MIXTURE_KINDS = {
+    "horizon": (_horizon_mixture, ("T", "x0")),
+    "ou": (_ou_mixture, ("lam", "x0")),
+}
+
+
+def _make(table, args):
+    make, flags = table[args.kind]
+    return make(*_params(args, flags, f"kind={args.kind}"))
+
+
+def _read_json(path, what) -> dict:
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as e:
+        raise SchemaError(f"{what} {path}: {e}") from e
+    if not isinstance(data, dict):
+        raise SchemaError(f"{what} {path} must hold a JSON object")
+    return data
 
 
 def _drift_from_args(args) -> DriftSpec:
-    if getattr(args, "drift_json", None):
-        path = Path(args.drift_json)
-        if not path.exists():
-            raise SchemaError(f"drift descriptor {path} does not exist")
+    if args.drift_json:
+        desc = _read_json(args.drift_json, "drift descriptor")
         try:
-            desc = json.loads(path.read_text())
-            if "family" not in desc and desc.get("kind") in (
-                    "horizon", "constant_skew", "constant_correlation", "general"):
-                # bare family descriptor: wrap it in its natural drift
-                from .families import family_from_descriptor
-                fam = family_from_descriptor(desc)
-                return DriftSpec(kind=fam.kind, family=fam)
             return drift_spec_from_descriptor(desc)
-        except (KeyError, ValueError, json.JSONDecodeError) as e:
+        except (KeyError, ValueError) as e:
             raise SchemaError(f"bad drift descriptor: {e}") from e
     if args.kind is None:
         raise SchemaError("--kind (or --drift-json) is required")
     if args.kind == "ou-htransform":
-        if args.lam is None:
-            raise SchemaError("--lam is required for kind=ou-htransform")
-        return DriftSpec(kind="ou_htransform",
-                         params={"lam": args.lam, "chirality": args.chirality})
-    fam = _family_from_args(args)
-    return DriftSpec(kind=fam.kind, family=fam, shift=getattr(args, "shift", 0.0) or 0.0)
+        return _ou_drift(*_params(args, ("lam", "chirality"), "kind=ou-htransform"))
+    fam = _make(FAMILY_KINDS, args)
+    return DriftSpec(kind=fam.kind, family=fam, shift=getattr(args, "shift", 0.0))
 
 
-def _write_manifest(outdir: Path, command: str, args, artifacts, t0: float):
-    cfg = {k: v for k, v in vars(args).items()
-           if k not in ("func", "config") and not k.startswith("_")}
+def _cutoff(args, family) -> float:
+    """--epsilon, by default 1e-4 * t_end for a horizon family and 0 otherwise."""
+    if args.epsilon is not None:
+        return args.epsilon
+    return 1e-4 * args.t_end if family is not None and family.kind == "horizon" else 0.0
+
+
+def _write_manifest(outdir: Path, args, artifacts, t0: float):
+    cfg = {k: v for k, v in vars(args).items() if k != "config"}
     manifest = {
-        "command": command,
+        "command": args.command,
         "configuration": cfg,
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "versions": {"skewdiff": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__,
                      "python": sys.version.split()[0]},
@@ -111,12 +159,6 @@ def _write_manifest(outdir: Path, command: str, args, artifacts, t0: float):
         "manifest_version": 1,
     }
     write_json(outdir / "manifest.json", manifest)
-
-
-def _outdir(args) -> Path:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _sim_config(args) -> SimConfig:
@@ -135,10 +177,11 @@ def _emit_ensemble(ens, outdir: Path, stem: str, fmt: str):
     return p
 
 
-def cmd_family(args) -> int:
-    t0 = time.perf_counter()
-    outdir = _outdir(args)
-    fam = _family_from_args(args)
+# Each cmd_<name>(args, outdir) writes its artifacts into outdir and returns
+# (exit code, artifact paths); main times it and writes the manifest.
+
+def cmd_family(args, outdir: Path):
+    fam = _make(FAMILY_KINDS, args)
     artifacts = [outdir / "family.json"]
     write_json(artifacts[0], fam.descriptor())
     if args.table_t:
@@ -147,18 +190,13 @@ def cmd_family(args) -> int:
         columns_to_csv(tab, ("t", "psi", "alpha"), ts,
                        [fam.psi(t) for t in ts], [fam.alpha(t) for t in ts])
         artifacts.append(tab)
-    _write_manifest(outdir, "family", args, artifacts, t0)
-    return 0
+    return 0, artifacts
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
-    outdir = _outdir(args)
+def cmd_simulate(args, outdir: Path):
     drift = _drift_from_args(args)
-    eps = args.epsilon if args.epsilon is not None else \
-        (1e-4 * args.t_end if drift.kind == "horizon" else 0.0)
     grid = TimeGrid(t_start=args.t_start, t_end=args.t_end, n_steps=args.steps,
-                    terminal_cutoff_epsilon=eps)
+                    terminal_cutoff_epsilon=_cutoff(args, drift.family))
     with np.errstate(invalid="ignore"):
         probe = np.asarray(drift.mu(np.asarray([args.x0]), grid.t_start))
     if not np.all(np.isfinite(probe)):
@@ -177,51 +215,23 @@ def cmd_simulate(args) -> int:
     sp = outdir / "summary.json"
     write_json(sp, summary)
     artifacts.append(sp)
-    _write_manifest(outdir, "simulate", args, artifacts, t0)
-    return 0
+    return 0, artifacts
 
 
-def cmd_density(args) -> int:
-    t0 = time.perf_counter()
-    outdir = _outdir(args)
+def cmd_density(args, outdir: Path):
     xs = _parse_range(args.x)
     ts = _parse_floats(args.t)
-    kind = args.kind
-    chir = args.chirality
-    if kind == "horizon":
-        if args.T is None:
-            raise SchemaError("--T required")
-        fn = lambda x, t: horizon_tpd(x, t, args.x0, args.T, chir)
-    elif kind == "constant-skew":
-        if args.alpha is None:
-            raise SchemaError("--alpha required")
-        fn = lambda x, t: constant_skew_tpd(x, t, args.alpha, chir)
-    elif kind == "censored":
-        if args.rho is None:
-            raise SchemaError("--rho required")
-        fn = lambda x, t: censored_posterior(x, t, args.rho)
-    elif kind == "ou-htransform":
-        if args.lam is None:
-            raise SchemaError("--lam required")
-        fn = lambda x, t: ou_htransform_tpd(x, t, args.lam, args.x0, chir)
-    elif kind == "ou-noise-marginal":
-        if args.lam is None or args.T is None:
-            raise SchemaError("--lam and --T required")
-        fn = lambda x, t: ou_skew_driven_marginal(x, t, args.lam, args.x0, args.T)
-    else:
-        raise SchemaError(f"unknown density kind {kind!r}")
-    grid = density_grid(fn, xs, ts)
+    tpd, flags = DENSITY_KINDS[args.kind]
+    params = _params(args, flags, f"kind={args.kind}")
+    grid = density_grid(lambda x, t: tpd(x, t, *params), xs, ts)
     csv_path = outdir / "density.csv"
     density_grid_to_csv(grid, csv_path)
     sp = outdir / "density_summary.json"
     write_json(sp, density_grid_summary(grid))
-    _write_manifest(outdir, "density", args, [csv_path, sp], t0)
-    return 0
+    return 0, [csv_path, sp]
 
 
-def cmd_fokker_planck(args) -> int:
-    t0 = time.perf_counter()
-    outdir = _outdir(args)
+def cmd_fokker_planck(args, outdir: Path):
     drift = _drift_from_args(args)
     grid = TimeGrid(t_start=0.0, t_end=args.t_end, n_steps=max(64, args.n_t),
                     terminal_cutoff_epsilon=args.epsilon or 0.0)
@@ -232,13 +242,10 @@ def cmd_fokker_planck(args) -> int:
     density_grid_to_csv(sol, csv_path)
     sp = outdir / "kfe_summary.json"
     write_json(sp, density_grid_summary(sol))
-    _write_manifest(outdir, "fokker-planck", args, [csv_path, sp], t0)
-    return 0
+    return 0, [csv_path, sp]
 
 
-def cmd_censor(args) -> int:
-    t0 = time.perf_counter()
-    outdir = _outdir(args)
+def cmd_censor(args, outdir: Path):
     T = args.t_end
     if args.rho_kind == "sqrt-ramp":
         rho = lambda t: math.sqrt(max(t, 0.0) / T)
@@ -273,45 +280,15 @@ def cmd_censor(args) -> int:
     rp = outdir / "censor_results.json"
     write_json(rp, {"checks": results})
     artifacts.append(rp)
-    _write_manifest(outdir, "censor", args, artifacts, t0)
-    return 0 if all(r["ks"] <= r["threshold"] for r in results) else 1
+    return (0 if all(r["ks"] <= r["threshold"] for r in results) else 1), artifacts
 
 
-def cmd_mixture(args) -> int:
-    t0 = time.perf_counter()
-    outdir = _outdir(args)
-    grid_eps = args.epsilon if args.epsilon is not None else \
-        (1e-4 * args.t_end if args.kind == "horizon" else 0.0)
+def cmd_mixture(args, outdir: Path):
+    (dplus, dminus), (p_minus, p_plus), target, target_name = _make(MIXTURE_KINDS, args)
     grid = TimeGrid(t_start=0.0, t_end=args.t_end, n_steps=args.steps,
-                    terminal_cutoff_epsilon=grid_eps)
-    cfg = _sim_config(args)
-    if args.kind == "horizon":
-        if args.T is None:
-            raise SchemaError("--T required")
-        dplus = DriftSpec(kind="horizon", family=horizon_family(args.T, +1))
-        dminus = DriftSpec(kind="horizon", family=horizon_family(args.T, -1))
-        p_minus, p_plus = mixture_probability(args.x0, args.T)
-        t_term = grid.t_end - grid.terminal_cutoff_epsilon
-        target = cdf_from_pdf(
-            lambda v: np.exp(-0.5 * (v - args.x0) ** 2 / t_term) / math.sqrt(2 * math.pi * t_term),
-            args.x0 - 8 * math.sqrt(t_term), args.x0 + 8 * math.sqrt(t_term))
-        target_name = "brownian"
-    elif args.kind == "ou":
-        if args.lam is None:
-            raise SchemaError("--lam required")
-        dplus = DriftSpec(kind="ou_htransform", params={"lam": args.lam, "chirality": +1})
-        dminus = DriftSpec(kind="ou_htransform", params={"lam": args.lam, "chirality": -1})
-        p_minus, p_plus = ou_mixture_probability(args.lam, args.x0)
-        t_term = grid.t_end
-        sd = math.sqrt((math.exp(2 * args.lam * t_term) - 1) / (2 * args.lam))
-        m = args.x0 * math.exp(args.lam * t_term)
-        target = cdf_from_pdf(lambda v: repulsive_ou_tpd(v, t_term, args.lam, args.x0),
-                              m - 8 * sd, m + 8 * sd)
-        target_name = "growing-ou"
-    else:
-        raise SchemaError(f"unknown mixture kind {args.kind!r}")
-    ens = simulate_mixture(dplus, dminus, p_plus, args.x0, grid, cfg)
-    ks = ks_statistic(ens.values[:, -1], target)
+                    terminal_cutoff_epsilon=_cutoff(args, dplus.family))
+    ens = simulate_mixture(dplus, dminus, p_plus, args.x0, grid, _sim_config(args))
+    ks = ks_statistic(ens.values[:, -1], target(grid))
     thr = ks_threshold(args.paths)
     artifacts = [_emit_ensemble(ens, outdir, "mixture", args.format)]
     rp = outdir / "mixture_results.json"
@@ -319,62 +296,46 @@ def cmd_mixture(args) -> int:
                     "threshold": thr, "target": target_name,
                     "label_fraction_plus": float((ens.labels > 0).mean())})
     artifacts.append(rp)
-    _write_manifest(outdir, "mixture", args, artifacts, t0)
-    return 0 if ks <= thr else 1
+    return (0 if ks <= thr else 1), artifacts
 
 
-def cmd_ou(args) -> int:
-    t0 = time.perf_counter()
-    outdir = _outdir(args)
+def cmd_ou(args, outdir: Path):
     cfg = _sim_config(args)
-    artifacts = []
+    grid = TimeGrid(t_start=0.0, t_end=args.t_end, n_steps=args.steps)
+    term = float(grid.t_end)
     if args.mode == "htransform":
-        drift = DriftSpec(kind="ou_htransform",
-                          params={"lam": args.lam, "chirality": args.chirality})
-        grid = TimeGrid(t_start=0.0, t_end=args.t_end, n_steps=args.steps)
-        ens = simulate(drift, args.x0, grid, cfg)
-        term = float(grid.t_end)
+        ens = simulate(_ou_drift(args.lam, args.chirality), args.x0, grid, cfg)
         ref = cdf_from_pdf(lambda v: ou_htransform_tpd(v, term, args.lam, args.x0,
                                                        args.chirality),
                            -10 - abs(args.x0), 10 + abs(args.x0)
                            + 3 * math.exp(args.lam * term))
         ks = ks_statistic(ens.values[:, -1], ref)
-        artifacts.append(_emit_ensemble(ens, outdir, "ou_htransform", args.format))
-    elif args.mode == "sknoise":
-        if args.T is None:
-            raise SchemaError("--T required for mode=sknoise")
-        grid = TimeGrid(t_start=0.0, t_end=args.t_end, n_steps=args.steps)
-        ens_x, ens_z = simulate_ou_skew_noise(args.lam, args.x0, args.T, grid, cfg)
-        term = float(grid.t_end)
-        ref = cdf_from_pdf(lambda v: ou_skew_driven_marginal(v, term, args.lam,
-                                                             args.x0, args.T),
+        artifacts = [_emit_ensemble(ens, outdir, "ou_htransform", args.format)]
+    else:
+        (T,) = _params(args, ("T",), "mode=sknoise")
+        ens_x, ens_z = simulate_ou_skew_noise(args.lam, args.x0, T, grid, cfg)
+        ref = cdf_from_pdf(lambda v: ou_skew_driven_marginal(v, term, args.lam, args.x0, T),
                            -12, 12)
         ks = ks_statistic(ens_x.values[:, -1], ref)
-        artifacts.append(_emit_ensemble(ens_x, outdir, "ou_system", args.format))
-        artifacts.append(_emit_ensemble(ens_z, outdir, "ou_driver", args.format))
-    else:
-        raise SchemaError(f"unknown ou mode {args.mode!r}")
+        artifacts = [_emit_ensemble(ens_x, outdir, "ou_system", args.format),
+                     _emit_ensemble(ens_z, outdir, "ou_driver", args.format)]
     thr = ks_threshold(args.paths)
     rp = outdir / "ou_results.json"
     write_json(rp, {"terminal_ks": ks, "threshold": thr})
     artifacts.append(rp)
-    _write_manifest(outdir, "ou", args, artifacts, t0)
-    return 0 if ks <= thr else 1
+    return (0 if ks <= thr else 1), artifacts
 
 
-def cmd_validate(args) -> int:
-    t0 = time.perf_counter()
-    outdir = _outdir(args)
+def cmd_validate(args, outdir: Path):
     from .suite import build_core_report
     report = build_core_report(seed=args.seed, quick=(args.suite == "quick"))
     rp = outdir / "validation_report.json"
     rp.write_text(report.to_json() + "\n")
-    _write_manifest(outdir, "validate", args, [rp], t0)
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name}: statistic={c.statistic:.3e} threshold={c.threshold:.3e}")
     print(f"{'ALL CHECKS PASSED' if report.all_passed else 'CHECK FAILURES PRESENT'}")
-    return 0 if report.all_passed else 1
+    return (0 if report.all_passed else 1), [rp]
 
 
 def _add_common(p):
@@ -384,8 +345,8 @@ def _add_common(p):
                    help="JSON file whose keys override the flags")
 
 
-def _add_family_params(p, kind_required=True):
-    p.add_argument("--kind", required=kind_required, default=None)
+def _add_family_params(p, kinds, kind_required=True):
+    p.add_argument("--kind", choices=kinds, required=kind_required, default=None)
     p.add_argument("--T", type=float, default=None, help="horizon (horizon kind)")
     p.add_argument("--alpha", type=float, default=None, help="constant skewness")
     p.add_argument("--C", type=float, default=None, help="constant correlation in [0,1)")
@@ -417,31 +378,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="construct a drift family and export it")
     _add_common(p)
-    _add_family_params(p)
+    _add_family_params(p, FAMILY_KINDS)
     p.add_argument("--table-t", default=None, help="comma list of times to tabulate")
-    p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("simulate", help="Euler-Maruyama ensemble for a drift")
     _add_common(p)
-    _add_family_params(p, kind_required=False)
+    _add_family_params(p, DRIFT_KINDS, kind_required=False)
     _add_sim_params(p)
     p.add_argument("--shift", type=float, default=0.0)
     p.add_argument("--drift-json", default=None,
                    help="drift (or family) descriptor file, instead of --kind")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("density", help="tabulate a closed-form density")
     _add_common(p)
-    _add_family_params(p)
+    _add_family_params(p, DENSITY_KINDS)
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--t", required=True, help="comma list of times")
     p.add_argument("--x", required=True, help="x grid as lo:hi:step")
-    p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("fokker-planck", help="finite-difference forward solve")
     _add_common(p)
-    _add_family_params(p, kind_required=False)
+    _add_family_params(p, DRIFT_KINDS, kind_required=False)
     p.add_argument("--drift-json", default=None,
                    help="drift (or family) descriptor file, instead of --kind")
     p.add_argument("--x0", type=float, default=0.0)
@@ -453,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-x", type=int, default=2001)
     p.add_argument("--n-t", type=int, default=1000)
     p.add_argument("--theta", type=float, default=0.5)
-    p.set_defaults(func=cmd_fokker_planck)
 
     p = sub.add_parser("censor", help="bivariate censoring simulation and checks")
     _add_common(p)
@@ -466,15 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth", type=float, default=None)
     p.add_argument("--record-stride", type=int, default=1)
     p.add_argument("--threads", type=int, default=None)
-    p.set_defaults(func=cmd_censor)
 
     p = sub.add_parser("mixture", help="chirality-mixture simulation and identity check")
     _add_common(p)
-    p.add_argument("--kind", choices=("horizon", "ou"), default="horizon")
+    p.add_argument("--kind", choices=MIXTURE_KINDS, default="horizon")
     p.add_argument("--T", type=float, default=None)
     p.add_argument("--lam", type=float, default=None)
     _add_sim_params(p)
-    p.set_defaults(func=cmd_mixture)
 
     p = sub.add_parser("ou", help="mean-reversion extensions")
     _add_common(p)
@@ -483,36 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=None, help="noise horizon (sknoise)")
     p.add_argument("--chirality", type=int, choices=(-1, 1), default=1)
     _add_sim_params(p)
-    p.set_defaults(func=cmd_ou)
 
     p = sub.add_parser("validate", help="run the verification suite")
     _add_common(p)
     p.add_argument("--suite", choices=("core", "quick"), default="core")
-    p.set_defaults(func=cmd_validate)
 
     return parser
-
-
-def _apply_config(args, parser):
-    """Overlay --config JSON onto parsed args; unknown keys are errors."""
-    if not getattr(args, "config", None):
-        return args
-    path = Path(args.config)
-    if not path.exists():
-        raise SchemaError(f"config file {path} does not exist")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"config file is not valid JSON: {e}") from e
-    if not isinstance(data, dict):
-        raise SchemaError("config file must hold a JSON object")
-    known = set(vars(args))
-    for key, value in data.items():
-        dest = key.replace("-", "_")
-        if dest not in known or dest in ("func", "command", "config"):
-            raise SchemaError(f"unknown configuration key {key!r}")
-        setattr(args, dest, value)
-    return args
 
 
 def _fuse_range_values(argv):
@@ -535,29 +466,59 @@ def _fuse_range_values(argv):
     return out
 
 
-def main(argv=None) -> int:
+def _parse(argv):
+    """Parse the command line, then parse it again with the --config keys
+    appended as flags: each value meets its flag's type and choices, and
+    argparse keeps the last value it reads, so the config overrides the
+    command line.  A switch (a store_true flag, the only kind that parses to
+    a bool) takes a JSON true/false instead."""
     parser = build_parser()
+    argv = _fuse_range_values(argv)
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    flags, switches = [], {}
+    for key, value in _read_json(args.config, "config file").items():
+        dest = key.replace("-", "_")
+        if dest not in vars(args) or dest in ("command", "config"):
+            raise SchemaError(f"unknown configuration key {key!r}")
+        switch = isinstance(getattr(args, dest), bool)
+        if switch and isinstance(value, bool):
+            switches[dest] = value
+        elif not switch and isinstance(value, (str, int, float)) \
+                and not isinstance(value, bool):
+            flags.append(f"--{dest.replace('_', '-')}={value}")
+        else:
+            raise SchemaError(f"configuration key {key!r} cannot be {json.dumps(value)}")
+    args = parser.parse_args([*argv, *flags])
+    vars(args).update(switches)
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(_fuse_range_values(argv))
+        args = _parse(argv)
+        t0 = time.perf_counter()
+        outdir = Path(args.output_dir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        # looked up at call time, so a wrapped cmd_<name> is the one that runs
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        code, artifacts = command(args, outdir)
     except SystemExit as e:
         # argparse exits 2 on schema violations and 0 on --help
         return int(e.code or 0)
-    try:
-        args = _apply_config(args, parser)
-        return args.func(args)
     except SchemaError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (SkewDiffError, FloatingPointError, ValueError) as e:
-        outdir = Path(getattr(args, "output_dir", "."))
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-            write_json(outdir / "diagnostics.json",
-                       {"error": str(e), "type": type(e).__name__})
-        except OSError:
-            pass
+        # vars(e) holds the fields an exception carries, such as the
+        # PDE step diagnostics or the failing path and step index
+        write_json(outdir / "diagnostics.json",
+                   {"error": str(e), "type": type(e).__name__, **vars(e)})
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
+    _write_manifest(outdir, args, artifacts, t0)
+    return code
 
 
 if __name__ == "__main__":

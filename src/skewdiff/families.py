@@ -26,7 +26,8 @@ from scipy.optimize import brentq
 from .dists import mills
 from .errors import HorizonError, SchemaError
 
-VALID_KINDS = ("horizon", "constant_skew", "constant_correlation", "general", "ou_htransform", "custom")
+FAMILY_KINDS = ("horizon", "constant_skew", "constant_correlation", "general")
+VALID_KINDS = (*FAMILY_KINDS, "ou_htransform", "custom")
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,9 @@ class SkewFamily:
 
     def __post_init__(self):
         if self.chirality not in (-1, 1):
-            raise ValueError("chirality must be +1 or -1")
+            raise SchemaError("chirality must be +1 or -1")
         if self.family_constant < 0:
-            raise ValueError("family constant must be nonnegative")
+            raise SchemaError("family constant must be nonnegative")
 
     def check_time(self, t):
         tmax = float(np.max(t))
@@ -130,7 +131,7 @@ def horizon_family(T: float, chirality: int = 1) -> SkewFamily:
     blows up as t -> T, which is the validity horizon.
     """
     if not T > 0:
-        raise ValueError(f"horizon T must be positive, got {T}")
+        raise SchemaError(f"horizon T must be positive, got {T}")
     chirality = int(chirality)
 
     def psi(t):
@@ -152,7 +153,7 @@ def horizon_family(T: float, chirality: int = 1) -> SkewFamily:
 def constant_skew_family(alpha_const: float, chirality: int = 1) -> SkewFamily:
     """Constant-skewness family; the amplitude decays from 1 toward 1/2."""
     if not alpha_const > 0:
-        raise ValueError(f"alpha_const must be positive, got {alpha_const}")
+        raise SchemaError(f"alpha_const must be positive, got {alpha_const}")
     chirality = int(chirality)
     a2 = alpha_const * alpha_const
 
@@ -180,7 +181,7 @@ def constant_correlation_family(C: float, chirality: int = 1) -> SkewFamily:
     C = 0 degenerates to plain Brownian motion.
     """
     if not 0 <= C < 1:
-        raise ValueError(f"C must lie in [0, 1), got {C}")
+        raise SchemaError(f"C must lie in [0, 1), got {C}")
     chirality = int(chirality)
     coef = C / math.sqrt(1.0 - C * C)
 
@@ -246,13 +247,13 @@ def family_from_amplitude(psi: Callable, C: float, chirality: int,
     located by bisection on t * Lambda(t)^2 - 1.
     """
     if C < 0:
-        raise ValueError(f"C must be nonnegative, got {C}")
+        raise SchemaError(f"C must be nonnegative, got {C}")
     chirality = int(chirality)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing with >= 2 points")
+        raise SchemaError("t_grid must be strictly increasing with >= 2 points")
     if t_grid[0] <= 0:
-        raise ValueError("t_grid must start at a strictly positive time")
+        raise SchemaError("t_grid must start at a strictly positive time")
 
     t_hi = float(t_grid[-1])
     probe = float(psi(1e-9))
@@ -370,7 +371,8 @@ class DriftSpec:
         amplitude * alpha_t * mills(alpha_t * (x - shift) / sigma); the
         shift is the modified drift required for a nonzero start.  The
         horizon drift is shift-free (the initial condition only rescales
-        the density normalization), so a nonzero shift is rejected there.
+        the density normalization), so a nonzero shift is rejected for a
+        horizon family under any kind.
       - "ou_htransform": lam*x + chirality * sqrt(2 lam) *
         mills(chirality * sqrt(2 lam) * x); params = {"lam", "chirality"}.
       - "custom": user-supplied mu(x, t).
@@ -388,10 +390,10 @@ class DriftSpec:
             raise SchemaError(f"unknown drift kind {self.kind!r}")
         if not self.diffusion_scale > 0:
             raise SchemaError("diffusion_scale must be positive")
-        if self.kind in ("horizon", "constant_skew", "constant_correlation", "general"):
+        if self.kind in FAMILY_KINDS:
             if self.family is None:
                 raise SchemaError(f"kind {self.kind!r} requires a family")
-        if self.kind == "horizon" and self.shift != 0.0:
+        if self.family is not None and self.family.kind == "horizon" and self.shift != 0.0:
             raise SchemaError("the horizon drift is shift-free; shift must be 0")
         if self.kind == "ou_htransform":
             if "lam" not in self.params or "chirality" not in self.params:
@@ -418,9 +420,13 @@ class DriftSpec:
 
 
 def drift_spec_from_descriptor(desc: dict) -> DriftSpec:
+    """Rebuild a drift from its descriptor; a bare family descriptor stands
+    for that family's own drift (no shift, unit diffusion scale)."""
     kind = desc["kind"]
     if kind == "custom":
         raise ValueError("custom drifts are not JSON-constructible")
+    if "family" not in desc and kind in FAMILY_KINDS:
+        return DriftSpec(kind=kind, family=family_from_descriptor(desc))
     family = family_from_descriptor(desc["family"]) if "family" in desc else None
     return DriftSpec(kind=kind, family=family, shift=float(desc.get("shift", 0.0)),
                      diffusion_scale=float(desc.get("sigma", 1.0)),

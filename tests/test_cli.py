@@ -1,10 +1,17 @@
 """Command-line interface: artifacts, determinism, exit codes."""
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skewdiff import constant_skew_tpd
+from skewdiff import SimulationError, constant_skew_tpd, horizon_family
+from skewdiff import cli
 from skewdiff.cli import main
 
 
@@ -129,6 +136,55 @@ class TestConfigurationErrors:
         assert clamps(tmp_path / "tight", "--clamp", "0.01") > 0
 
 
+class TestFamilyParameterErrors:
+    @pytest.mark.parametrize("params", [("--kind", "horizon", "--T", "-1"),
+                                        ("--kind", "constant-skew", "--alpha", "0")])
+    def test_bad_family_parameter_exits_2(self, tmp_path, params):
+        assert run(tmp_path, "family", *params) == 2
+        assert not (tmp_path / "diagnostics.json").exists()
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_horizon_family_under_general_kind(self, tmp_path):
+        # a horizon family keeps its shift rule and its cutoff default under
+        # any drift kind
+        fam = horizon_family(1.0).descriptor()
+        desc = tmp_path / "drift.json"
+        sim = ("--t-end", "1.0", "--steps", "20", "--paths", "16", "--seed", "4")
+        desc.write_text(json.dumps({"kind": "general", "family": fam, "shift": 1.5}))
+        assert main(["simulate", "--drift-json", str(desc), *sim,
+                     "--output-dir", str(tmp_path / "shifted")]) == 2
+        desc.write_text(json.dumps({"kind": "general", "family": fam}))
+        assert main(["simulate", "--drift-json", str(desc), *sim,
+                     "--output-dir", str(tmp_path / "general")]) == 0
+        assert main(["simulate", "--kind", "horizon", "--T", "1.0", *sim,
+                     "--output-dir", str(tmp_path / "flags")]) == 0
+        assert (tmp_path / "general" / "ensemble.csv").read_bytes() == \
+            (tmp_path / "flags" / "ensemble.csv").read_bytes()
+
+
+class TestDiagnostics:
+    def test_pde_instability_fields(self, tmp_path):
+        code = run(tmp_path, "fokker-planck", "--kind", "constant-skew", "--alpha", "1",
+                   "--t-end", "1", "--x-min", "-8", "--x-max", "8", "--n-t", "64",
+                   "--theta", "0")
+        assert code == 3
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["type"] == "PdeInstabilityError"
+        assert set(diag["diagnostics"]) == {"step", "t", "min_value", "mass"}
+        assert diag["diagnostics"]["min_value"] < 0
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_simulation_error_fields(self, tmp_path, monkeypatch):
+        def failing(args, outdir):
+            raise SimulationError("non-finite value", path_index=3, step_index=7)
+
+        # main looks the command up when it runs, so the replacement is used
+        monkeypatch.setattr(cli, "cmd_family", failing)
+        assert run(tmp_path, "family", "--kind", "horizon", "--T", "1.0") == 3
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert (diag["path_index"], diag["step_index"]) == (3, 7)
+
+
 class TestConfigOverlay:
     def test_config_overrides_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -146,6 +202,49 @@ class TestConfigOverlay:
         code = run(tmp_path, "density", "--kind", "constant-skew", "--alpha", "1.0",
                    "--t", "1.0", "--x", "0:1:0.5", "--config", str(cfg))
         assert code == 2
+
+    SIM = ("simulate", "--kind", "constant-skew", "--alpha", "1.0", "--t-end", "0.5",
+           "--steps", "10", "--paths", "8", "--seed", "3")
+
+    def sim(self, out, config=None, *extra):
+        args = [*self.SIM, *extra, "--output-dir", str(out)]
+        if config is not None:
+            cfg = out.parent / f"{out.name}.json"
+            cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+            args += ["--config", str(cfg)]
+        return main(args)
+
+    @pytest.mark.parametrize("config", [{"paths": 200.5}, {"paths": True},
+                                        {"antithetic": "no"}, {"antithetic": 1},
+                                        {"format": "json"}, {"seed": None},
+                                        {"config": "other.json"}, "{not json", "[1, 2]"])
+    def test_ill_typed_config_exits_2(self, tmp_path, capsys, config):
+        assert self.sim(tmp_path / "out", config) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_string_value_parses_like_its_flag(self, tmp_path):
+        assert self.sim(tmp_path / "flag", None, "--paths", "20") == 0
+        assert self.sim(tmp_path / "cfg", {"paths": "20"}) == 0
+        assert (tmp_path / "flag" / "ensemble.csv").read_bytes() == \
+            (tmp_path / "cfg" / "ensemble.csv").read_bytes()
+        configs = [json.loads((tmp_path / d / "manifest.json").read_text())["configuration"]
+                   for d in ("flag", "cfg")]
+        for c in configs:
+            c.pop("output_dir")
+        assert configs[0] == configs[1] and configs[0]["paths"] == 20
+
+    def test_switch_takes_json_booleans(self, tmp_path):
+        def antithetic(out):
+            return json.loads((out / "manifest.json").read_text())["configuration"]["antithetic"]
+
+        assert self.sim(tmp_path / "on", {"antithetic": True}) == 0
+        assert antithetic(tmp_path / "on") is True
+        assert self.sim(tmp_path / "off", {"antithetic": False}, "--antithetic") == 0
+        assert antithetic(tmp_path / "off") is False
+        assert self.sim(tmp_path / "plain") == 0
+        assert (tmp_path / "off" / "ensemble.csv").read_bytes() == \
+            (tmp_path / "plain" / "ensemble.csv").read_bytes()
 
     def test_unknown_flag_rejected(self, tmp_path):
         assert run(tmp_path, "family", "--kind", "horizon", "--T", "1.0",
@@ -235,3 +334,48 @@ class TestThreadEnv:
                    "--t-end", "0.5", "--steps", "10", "--paths", "8")
         assert code == 2
         assert not (tmp_path / "diagnostics.json").exists()
+
+
+FUZZ_BASE = {
+    "simulate": ("simulate", "--kind", "constant-skew", "--alpha", "1.0",
+                 "--t-end", "0.5", "--steps", "8", "--paths", "8"),
+    "density": ("density", "--kind", "constant-skew", "--alpha", "1.0",
+                "--t", "1.0", "--x", "0:1:0.5"),
+}
+FUZZ_STRINGS = ("", "abc", "1.0", "-1", "0.5,1.0", "1.0,x", "-1:1:0.5", "0:1:0",
+                "1:0:0.5", "a:b:c", "0:1", "nan:1:0.5", "horizon", "constant-skew",
+                "ou-htransform", "censored", "binary", "json")
+
+
+def _fuzz_keys(command):
+    # every flag of the command except --output-dir, which only says where
+    # files go, plus one key that no command knows
+    args = vars(cli.build_parser().parse_args(list(FUZZ_BASE[command])))
+    return sorted(set(args) - {"command", "output_dir"}) + ["no_such_flag"]
+
+
+def _fuzz_configs(command):
+    # integers stay at or below 64, so no case runs more paths or steps;
+    # null, booleans and lists share one branch so most values are scalars
+    values = st.one_of(st.integers(-2, 64), st.floats(-4.0, 4.0),
+                       st.sampled_from(FUZZ_STRINGS),
+                       st.none() | st.booleans() | st.lists(st.integers(0, 3), max_size=2))
+    return st.dictionaries(st.sampled_from(_fuzz_keys(command)), values, max_size=3)
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("command", sorted(FUZZ_BASE))
+    def test_config_never_raises(self, command):
+        @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+        @given(config=_fuzz_configs(command))
+        def check(config):
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg = Path(tmp) / "config.json"
+                cfg.write_text(json.dumps(config))
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main([*FUZZ_BASE[command], "--config", str(cfg),
+                                 "--output-dir", str(Path(tmp) / "out")])
+            assert code in (0, 1, 2, 3)
+
+        check()

@@ -10,6 +10,7 @@ from skewdiff import (DriftSpec, HorizonError, SchemaError, amplitude_from_famil
                       drift_value, family_from_amplitude,
                       family_from_descriptor, horizon_family, mills,
                       ode_residual)
+from skewdiff.families import drift_spec_from_descriptor
 
 SQRT_2_OVER_PI = math.sqrt(2 / math.pi)
 
@@ -188,6 +189,10 @@ class TestDriftValue:
         with pytest.raises(SchemaError):
             DriftSpec(kind="horizon", family=fam, shift=2.0)
 
+    def test_shift_rejected_for_horizon_family_of_any_kind(self):
+        with pytest.raises(SchemaError):
+            DriftSpec(kind="general", family=horizon_family(1.0), shift=1.5)
+
     def test_shift_applied_for_general_kind(self):
         fam = constant_skew_family(1.0, +1)
         spec = DriftSpec(kind="general", family=fam, shift=1.5)
@@ -210,6 +215,21 @@ class TestDriftValue:
                         np.array([-2.0, 6.0]))
 
 
+class TestConstructorErrors:
+    @pytest.mark.parametrize("build", [
+        lambda: horizon_family(-1.0),
+        lambda: constant_skew_family(0.0),
+        lambda: constant_correlation_family(1.0),
+        lambda: horizon_family(1.0, 0),
+        lambda: family_from_amplitude(lambda t: 1.0, -0.5, +1, np.linspace(0.01, 1, 10)),
+        lambda: family_from_amplitude(lambda t: 1.0, 0.5, +1, [0.5]),
+        lambda: family_from_amplitude(lambda t: 1.0, 0.5, +1, [0.0, 1.0]),
+    ])
+    def test_bad_parameter_is_schema_error(self, build):
+        with pytest.raises(SchemaError):
+            build()
+
+
 class TestSerialization:
     @pytest.mark.parametrize("fam", [
         horizon_family(2.0, -1),
@@ -222,6 +242,16 @@ class TestSerialization:
         assert_allclose(back.alpha(ts), fam.alpha(ts), rtol=1e-12)
         assert_allclose(back.psi(ts), fam.psi(ts), rtol=1e-12)
         assert back.validity_horizon == fam.validity_horizon
+
+    @pytest.mark.parametrize("fam", [horizon_family(2.0, -1), constant_skew_family(1.7)])
+    def test_bare_family_descriptor_is_its_drift(self, fam):
+        spec = drift_spec_from_descriptor(fam.descriptor())
+        assert spec.kind == fam.kind and spec.shift == 0.0
+        base = DriftSpec(kind=fam.kind, family=fam)
+        xs = np.linspace(-3, 3, 13)
+        assert_allclose(drift_value(spec, xs, 0.8), drift_value(base, xs, 0.8), rtol=1e-12)
+        back = drift_spec_from_descriptor(base.descriptor())
+        assert_allclose(drift_value(back, xs, 0.8), drift_value(base, xs, 0.8), rtol=1e-12)
 
     def test_numeric_descriptor_round_trip(self):
         fam = constant_skew_family(1.0, +1)
