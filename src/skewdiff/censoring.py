@@ -136,15 +136,11 @@ def posterior_from_censored_sim(ensemble_x: PathEnsemble, ensemble_y: PathEnsemb
         pad = 4.0 * bw
         x_grid = np.linspace(sel.min() - pad, sel.max() + pad, 801)
     x_grid = np.asarray(x_grid, dtype=float)
-    # binned KDE: exact Gaussian smoothing of a fine histogram
-    z = (x_grid[:, None] - sel[None, :]) / bw if len(sel) * len(x_grid) <= 2_000_000 else None
-    if z is not None:
-        dens = np.exp(-0.5 * z * z).sum(axis=1) / (len(sel) * bw * math.sqrt(2 * math.pi))
-    else:
-        edges = np.linspace(sel.min() - 6 * bw, sel.max() + 6 * bw, 4097)
-        counts, _ = np.histogram(sel, bins=edges)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        zz = (x_grid[:, None] - centers[None, :]) / bw
-        dens = (np.exp(-0.5 * zz * zz) * counts[None, :]).sum(axis=1) \
-            / (len(sel) * bw * math.sqrt(2 * math.pi))
+    # smooth a 4096-bin histogram, so the smoothing cost does not grow with the survivors
+    edges = np.linspace(sel.min() - 6 * bw, sel.max() + 6 * bw, 4097)
+    counts, _ = np.histogram(sel, bins=edges)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    z = (x_grid[:, None] - centers[None, :]) / bw
+    dens = (np.exp(-0.5 * z * z) * counts[None, :]).sum(axis=1) \
+        / (len(sel) * bw * math.sqrt(2 * math.pi))
     return x_grid, dens, frac, n_surv

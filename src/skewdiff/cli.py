@@ -36,17 +36,20 @@ from .sde import SimConfig, TimeGrid, mixture_probability, simulate, \
 from .validation import cdf_from_pdf, ks_statistic, ks_threshold
 
 
-def _parse_floats(text: str):
-    return [float(v) for v in text.split(",") if v.strip()]
+def _parse_floats(text: str, sep: str = ","):
+    try:
+        return [float(v) for v in text.split(sep) if v.strip()]
+    except ValueError:
+        raise SchemaError(f"not a {sep!r}-separated list of numbers: {text!r}") from None
 
 
 def _parse_range(text: str) -> np.ndarray:
     """Parse 'lo:hi:step' into an inclusive uniform grid."""
-    parts = text.split(":")
+    parts = _parse_floats(text, ":")
     if len(parts) != 3:
         raise SchemaError(f"range must be lo:hi:step, got {text!r}")
-    lo, hi, step = (float(p) for p in parts)
-    if step <= 0 or hi <= lo:
+    lo, hi, step = parts
+    if not (0 < step < math.inf and -math.inf < lo < hi < math.inf):
         raise SchemaError(f"bad range {text!r}")
     n = int(round((hi - lo) / step))
     return lo + step * np.arange(n + 1)
@@ -66,8 +69,7 @@ def _ou_drift(lam, chirality) -> DriftSpec:
 
 def _horizon_mixture(T, x0):
     """Horizon drifts of both chiralities; their mixture is Brownian motion."""
-    def target(grid):
-        t = grid.t_end - grid.terminal_cutoff_epsilon
+    def target(t):
         return cdf_from_pdf(
             lambda v: np.exp(-0.5 * (v - x0) ** 2 / t) / math.sqrt(2 * math.pi * t),
             x0 - 8 * math.sqrt(t), x0 + 8 * math.sqrt(t))
@@ -77,8 +79,7 @@ def _horizon_mixture(T, x0):
 
 def _ou_mixture(lam, x0):
     """OU h-transforms of both chiralities; their mixture is the growing OU."""
-    def target(grid):
-        t = grid.t_end
+    def target(t):
         sd = math.sqrt((math.exp(2 * lam * t) - 1) / (2 * lam))
         m = x0 * math.exp(lam * t)
         return cdf_from_pdf(lambda v: repulsive_ou_tpd(v, t, lam, x0), m - 8 * sd, m + 8 * sd)
@@ -86,14 +87,15 @@ def _ou_mixture(lam, x0):
     return drifts, ou_mixture_probability(lam, x0), target, "growing-ou"
 
 
-# One table per --kind axis: kind -> (constructor, the flags passed to it in order).
+# One table per --kind axis: kind -> (constructor, the flags passed to it in
+# order).  A command has a family-parameter flag only if one of its kinds reads it.
 FAMILY_KINDS = {
     "horizon": (horizon_family, ("T", "chirality")),
     "constant-skew": (constant_skew_family, ("alpha", "chirality")),
     "constant-correlation": (constant_correlation_family, ("C", "chirality")),
 }
 # simulate and fokker-planck also take the OU h-transform drift
-DRIFT_KINDS = (*FAMILY_KINDS, "ou-htransform")
+DRIFT_KINDS = {**FAMILY_KINDS, "ou-htransform": (_ou_drift, ("lam", "chirality"))}
 # density constructors are the densities themselves, called as f(x, t, *flags)
 DENSITY_KINDS = {
     "horizon": (horizon_tpd, ("x0", "T", "chirality")),
@@ -128,21 +130,22 @@ def _drift_from_args(args) -> DriftSpec:
         desc = _read_json(args.drift_json, "drift descriptor")
         try:
             return drift_spec_from_descriptor(desc)
-        except (KeyError, ValueError) as e:
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad drift descriptor: {e}") from e
     if args.kind is None:
         raise SchemaError("--kind (or --drift-json) is required")
-    if args.kind == "ou-htransform":
-        return _ou_drift(*_params(args, ("lam", "chirality"), "kind=ou-htransform"))
-    fam = _make(FAMILY_KINDS, args)
-    return DriftSpec(kind=fam.kind, family=fam, shift=getattr(args, "shift", 0.0))
+    made = _make(DRIFT_KINDS, args)
+    if isinstance(made, DriftSpec):
+        return made
+    return DriftSpec(kind=made.kind, family=made, shift=getattr(args, "shift", 0.0))
 
 
-def _cutoff(args, family) -> float:
-    """--epsilon, by default 1e-4 * t_end for a horizon family and 0 otherwise."""
-    if args.epsilon is not None:
-        return args.epsilon
-    return 1e-4 * args.t_end if family is not None and family.kind == "horizon" else 0.0
+def _grid(args, family, t_start: float = 0.0) -> TimeGrid:
+    """The run's grid; --epsilon defaults to 1e-4 * t_end for a horizon family, else 0."""
+    eps = args.epsilon
+    if eps is None:
+        eps = 1e-4 * args.t_end if family is not None and family.kind == "horizon" else 0.0
+    return TimeGrid(t_start, args.t_end, args.steps, eps)
 
 
 def _write_manifest(outdir: Path, args, artifacts, t0: float):
@@ -195,8 +198,7 @@ def cmd_family(args, outdir: Path):
 
 def cmd_simulate(args, outdir: Path):
     drift = _drift_from_args(args)
-    grid = TimeGrid(t_start=args.t_start, t_end=args.t_end, n_steps=args.steps,
-                    terminal_cutoff_epsilon=_cutoff(args, drift.family))
+    grid = _grid(args, drift.family, args.t_start)
     with np.errstate(invalid="ignore"):
         probe = np.asarray(drift.mu(np.asarray([args.x0]), grid.t_start))
     if not np.all(np.isfinite(probe)):
@@ -233,11 +235,11 @@ def cmd_density(args, outdir: Path):
 
 def cmd_fokker_planck(args, outdir: Path):
     drift = _drift_from_args(args)
-    grid = TimeGrid(t_start=0.0, t_end=args.t_end, n_steps=max(64, args.n_t),
+    grid = TimeGrid(t_start=0.0, t_end=args.t_end, n_steps=args.n_t,
                     terminal_cutoff_epsilon=args.epsilon or 0.0)
     cfg = FpConfig(x_min=args.x_min, x_max=args.x_max, n_x=args.n_x,
                    n_t=args.n_t, theta=args.theta)
-    sol = solve_kfe(drift, args.sigma, args.x0, grid, cfg)
+    sol = solve_kfe(drift, args.x0, grid, cfg)
     csv_path = outdir / "kfe_solution.csv"
     density_grid_to_csv(sol, csv_path)
     sp = outdir / "kfe_summary.json"
@@ -285,10 +287,9 @@ def cmd_censor(args, outdir: Path):
 
 def cmd_mixture(args, outdir: Path):
     (dplus, dminus), (p_minus, p_plus), target, target_name = _make(MIXTURE_KINDS, args)
-    grid = TimeGrid(t_start=0.0, t_end=args.t_end, n_steps=args.steps,
-                    terminal_cutoff_epsilon=_cutoff(args, dplus.family))
+    grid = _grid(args, dplus.family)
     ens = simulate_mixture(dplus, dminus, p_plus, args.x0, grid, _sim_config(args))
-    ks = ks_statistic(ens.values[:, -1], target(grid))
+    ks = ks_statistic(ens.values[:, -1], target(grid.t_final))
     thr = ks_threshold(args.paths)
     artifacts = [_emit_ensemble(ens, outdir, "mixture", args.format)]
     rp = outdir / "mixture_results.json"
@@ -301,8 +302,9 @@ def cmd_mixture(args, outdir: Path):
 
 def cmd_ou(args, outdir: Path):
     cfg = _sim_config(args)
-    grid = TimeGrid(t_start=0.0, t_end=args.t_end, n_steps=args.steps)
-    term = float(grid.t_end)
+    # the skew-noise horizon is --T, not --t-end, so no cutoff by default
+    grid = _grid(args, None)
+    term = grid.t_final
     if args.mode == "htransform":
         ens = simulate(_ou_drift(args.lam, args.chirality), args.x0, grid, cfg)
         ref = cdf_from_pdf(lambda v: ou_htransform_tpd(v, term, args.lam, args.x0,
@@ -347,16 +349,16 @@ def _add_common(p):
 
 def _add_family_params(p, kinds, kind_required=True):
     p.add_argument("--kind", choices=kinds, required=kind_required, default=None)
-    p.add_argument("--T", type=float, default=None, help="horizon (horizon kind)")
-    p.add_argument("--alpha", type=float, default=None, help="constant skewness")
-    p.add_argument("--C", type=float, default=None, help="constant correlation in [0,1)")
-    p.add_argument("--lam", type=float, default=None, help="mean-reversion rate")
+    read = {f for _, flags in kinds.values() for f in flags}
+    for name, about in (("T", "horizon (horizon kind)"), ("alpha", "constant skewness"),
+                        ("C", "constant correlation in [0,1)"), ("lam", "mean-reversion rate")):
+        if name in read:
+            p.add_argument(f"--{name}", type=float, default=None, help=about)
     p.add_argument("--chirality", type=int, choices=(-1, 1), default=1)
 
 
 def _add_sim_params(p):
     p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--t-start", type=float, default=0.0)
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--paths", type=int, required=True)
@@ -385,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_family_params(p, DRIFT_KINDS, kind_required=False)
     _add_sim_params(p)
+    p.add_argument("--t-start", type=float, default=0.0)
     p.add_argument("--shift", type=float, default=0.0)
     p.add_argument("--drift-json", default=None,
                    help="drift (or family) descriptor file, instead of --kind")
@@ -403,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drift-json", default=None,
                    help="drift (or family) descriptor file, instead of --kind")
     p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--x-min", type=float, required=True)

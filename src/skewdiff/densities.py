@@ -37,10 +37,6 @@ class DensityGrid:
             raise ValueError("values must be |t| x |x|")
         self.mass_per_t = np.trapezoid(self.values, self.x_nodes, axis=1)
 
-    def slice_at(self, t: float) -> np.ndarray:
-        j = int(np.argmin(np.abs(self.t_nodes - t)))
-        return self.values[j]
-
     def moments(self):
         """Trapezoid (mass, mean, variance, skewness) per time slice."""
         out = []

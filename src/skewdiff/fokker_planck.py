@@ -17,9 +17,11 @@ from scipy.linalg import solve_banded
 
 from .dists import std_normal_cdf
 from .densities import DensityGrid
-from .errors import PdeInstabilityError
-from .families import SkewFamily
+from .errors import PdeInstabilityError, SchemaError
+from .families import DriftSpec, SkewFamily
 from .sde import TimeGrid
+
+_N_STORE = 201              # time slices kept, the start included
 
 
 @dataclass(frozen=True)
@@ -38,15 +40,14 @@ class FpConfig:
     n_t: int = 1000
     init_width: Optional[float] = None
     theta: float = 0.5
-    n_store: int = 201
 
     def __post_init__(self):
         if self.n_x < 64 or self.n_t < 64:
-            raise ValueError("need n_x >= 64 and n_t >= 64")
+            raise SchemaError("need n_x >= 64 and n_t >= 64")
         if not self.x_min < self.x_max:
-            raise ValueError("x_min must be below x_max")
+            raise SchemaError("x_min must be below x_max")
         if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
+            raise SchemaError("theta must lie in [0, 1]")
 
     @property
     def dx(self) -> float:
@@ -79,16 +80,15 @@ def _operator_bands(mu_face, dx, diff):
     return ab
 
 
-def solve_kfe(drift, sigma: float, x0: float, grid: TimeGrid, cfg: FpConfig) -> DensityGrid:
-    """Solve the forward equation for the given drift; returns the stored
-    time slices as a DensityGrid (first slice is the mollified start).
+def solve_kfe(drift: DriftSpec, x0: float, grid: TimeGrid, cfg: FpConfig) -> DensityGrid:
+    """Solve the forward equation (sigma = drift.diffusion_scale) to grid.t_final;
+    returns the stored time slices as a DensityGrid (first is the mollified start).
 
     Raises PdeInstabilityError when negative values below -1e-10 or a
     midpoint-mass drift above 1e-6 appear, with step diagnostics attached.
     """
     if not (cfg.x_min < x0 < cfg.x_max):
-        raise ValueError("x0 must lie inside the spatial domain")
-    mu_fn = drift.mu if hasattr(drift, "mu") else drift
+        raise SchemaError("x0 must lie inside the spatial domain")
     dx = cfg.dx
     x = cfg.x_min + dx * np.arange(cfg.n_x)
     w = cfg.mollifier_width()
@@ -96,27 +96,26 @@ def solve_kfe(drift, sigma: float, x0: float, grid: TimeGrid, cfg: FpConfig) -> 
     q /= q.sum() * dx
     inside = std_normal_cdf((cfg.x_max - x0) / w) - std_normal_cdf((cfg.x_min - x0) / w)
     if inside < 1.0 - 1e-10:
-        raise ValueError("mollifier mass leaks outside the domain; widen it")
+        raise SchemaError("mollifier mass leaks outside the domain; widen it")
 
     t_start = grid.t_start
-    t_end = grid.t_end - grid.terminal_cutoff_epsilon
-    dt = (t_end - t_start) / cfg.n_t
-    diff = 0.5 * sigma * sigma
+    dt = (grid.t_final - t_start) / cfg.n_t
+    diff = 0.5 * drift.diffusion_scale * drift.diffusion_scale
     x_face = 0.5 * (x[:-1] + x[1:])
 
-    store_every = max(1, cfg.n_t // (cfg.n_store - 1))
+    store_every = max(1, cfg.n_t // (_N_STORE - 1))
     stored_t = [t_start]
     stored_q = [q.copy()]
 
     identity = np.zeros((3, cfg.n_x))
     identity[1, :] = 1.0
 
-    mu_is_time_free = getattr(drift, "kind", None) == "ou_htransform"
+    mu_is_time_free = drift.kind == "ou_htransform"
     ab_cache = None
     for k in range(cfg.n_t):
         t_mid = t_start + (k + 0.5) * dt
         if ab_cache is None or not mu_is_time_free:
-            mu_face = np.broadcast_to(np.asarray(mu_fn(x_face, t_mid), dtype=float),
+            mu_face = np.broadcast_to(np.asarray(drift.mu(x_face, t_mid), dtype=float),
                                       x_face.shape).copy()
             ab_cache = _operator_bands(mu_face, dx, diff)
         ab = ab_cache

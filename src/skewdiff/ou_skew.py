@@ -15,8 +15,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from .dists import LOG_SQRT_2PI, mills, std_normal_cdf, std_normal_logcdf
-from .errors import SkewDiffError
-from .sde import PathEnsemble, SimConfig, TimeGrid, _clamp, _integrate
+from .errors import SchemaError, SkewDiffError
+from .families import DriftSpec, horizon_family
+from .sde import PathEnsemble, SimConfig, TimeGrid, _check_horizon, _clamp, _integrate
 
 
 @dataclass(frozen=True)
@@ -29,9 +30,9 @@ class OuSkewSpec:
 
     def __post_init__(self):
         if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+            raise SchemaError(f"lam must be positive, got {self.lam}")
         if self.chirality not in (-1, 1):
-            raise ValueError("chirality must be +1 or -1")
+            raise SchemaError("chirality must be +1 or -1")
 
 
 def ou_htransform_drift(x, spec: OuSkewSpec):
@@ -72,7 +73,7 @@ def ou_mixture_probability(lam: float, x: float):
     """Chirality weights (p_minus, p_plus) = Gaussian masses at rate lam
     below -x and x; they sum to one exactly."""
     if not lam > 0:
-        raise ValueError("lam must be positive")
+        raise SchemaError(f"lam must be positive, got {lam}")
     s = math.sqrt(2.0 * lam)
     p_plus = float(std_normal_cdf(s * x))
     return 1.0 - p_plus, p_plus
@@ -120,7 +121,7 @@ def ou_identity_residual(lam: float, x0: float, x_grid, t_values) -> float:
 
 def simulate_ou_skew_noise(lam: float, x0: float, T: float, grid: TimeGrid,
                            cfg: SimConfig):
-    """Integrate the coupled pair: Z follows the finite-horizon skew SDE
+    """Integrate the coupled pair: Z follows the horizon family's drift
     (right chirality, horizon T) and X follows dX = -lam X dt + dZ.
 
     X is driven by the *same* increments dZ, not by fresh noise -- the pair
@@ -128,20 +129,19 @@ def simulate_ou_skew_noise(lam: float, x0: float, T: float, grid: TimeGrid,
     and splitting the streams would change the law of X.  The skew drift
     increment of Z is clamped at cfg.drift_clamp like every drift in
     `simulate`; both ensembles carry the event count.  Returns the (X, Z)
-    ensembles.
+    ensembles; a grid past T raises HorizonError, as in `simulate`.
     """
     if not lam > 0:
-        raise ValueError("lam must be positive")
-    if grid.t_end - grid.terminal_cutoff_epsilon > T + 1e-12:
-        raise SkewDiffError("grid reaches the noise horizon; shorten it or add a cutoff")
+        raise SchemaError(f"lam must be positive, got {lam}")
+    noise = DriftSpec(kind="horizon", family=horizon_family(T))
+    _check_horizon(grid, noise)
     dt = grid.dt
     sqdt = math.sqrt(dt)
     times = grid.times()
 
     def step(states, zs, k):
         x, z = states
-        a = 1.0 / math.sqrt(T - times[k])
-        inc, n = _clamp(a * mills(a * z) * dt, cfg.drift_clamp)
+        inc, n = _clamp(noise.mu(z, times[k]) * dt, cfg.drift_clamp)
         dz = inc + sqdt * zs[0]
         return (x + (-lam * x) * dt + dz, z + dz), n
 

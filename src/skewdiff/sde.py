@@ -56,7 +56,7 @@ def thread_count(requested: Optional[int] = None) -> int:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform integration grid on [t_start, t_end - epsilon]."""
+    """Uniform integration grid on [t_start, t_final], t_final = t_end - epsilon."""
 
     t_start: float
     t_end: float
@@ -70,12 +70,16 @@ class TimeGrid:
             raise SchemaError("n_steps must be positive")
         if self.terminal_cutoff_epsilon < 0:
             raise SchemaError("terminal cutoff must be nonnegative")
-        if not self.t_end - self.terminal_cutoff_epsilon > self.t_start:
+        if not self.t_final > self.t_start:
             raise SchemaError("empty grid: t_end - epsilon must exceed t_start")
 
     @property
+    def t_final(self) -> float:
+        return self.t_end - self.terminal_cutoff_epsilon
+
+    @property
     def dt(self) -> float:
-        return (self.t_end - self.terminal_cutoff_epsilon - self.t_start) / self.n_steps
+        return (self.t_final - self.t_start) / self.n_steps
 
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.n_steps + 1)
@@ -229,6 +233,14 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
     return outs, int(clamp_total.sum())
 
 
+def _check_horizon(grid: TimeGrid, *drifts: Optional["DriftSpec"]):
+    """HorizonError when the grid runs past a drift's validity horizon."""
+    for d in drifts:
+        if d is not None and grid.t_final > d.validity_horizon + 1e-12:
+            raise HorizonError(f"grid reaches t={grid.t_final} beyond the drift "
+                               f"validity horizon {d.validity_horizon}")
+
+
 def simulate(drift: "DriftSpec", x0: float, grid: TimeGrid, cfg: SimConfig,
              _labels: Optional[np.ndarray] = None,
              _drift_minus: Optional["DriftSpec"] = None) -> PathEnsemble:
@@ -239,13 +251,7 @@ def simulate(drift: "DriftSpec", x0: float, grid: TimeGrid, cfg: SimConfig,
     When `_labels`/`_drift_minus` are given (mixture use), paths labeled -1
     follow the second drift.
     """
-    if grid.t_end - grid.terminal_cutoff_epsilon > drift.validity_horizon + 1e-12:
-        raise HorizonError(
-            f"grid reaches t={grid.t_end - grid.terminal_cutoff_epsilon} beyond the "
-            f"drift validity horizon {drift.validity_horizon}")
-    if _drift_minus is not None and \
-            grid.t_end - grid.terminal_cutoff_epsilon > _drift_minus.validity_horizon + 1e-12:
-        raise HorizonError("grid beyond the second drift's validity horizon")
+    _check_horizon(grid, drift, _drift_minus)
 
     dt = grid.dt
     sqdt = math.sqrt(dt)

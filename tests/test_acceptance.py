@@ -145,7 +145,7 @@ def test_criterion_3_forward_equation_oracle():
 
     zero = DriftSpec(kind="custom", mu_fn=lambda x, t: np.zeros_like(x))
     cfg = FpConfig(x_min=-10, x_max=10, n_x=2001, n_t=10_000)
-    sol = solve_kfe(zero, 1.0, 0.0, grid, cfg)
+    sol = solve_kfe(zero, 0.0, grid, cfg)
     w = cfg.mollifier_width()
     ref = np.exp(-sol.x_nodes**2 / (2 * (1 + w * w))) / math.sqrt(2 * math.pi * (1 + w * w))
     err_heat = l1(sol.values[-1], ref, sol.x_nodes)
@@ -153,7 +153,7 @@ def test_criterion_3_forward_equation_oracle():
     lam, x0 = 1.0, 1.0
     ou = DriftSpec(kind="custom", mu_fn=lambda x, t: -lam * x)
     cfg_ou = FpConfig(x_min=-9, x_max=10, n_x=2001, n_t=10_000)
-    sol_ou = solve_kfe(ou, 1.0, x0, grid, cfg_ou)
+    sol_ou = solve_kfe(ou, x0, grid, cfg_ou)
     m = x0 * math.exp(-lam)
     v = (1 - math.exp(-2 * lam)) / (2 * lam)
     ref_ou = np.exp(-(sol_ou.x_nodes - m) ** 2 / (2 * v)) / math.sqrt(2 * math.pi * v)
@@ -161,7 +161,7 @@ def test_criterion_3_forward_equation_oracle():
 
     skew = DriftSpec(kind="constant_skew", family=constant_skew_family(1.0, +1))
     cfg_sk = FpConfig(x_min=-10, x_max=10, n_x=2001, n_t=10_000)
-    sol_sk = solve_kfe(skew, 1.0, 0.0, grid, cfg_sk)
+    sol_sk = solve_kfe(skew, 0.0, grid, cfg_sk)
     ref_sk = constant_skew_tpd(sol_sk.x_nodes, 1.0, 1.0, +1)
     err_sk = l1(sol_sk.values[-1], ref_sk, sol_sk.x_nodes)
 

@@ -163,6 +163,18 @@ class TestCensoredPosteriorFromSim:
         with pytest.raises(ValueError):
             posterior_from_censored_sim(small_x, small_y, t_index=4)
 
+    @pytest.mark.parametrize("n_paths", [2000, 8000])
+    def test_binned_smoother_matches_direct_sum(self, uncorrelated_run, n_paths):
+        # about 1k and 4k survivors, against the plain Gaussian kernel sum
+        ex, ey = (type(e)(grid=e.grid, values=e.values[:n_paths], seed=e.seed,
+                          record_stride=e.record_stride) for e in uncorrelated_run)
+        xg, dens, _, n_surv = posterior_from_censored_sim(ex, ey, t_index=4)
+        sel = ex.values[:, 4][ey.values[:, 4] >= 0]
+        bw = 1.06 * np.std(sel, ddof=1) * n_surv ** -0.2
+        z = (xg[:, None] - sel[None, :]) / bw
+        direct = np.exp(-0.5 * z * z).sum(axis=1) / (n_surv * bw * math.sqrt(2 * math.pi))
+        assert np.max(np.abs(dens - direct)) <= 5e-4 * direct.max()
+
     def test_positive_correlation_shifts_survivors_right(self):
         grid = TimeGrid(0.0, 1.0, 200)
         cfg = SimConfig(n_paths=20000, seed=59, record_stride=200)

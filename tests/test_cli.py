@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewdiff import SimulationError, constant_skew_tpd, horizon_family
+from skewdiff import (SimulationError, constant_skew_family, constant_skew_tpd,
+                      horizon_family, ks_statistic, ks_threshold)
 from skewdiff import cli
 from skewdiff.cli import main
 
@@ -134,6 +135,68 @@ class TestConfigurationErrors:
 
         assert clamps(tmp_path / "default") == 0
         assert clamps(tmp_path / "tight", "--clamp", "0.01") > 0
+
+
+class TestRunSettingsReadOnce:
+    def test_sigma_comes_from_the_drift_descriptor(self, tmp_path):
+        # simulate and fokker-planck both read sigma from the descriptor, so
+        # the Monte Carlo terminal law matches the forward-equation slice
+        desc = tmp_path / "drift.json"
+        desc.write_text(json.dumps({"kind": "constant_skew", "sigma": 2.0,
+                                    "family": constant_skew_family(1.0).descriptor()}))
+        n = 20000
+        assert main(["simulate", "--drift-json", str(desc), "--t-end", "1",
+                     "--steps", "200", "--paths", str(n), "--record-stride", "200",
+                     "--seed", "7", "--output-dir", str(tmp_path / "sim")]) == 0
+        assert main(["fokker-planck", "--drift-json", str(desc), "--t-end", "1",
+                     "--x-min", "-12", "--x-max", "12", "--n-x", "801", "--n-t", "400",
+                     "--output-dir", str(tmp_path / "fp")]) == 0
+        terminal = np.loadtxt(tmp_path / "sim" / "ensemble.csv", delimiter=",",
+                              skiprows=2)[:, -1]
+        x, t, q = np.loadtxt(tmp_path / "fp" / "kfe_solution.csv", delimiter=",",
+                             skiprows=1).T
+        x, q = x[t == t.max()], q[t == t.max()]
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (q[1:] + q[:-1]) * np.diff(x))])
+        ks = ks_statistic(terminal, lambda v: np.interp(v, x, cdf / cdf[-1]))
+        assert ks <= ks_threshold(n)
+
+    def test_ou_mixture_target_at_the_cutoff(self, tmp_path):
+        assert run(tmp_path, "mixture", "--kind", "ou", "--lam", "1", "--x0", "0.3",
+                   "--t-end", "1", "--epsilon", "0.3", "--steps", "140",
+                   "--paths", "20000", "--record-stride", "140") == 0
+
+    def test_ou_honours_epsilon(self, tmp_path):
+        assert run(tmp_path, "ou", "--mode", "sknoise", "--lam", "1", "--T", "1",
+                   "--t-end", "1", "--epsilon", "0.25", "--steps", "150",
+                   "--paths", "20000", "--record-stride", "150") == 0
+        with (tmp_path / "ou_system.csv").open() as fh:
+            fh.readline()
+            assert fh.readline().rstrip("\n").split(",")[-1] == "t=0.75"
+
+    SIM = ("--t-end", "1", "--steps", "10", "--paths", "8")
+    FP = ("fokker-planck", "--kind", "constant-skew", "--alpha", "1", "--t-end", "1",
+          "--x-min", "-5", "--x-max", "5")
+    DENSITY = ("density", "--kind", "constant-skew", "--alpha", "1")
+
+    @pytest.mark.parametrize("argv", [
+        (*DENSITY, "--t", "1", "--x", "a:b:c"),
+        (*DENSITY, "--t", "abc", "--x", "0:1:0.5"),
+        (*FP, "--n-x", "10"),
+        (*FP, "--x0", "9"),
+        ("ou", "--lam", "-1", *SIM),
+        ("simulate", "--drift-json", "{tmp}/list_params.json", *SIM),
+        # removed flags: each was parsed and then ignored, or restated sigma
+        (*FP, "--sigma", "2"),
+        ("mixture", "--T", "1", *SIM, "--t-start", "0.3"),
+        ("ou", "--lam", "1", *SIM, "--t-start", "0.3"),
+        ("family", "--kind", "horizon", "--T", "1", "--lam", "1"),
+        (*DENSITY, "--t", "1", "--x", "0:1:0.5", "--C", "0.5")])
+    def test_configuration_error_exits_2(self, tmp_path, capsys, argv):
+        (tmp_path / "list_params.json").write_text(
+            json.dumps({"kind": "horizon", "parameters": []}))
+        assert run(tmp_path, *(a.format(tmp=tmp_path) for a in argv)) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "diagnostics.json").exists()
 
 
 class TestFamilyParameterErrors:

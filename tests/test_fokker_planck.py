@@ -25,7 +25,7 @@ def heat_solution(x, t, width):
 class TestForwardSolver:
     def test_heat_kernel(self):
         cfg = FpConfig(x_min=-10, x_max=10, n_x=801, n_t=400)
-        sol = solve_kfe(ZERO, 1.0, 0.0, TimeGrid(0.0, 1.0, 400), cfg)
+        sol = solve_kfe(ZERO, 0.0, TimeGrid(0.0, 1.0, 400), cfg)
         ref = heat_solution(sol.x_nodes, 1.0, cfg.mollifier_width())
         assert l1(sol.values[-1], ref, sol.x_nodes) < 1e-4
 
@@ -34,7 +34,7 @@ class TestForwardSolver:
         for n_x in (401, 801):
             cfg = FpConfig(x_min=-10, x_max=10, n_x=n_x, n_t=1600,
                            init_width=0.08)
-            sol = solve_kfe(ZERO, 1.0, 0.0, TimeGrid(0.0, 1.0, 1600), cfg)
+            sol = solve_kfe(ZERO, 0.0, TimeGrid(0.0, 1.0, 1600), cfg)
             ref = heat_solution(sol.x_nodes, 1.0, 0.08)
             errs.append(l1(sol.values[-1], ref, sol.x_nodes))
         assert errs[0] / errs[1] >= 3.5
@@ -43,7 +43,7 @@ class TestForwardSolver:
         lam, x0 = 1.0, 1.0
         drift = DriftSpec(kind="custom", mu_fn=lambda x, t: -lam * x)
         cfg = FpConfig(x_min=-8, x_max=9, n_x=1201, n_t=2000)
-        sol = solve_kfe(drift, 1.0, x0, TimeGrid(0.0, 1.0, 2000), cfg)
+        sol = solve_kfe(drift, x0, TimeGrid(0.0, 1.0, 2000), cfg)
         w = cfg.mollifier_width()
         m = x0 * math.exp(-lam)
         v = (1 - math.exp(-2 * lam)) / (2 * lam) + w * w * math.exp(-2 * lam)
@@ -54,7 +54,7 @@ class TestForwardSolver:
         fam = constant_skew_family(1.0, +1)
         drift = DriftSpec(kind="constant_skew", family=fam)
         cfg = FpConfig(x_min=-9, x_max=10, n_x=1201, n_t=2000)
-        sol = solve_kfe(drift, 1.0, 0.0, TimeGrid(0.0, 1.0, 2000), cfg)
+        sol = solve_kfe(drift, 0.0, TimeGrid(0.0, 1.0, 2000), cfg)
         ref = constant_skew_tpd(sol.x_nodes, 1.0, 1.0, +1)
         assert l1(sol.values[-1], ref, sol.x_nodes) < 5e-3
 
@@ -62,14 +62,14 @@ class TestForwardSolver:
         T = 1.0
         drift = DriftSpec(kind="horizon", family=horizon_family(T, +1))
         cfg = FpConfig(x_min=-9, x_max=10, n_x=1201, n_t=1600)
-        sol = solve_kfe(drift, 1.0, 0.0, TimeGrid(0.0, 0.8 * T, 1600), cfg)
+        sol = solve_kfe(drift, 0.0, TimeGrid(0.0, 0.8 * T, 1600), cfg)
         ref = horizon_tpd(sol.x_nodes, 0.8 * T, 0.0, T, +1)
         assert l1(sol.values[-1], ref, sol.x_nodes) < 5e-3
 
     def test_mass_and_positivity(self):
         cfg = FpConfig(x_min=-9, x_max=10, n_x=801, n_t=500)
         fam = constant_skew_family(1.0, +1)
-        sol = solve_kfe(DriftSpec(kind="constant_skew", family=fam), 1.0, 0.0,
+        sol = solve_kfe(DriftSpec(kind="constant_skew", family=fam), 0.0,
                         TimeGrid(0.0, 1.0, 500), cfg)
         assert np.all(sol.values >= -1e-10)
         dx = sol.x_nodes[1] - sol.x_nodes[0]
@@ -82,7 +82,7 @@ class TestForwardSolver:
         # conservative even though the advection is violent
         drift = DriftSpec(kind="custom", mu_fn=lambda x, t: np.full_like(x, 50.0))
         cfg = FpConfig(x_min=-6, x_max=6, n_x=241, n_t=800, theta=1.0)
-        sol = solve_kfe(drift, 1.0, -3.0, TimeGrid(0.0, 0.5, 800), cfg)
+        sol = solve_kfe(drift, -3.0, TimeGrid(0.0, 0.5, 800), cfg)
         assert np.all(sol.values >= -1e-12)
         dx = sol.x_nodes[1] - sol.x_nodes[0]
         assert abs(sol.values[-1].sum() * dx - 1.0) < 1e-8
@@ -91,13 +91,13 @@ class TestForwardSolver:
         # explicit stepping far beyond the diffusion stability limit
         cfg = FpConfig(x_min=-5, x_max=5, n_x=501, n_t=64, theta=0.0)
         with pytest.raises(PdeInstabilityError) as err:
-            solve_kfe(ZERO, 1.0, 0.0, TimeGrid(0.0, 1.0, 64), cfg)
+            solve_kfe(ZERO, 0.0, TimeGrid(0.0, 1.0, 64), cfg)
         assert "step" in err.value.diagnostics
 
     def test_x0_outside_domain_rejected(self):
         cfg = FpConfig(x_min=-1, x_max=1, n_x=101, n_t=64)
         with pytest.raises(ValueError):
-            solve_kfe(ZERO, 1.0, 5.0, TimeGrid(0.0, 1.0, 64), cfg)
+            solve_kfe(ZERO, 5.0, TimeGrid(0.0, 1.0, 64), cfg)
 
 
 class TestBrownianBackwardResidual:
