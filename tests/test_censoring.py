@@ -1,4 +1,5 @@
 """Truncated-Gaussian means and the selection-model drift identities."""
+import hashlib
 import math
 
 import numpy as np
@@ -174,6 +175,20 @@ class TestCensoredPosteriorFromSim:
         z = (xg[:, None] - sel[None, :]) / bw
         direct = np.exp(-0.5 * z * z).sum(axis=1) / (n_surv * bw * math.sqrt(2 * math.pi))
         assert np.max(np.abs(dens - direct)) <= 5e-4 * direct.max()
+
+    @pytest.mark.parametrize("n_paths,digest", [
+        (2000, "3dffffe6a9356215a07b88c979efa3100de89fa02d9c0b009bdb98b1eb740507"),
+        (8000, "1b907fd5a6bc8c814e12095970144b924cded12413c5ffa06d6f48689e3921cd"),
+    ])
+    def test_matches_recorded_digest(self, uncorrelated_run, n_paths, digest):
+        # sha256 of the (x_grid, density) bytes at about 1k and 4k survivors,
+        # recorded while the kernel matrix was built whole
+        ex, ey = (type(e)(grid=e.grid, values=e.values[:n_paths], seed=e.seed,
+                          record_stride=e.record_stride) for e in uncorrelated_run)
+        xg, dens, _, _ = posterior_from_censored_sim(ex, ey, t_index=4)
+        h = hashlib.sha256(np.ascontiguousarray(xg, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(dens, dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
 
     def test_positive_correlation_shifts_survivors_right(self):
         grid = TimeGrid(0.0, 1.0, 200)

@@ -309,6 +309,14 @@ def _pinned_simulation(case: str, seed: int, n_threads: int):
                          TimeGrid(0.0, 1.0, 40, terminal_cutoff_epsilon=1e-4),
                          SimConfig(n_paths=8200, seed=seed, record_stride=8,
                                    drift_clamp=0.2, n_threads=n_threads)),)
+    if case == "bivariate_100_steps":
+        return simulate_bivariate_censoring(
+            lambda t: math.sqrt(t), TimeGrid(0.0, 1.0, 100),
+            SimConfig(n_paths=8200, seed=seed, record_stride=10, n_threads=n_threads))
+    if case == "constant_skew_100_steps":
+        return (simulate(skew_drift(1.0, +1), 0.2, TimeGrid(0.0, 1.0, 100),
+                         SimConfig(n_paths=8200, seed=seed, record_stride=10,
+                                   n_threads=n_threads)),)
     extra = {"constant_skew": {},
              "antithetic_flip": {"antithetic": True, "flip_noise": True}}[case]
     return (simulate(skew_drift(1.0, +1), 0.2, TimeGrid(0.0, 0.5, 10),
@@ -335,6 +343,16 @@ SIMULATION_PINS = {
         "62c4ddbc4db9f3d00495177aa9a984059821d00ea6c17501d6bd19431975a795",
     ("bivariate_sqrt_rho", 6):
         "6afb91f5f2102e348aa89b1889b1cd90d4f761c805e57610822af31a18a5c4b6",
+    # 100 steps, so that any noise draw chunk of 64 steps or fewer ends
+    # mid-run; recorded while the engine drew 512 steps per chunk
+    ("constant_skew_100_steps", 5):
+        "cb44d2829c42cea3d97414475a90474420a298310359d930a76c8b0dd800f830",
+    ("constant_skew_100_steps", 6):
+        "66f5ed028220e2bcaae22b6c311f5e9f1adb14b1cb7f4ef3aa16ccadf9da03a0",
+    ("bivariate_100_steps", 5):
+        "6c2ca62fdd09c0967cf7dad7f615add13e6c07d339adeb49c176780bc4d7c5a3",
+    ("bivariate_100_steps", 6):
+        "82368efdceae26244fb65e1063b5a51cb8cd6fd2df6084f5e796f8e618d474da",
 }
 
 
