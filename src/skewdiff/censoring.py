@@ -17,6 +17,8 @@ from .dists import mills
 from .families import SkewFamily, DriftSpec, drift_value
 from .sde import PathEnsemble
 
+_KDE_ROWS = 32      # grid points per block of the kernel matrix
+
 
 @dataclass(frozen=True)
 class TruncatedNormalSpec:
@@ -140,7 +142,10 @@ def posterior_from_censored_sim(ensemble_x: PathEnsemble, ensemble_y: PathEnsemb
     edges = np.linspace(sel.min() - 6 * bw, sel.max() + 6 * bw, 4097)
     counts, _ = np.histogram(sel, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    z = (x_grid[:, None] - centers[None, :]) / bw
-    dens = (np.exp(-0.5 * z * z) * counts[None, :]).sum(axis=1) \
-        / (len(sel) * bw * math.sqrt(2 * math.pi))
+    # the kernel matrix a block of grid rows at a time, so its temporaries stay small
+    dens = np.empty(len(x_grid))
+    for i in range(0, len(x_grid), _KDE_ROWS):
+        z = (x_grid[i:i + _KDE_ROWS, None] - centers[None, :]) / bw
+        dens[i:i + _KDE_ROWS] = (np.exp(-0.5 * z * z) * counts[None, :]).sum(axis=1)
+    dens /= len(sel) * bw * math.sqrt(2 * math.pi)
     return x_grid, dens, frac, n_surv

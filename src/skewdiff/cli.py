@@ -32,7 +32,7 @@ from .io import (columns_to_csv, density_grid_summary, density_grid_to_csv,
                  ensemble_to_binary, ensemble_to_csv, write_json)
 from .ou_skew import ou_mixture_probability, repulsive_ou_tpd, simulate_ou_skew_noise
 from .sde import SimConfig, TimeGrid, mixture_probability, simulate, \
-    simulate_bivariate_censoring, simulate_mixture
+    simulate_bivariate_censoring, simulate_mixture, thread_count
 from .validation import cdf_from_pdf, ks_statistic, ks_threshold
 
 
@@ -140,12 +140,12 @@ def _drift_from_args(args) -> DriftSpec:
     return DriftSpec(kind=made.kind, family=made, shift=getattr(args, "shift", 0.0))
 
 
-def _grid(args, family, t_start: float = 0.0) -> TimeGrid:
+def _grid(args, family, n_steps: int, t_start: float = 0.0) -> TimeGrid:
     """The run's grid; --epsilon defaults to 1e-4 * t_end for a horizon family, else 0."""
     eps = args.epsilon
     if eps is None:
         eps = 1e-4 * args.t_end if family is not None and family.kind == "horizon" else 0.0
-    return TimeGrid(t_start, args.t_end, args.steps, eps)
+    return TimeGrid(t_start, args.t_end, n_steps, eps)
 
 
 def _write_manifest(outdir: Path, args, artifacts, t0: float):
@@ -161,6 +161,8 @@ def _write_manifest(outdir: Path, args, artifacts, t0: float):
         "wall_time_s": round(time.perf_counter() - t0, 6),
         "manifest_version": 1,
     }
+    if hasattr(args, "threads"):
+        manifest["threads"] = thread_count(args.threads)
     write_json(outdir / "manifest.json", manifest)
 
 
@@ -198,7 +200,7 @@ def cmd_family(args, outdir: Path):
 
 def cmd_simulate(args, outdir: Path):
     drift = _drift_from_args(args)
-    grid = _grid(args, drift.family, args.t_start)
+    grid = _grid(args, drift.family, args.steps, args.t_start)
     with np.errstate(invalid="ignore"):
         probe = np.asarray(drift.mu(np.asarray([args.x0]), grid.t_start))
     if not np.all(np.isfinite(probe)):
@@ -235,8 +237,7 @@ def cmd_density(args, outdir: Path):
 
 def cmd_fokker_planck(args, outdir: Path):
     drift = _drift_from_args(args)
-    grid = TimeGrid(t_start=0.0, t_end=args.t_end, n_steps=args.n_t,
-                    terminal_cutoff_epsilon=args.epsilon or 0.0)
+    grid = _grid(args, drift.family, args.n_t)
     cfg = FpConfig(x_min=args.x_min, x_max=args.x_max, n_x=args.n_x,
                    n_t=args.n_t, theta=args.theta)
     sol = solve_kfe(drift, args.x0, grid, cfg)
@@ -287,7 +288,7 @@ def cmd_censor(args, outdir: Path):
 
 def cmd_mixture(args, outdir: Path):
     (dplus, dminus), (p_minus, p_plus), target, target_name = _make(MIXTURE_KINDS, args)
-    grid = _grid(args, dplus.family)
+    grid = _grid(args, dplus.family, args.steps)
     ens = simulate_mixture(dplus, dminus, p_plus, args.x0, grid, _sim_config(args))
     ks = ks_statistic(ens.values[:, -1], target(grid.t_final))
     thr = ks_threshold(args.paths)
@@ -300,15 +301,23 @@ def cmd_mixture(args, outdir: Path):
     return (0 if ks <= thr else 1), artifacts
 
 
+# the flag each ou mode does not read
+_OU_UNREAD = {"htransform": "T", "sknoise": "chirality"}
+
+
 def cmd_ou(args, outdir: Path):
+    unread = _OU_UNREAD[args.mode]
+    if getattr(args, unread) is not None:
+        raise SchemaError(f"--{unread} is not read under --mode {args.mode}")
     cfg = _sim_config(args)
     # the skew-noise horizon is --T, not --t-end, so no cutoff by default
-    grid = _grid(args, None)
+    grid = _grid(args, None, args.steps)
     term = grid.t_final
     if args.mode == "htransform":
-        ens = simulate(_ou_drift(args.lam, args.chirality), args.x0, grid, cfg)
+        chirality = 1 if args.chirality is None else args.chirality
+        ens = simulate(_ou_drift(args.lam, chirality), args.x0, grid, cfg)
         ref = cdf_from_pdf(lambda v: ou_htransform_tpd(v, term, args.lam, args.x0,
-                                                       args.chirality),
+                                                       chirality),
                            -10 - abs(args.x0), 10 + abs(args.x0)
                            + 3 * math.exp(args.lam * term))
         ks = ks_statistic(ens.values[:, -1], ref)
@@ -407,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drift (or family) descriptor file, instead of --kind")
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="terminal cutoff (default 1e-4*t_end for horizon drifts)")
     p.add_argument("--x-min", type=float, required=True)
     p.add_argument("--x-max", type=float, required=True)
     p.add_argument("--n-x", type=int, default=2001)
@@ -438,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("htransform", "sknoise"), default="htransform")
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--T", type=float, default=None, help="noise horizon (sknoise)")
-    p.add_argument("--chirality", type=int, choices=(-1, 1), default=1)
+    p.add_argument("--chirality", type=int, choices=(-1, 1), default=None,
+                   help="skew side (htransform; default 1)")
     _add_sim_params(p)
 
     p = sub.add_parser("validate", help="run the verification suite")

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from .dists import LOG_SQRT_2PI, mills, std_normal_cdf, std_normal_logcdf
 from .errors import SchemaError, SkewDiffError
 from .families import DriftSpec, horizon_family
-from .sde import PathEnsemble, SimConfig, TimeGrid, _check_horizon, _clamp, _integrate
+from .sde import PathEnsemble, SimConfig, TimeGrid, _clamp, _integrate
 
 
 @dataclass(frozen=True)
@@ -129,12 +129,15 @@ def simulate_ou_skew_noise(lam: float, x0: float, T: float, grid: TimeGrid,
     and splitting the streams would change the law of X.  The skew drift
     increment of Z is clamped at cfg.drift_clamp like every drift in
     `simulate`; both ensembles carry the event count.  Returns the (X, Z)
-    ensembles; a grid past T raises HorizonError, as in `simulate`.
+    ensembles.  A grid that reaches T is a SchemaError: the law of Z is
+    singular there.
     """
     if not lam > 0:
         raise SchemaError(f"lam must be positive, got {lam}")
     noise = DriftSpec(kind="horizon", family=horizon_family(T))
-    _check_horizon(grid, noise)
+    if not grid.t_final < T:
+        raise SchemaError(f"the skew noise needs t_final < T, got t_final="
+                          f"{grid.t_final} and T={T}")
     dt = grid.dt
     sqdt = math.sqrt(dt)
     times = grid.times()
@@ -142,8 +145,15 @@ def simulate_ou_skew_noise(lam: float, x0: float, T: float, grid: TimeGrid,
     def step(states, zs, k):
         x, z = states
         inc, n = _clamp(noise.mu(z, times[k]) * dt, cfg.drift_clamp)
-        dz = inc + sqdt * zs[0]
-        return (x + (-lam * x) * dt + dz, z + dz), n
+        zs[0] *= sqdt
+        dz = inc + zs[0]
+        # x + (-lam * x) * dt + dz, summed in that order
+        x_new = -lam * x
+        x_new *= dt
+        x_new += x
+        x_new += dz
+        dz += z
+        return (x_new, dz), n
 
     (xv, zv), clamps = _integrate(lambda lo, hi: step, (x0, 0.0), grid, cfg)
     ens_x = PathEnsemble(grid=grid, values=xv, seed=cfg.seed,

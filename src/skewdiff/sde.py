@@ -24,15 +24,24 @@ if TYPE_CHECKING:  # pragma: no cover
     from .families import DriftSpec
 
 _BLOCK_SIZE = 8192          # paths per noise block; fixed so outputs never depend on threading
-_STEP_CHUNK = 512           # steps drawn per RNG call, bounds scratch memory
+_STEP_CHUNK = 32            # steps drawn per RNG call, bounds scratch memory
 
 # stream tag for the mixture labels; noise streams use tags 0 (primary)
 # and 1 (secondary), see _integrate
 _TAG_LABELS = 2
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on (the affinity count where it exists)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def thread_count(requested: Optional[int] = None) -> int:
-    """Worker threads to use; SKEWDIFF_THREADS caps/sets the default.
+    """Worker threads to use; SKEWDIFF_THREADS caps a request and sets the
+    default, which is otherwise the CPU affinity count.
 
     A SKEWDIFF_THREADS that is not a positive integer is a configuration
     error (SchemaError).
@@ -48,7 +57,7 @@ def thread_count(requested: Optional[int] = None) -> int:
             raise SchemaError(
                 f"SKEWDIFF_THREADS must be a positive integer, got {env!r}")
     if requested is None:
-        return cap or 1
+        return cap or _cpu_count()
     if cap:
         requested = min(int(requested), cap)
     return max(1, int(requested))
@@ -165,6 +174,9 @@ def _check_finite(x: np.ndarray, step: int, path_offset: int):
 
 def _clamp(inc: np.ndarray, limit: float):
     """Clip a drift increment to [-limit, limit]; returns (inc, events)."""
+    inc = np.asarray(inc)
+    if -limit <= inc.min() and inc.max() <= limit:
+        return inc, 0
     over = np.abs(inc) > limit
     if over.any():
         return np.clip(inc, -limit, limit), int(over.sum())
@@ -178,10 +190,13 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
     `step_for(lo, hi)` builds the step for paths lo:hi; the step maps
     (states, zs, k) to (new states, clamp events), where states holds one
     array per component and zs one standard normal row per noise stream
-    for the step from grid time k to k + 1.  Stream tag i (0 = primary,
-    1 = secondary) is keyed by (seed, i, block), so the ensemble does not
-    depend on the thread count.  Returns one n_paths x n_recorded array
-    per component (started at x0s) and the total clamp events.
+    for the step from grid time k to k + 1; a step may overwrite its zs
+    rows.  Stream tag i (0 = primary, 1 = secondary) is keyed by
+    (seed, i, block), so the ensemble does not depend on the thread count.
+    Each stream fills one reused buffer of _STEP_CHUNK rows; the generator
+    writes its draws in order, so the chunk size does not change them.
+    Returns one n_paths x n_recorded array per component (started at x0s)
+    and the total clamp events.
     """
     if grid.n_steps % cfg.record_stride:
         raise SchemaError("record_stride must divide n_steps")
@@ -195,6 +210,7 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
         m = hi - lo
         block = lo // _BLOCK_SIZE
         rngs = [_stream(cfg.seed, tag, block) for tag in range(n_noise)]
+        bufs = [np.empty((min(_STEP_CHUNK, grid.n_steps), m)) for _ in rngs]
         step = step_for(lo, hi)
         states = tuple(np.full(m, float(v)) for v in x0s)
         for out, x in zip(outs, states):
@@ -203,14 +219,13 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
         k0 = 0
         while k0 < grid.n_steps:
             chunk = min(_STEP_CHUNK, grid.n_steps - k0)
-            zs = []
-            for rng in rngs:
-                z = rng.standard_normal((chunk, m))
+            zs = [buf[:chunk] for buf in bufs]
+            for rng, z in zip(rngs, zs):
+                rng.standard_normal(out=z)
                 if cfg.antithetic:
-                    z[:, 1::2] = -z[:, 0::2]
+                    np.negative(z[:, 0::2], out=z[:, 1::2])
                 if cfg.flip_noise:
-                    z = -z
-                zs.append(z)
+                    np.negative(z, out=z)
             for j in range(chunk):
                 k = k0 + j
                 states, n = step(states, [z[j] for z in zs], k)
@@ -223,8 +238,8 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
                 _check_finite(x, k0, lo)
         clamp_total[block] = clamps
 
-    workers = thread_count(cfg.n_threads)
-    if workers <= 1 or len(blocks) == 1:
+    workers = min(thread_count(cfg.n_threads), len(blocks))
+    if workers == 1:
         for blk in blocks:
             worker(blk)
     else:
@@ -278,7 +293,11 @@ def simulate(drift: "DriftSpec", x0: float, grid: TimeGrid, cfg: SimConfig,
         def step(states, zs, k):
             x, = states
             inc, n = _clamp(mu_at(x, times[k]) * dt, cfg.drift_clamp)
-            return (x + inc + sigma * sqdt * zs[0],), n
+            # x + inc + sigma * sqdt * z, summed in that order
+            zs[0] *= sigma * sqdt
+            x = x + inc
+            x += zs[0]
+            return (x,), n
         return step
 
     (values,), clamps = _integrate(step_for, (x0,), grid, cfg)
@@ -317,8 +336,14 @@ def simulate_bivariate_censoring(rho, grid: TimeGrid, cfg: SimConfig):
 
     def step(states, zs, k):
         x, y = states
-        dx = sqdt * zs[0]
-        return (x + dx, y + rho_vals[k] * dx + ortho[k] * sqdt * zs[1]), 0
+        dx, dw = zs
+        dx *= sqdt
+        dw *= ortho[k] * sqdt
+        # y + rho * dx + ortho * sqdt * w, summed in that order
+        y_new = rho_vals[k] * dx
+        y_new += y
+        y_new += dw
+        return (x + dx, y_new), 0
 
     (xv, yv), _ = _integrate(lambda lo, hi: step, (0.0, 0.0), grid, cfg, n_noise=2)
     ens_x = PathEnsemble(grid=grid, values=xv, seed=cfg.seed, record_stride=cfg.record_stride)

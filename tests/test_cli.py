@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -199,6 +200,34 @@ class TestRunSettingsReadOnce:
         assert not (tmp_path / "diagnostics.json").exists()
 
 
+class TestHorizonAndModeFlags:
+    OU = ("ou", "--lam", "1", "--t-end", "0.5", "--steps", "50", "--paths", "2000")
+    # theta = 1: the Crank-Nicolson solve of this grid fails its positivity
+    # check near the horizon whatever the cutoff
+    FP_HORIZON = ("fokker-planck", "--kind", "horizon", "--T", "1", "--t-end", "1",
+                  "--x-min", "-6", "--x-max", "6", "--n-x", "201", "--n-t", "100",
+                  "--theta", "1")
+
+    @pytest.mark.parametrize("argv,code", [
+        # the skew-noise law is singular at its horizon
+        (("ou", "--mode", "sknoise", "--lam", "1", "--T", "1", "--t-end", "1",
+          "--steps", "10", "--paths", "8"), 2),
+        # a horizon drift gets the 1e-4 * t_end cutoff, as in simulate
+        (FP_HORIZON, 0),
+        # each ou mode rejects the flag it does not read
+        ((*OU, "--mode", "sknoise", "--T", "2", "--chirality", "-1"), 2),
+        ((*OU, "--mode", "htransform", "--T", "2"), 2),
+        ((*OU, "--mode", "htransform", "--chirality", "-1"), 0),
+    ])
+    def test_exit_code(self, tmp_path, capsys, argv, code):
+        assert run(tmp_path, *argv) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "diagnostics.json").exists()
+        if argv == self.FP_HORIZON:
+            summary = json.loads((tmp_path / "kfe_summary.json").read_text())
+            assert summary["t"][-1] == pytest.approx(1.0 - 1e-4, abs=1e-12)
+
+
 class TestFamilyParameterErrors:
     @pytest.mark.parametrize("params", [("--kind", "horizon", "--T", "-1"),
                                         ("--kind", "constant-skew", "--alpha", "0")])
@@ -390,6 +419,20 @@ class TestArtifactFormat:
 
 
 class TestThreadEnv:
+    @pytest.mark.parametrize("env,flag,expected", [
+        (None, None, len(os.sched_getaffinity(0))), (None, "1", 1), ("1", None, 1),
+        ("1", "2", 1)])
+    def test_manifest_records_threads(self, tmp_path, monkeypatch, env, flag, expected):
+        if env is None:
+            monkeypatch.delenv("SKEWDIFF_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SKEWDIFF_THREADS", env)
+        threads = () if flag is None else ("--threads", flag)
+        assert run(tmp_path, "simulate", "--kind", "constant-skew", "--alpha", "1.0",
+                   "--t-end", "0.5", "--steps", "10", "--paths", "8", *threads) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["threads"] == expected
+
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_bad_thread_setting_is_schema_error(self, tmp_path, monkeypatch, value):
         monkeypatch.setenv("SKEWDIFF_THREADS", value)

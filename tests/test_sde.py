@@ -1,6 +1,7 @@
 """Simulation engine: reproducibility, laws, mixtures, censoring driver."""
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -391,8 +392,17 @@ class TestThreadCap:
         assert thread_count(8) == 2
         assert thread_count(1) == 1
         monkeypatch.delenv("SKEWDIFF_THREADS")
-        assert thread_count() == 1
+        assert thread_count() == len(os.sched_getaffinity(0))
         assert thread_count(6) == 6
+
+    def test_default_without_affinity_call(self, monkeypatch):
+        from skewdiff.sde import thread_count
+        monkeypatch.delenv("SKEWDIFF_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert thread_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert thread_count() == 1
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_env_value_is_schema_error(self, monkeypatch, value):
