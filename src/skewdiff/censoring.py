@@ -57,7 +57,7 @@ def verify_selection_representation(family: SkewFamily, x: float, t: float,
     right chirality (mirrored to the below-side mean for left chirality).
     Returns (drift_direct, drift_via_selection, abs_diff).
     """
-    spec = DriftSpec(kind=family.kind, family=family, shift=shift)
+    spec = DriftSpec(family=family, shift=shift)
     direct = float(drift_value(spec, np.asarray(x, dtype=float), t))
 
     a = float(family.alpha(t))

@@ -21,11 +21,9 @@ import scipy
 
 from . import __version__
 from .censoring import posterior_from_censored_sim
-from .densities import (censored_posterior, constant_skew_tpd, density_grid,
-                        horizon_tpd, ou_htransform_tpd, ou_skew_driven_marginal)
+from .densities import censored_posterior, density_grid, ou_skew_driven_marginal
 from .errors import SchemaError, SkewDiffError
-from .families import (DriftSpec, constant_correlation_family,
-                       constant_skew_family, drift_spec_from_descriptor,
+from .families import (CLOSED_FORM_FAMILIES, DriftSpec, drift_spec_from_descriptor,
                        horizon_family)
 from .fokker_planck import FpConfig, solve_kfe
 from .io import (columns_to_csv, density_grid_summary, density_grid_to_csv,
@@ -55,16 +53,26 @@ def _parse_range(text: str) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
+# the parameter flags a kind may read; each is None unless given
+_KIND_PARAMS = {"T": "horizon (horizon kind)", "alpha": "constant skewness",
+                "C": "constant correlation in [0,1)", "lam": "mean-reversion rate",
+                "rho": "censoring correlation"}
+
+
 def _params(args, flags, what):
-    """The values of `flags`; a SchemaError names those left unset."""
+    """The values of `flags`; a SchemaError names those left unset, or a
+    parameter flag given that `what` does not read."""
     missing = ["--" + f.replace("_", "-") for f in flags if getattr(args, f) is None]
     if missing:
         raise SchemaError(f"{what} requires {', '.join(missing)}")
+    stray = [f for f in _KIND_PARAMS if f not in flags and getattr(args, f, None) is not None]
+    if stray:
+        raise SchemaError(f"{what} does not read --{stray[0]}")
     return [getattr(args, f) for f in flags]
 
 
 def _ou_drift(lam, chirality) -> DriftSpec:
-    return DriftSpec(kind="ou_htransform", params={"lam": lam, "chirality": chirality})
+    return DriftSpec(params={"lam": lam, "chirality": chirality})
 
 
 def _horizon_mixture(T, x0):
@@ -73,7 +81,7 @@ def _horizon_mixture(T, x0):
         return cdf_from_pdf(
             lambda v: np.exp(-0.5 * (v - x0) ** 2 / t) / math.sqrt(2 * math.pi * t),
             x0 - 8 * math.sqrt(t), x0 + 8 * math.sqrt(t))
-    drifts = [DriftSpec(kind="horizon", family=horizon_family(T, c)) for c in (1, -1)]
+    drifts = [DriftSpec(family=horizon_family(T, c)) for c in (1, -1)]
     return drifts, mixture_probability(x0, T), target, "brownian"
 
 
@@ -88,20 +96,14 @@ def _ou_mixture(lam, x0):
 
 
 # One table per --kind axis: kind -> (constructor, the flags passed to it in
-# order).  A command has a family-parameter flag only if one of its kinds reads it.
-FAMILY_KINDS = {
-    "horizon": (horizon_family, ("T", "chirality")),
-    "constant-skew": (constant_skew_family, ("alpha", "chirality")),
-    "constant-correlation": (constant_correlation_family, ("C", "chirality")),
-}
-# simulate and fokker-planck also take the OU h-transform drift
+# order).  A command has a parameter flag only if one of its kinds reads it.
+FAMILY_KINDS = {kind.replace("_", "-"): (make, (param, "chirality"))
+                for kind, (make, param) in CLOSED_FORM_FAMILIES.items()}
+# simulate, fokker-planck and density also take the OU h-transform drift
 DRIFT_KINDS = {**FAMILY_KINDS, "ou-htransform": (_ou_drift, ("lam", "chirality"))}
-# density constructors are the densities themselves, called as f(x, t, *flags)
+# densities that are not the law of a drift, called as f(x, t, *flags)
 DENSITY_KINDS = {
-    "horizon": (horizon_tpd, ("x0", "T", "chirality")),
-    "constant-skew": (constant_skew_tpd, ("alpha", "chirality")),
     "censored": (censored_posterior, ("rho",)),
-    "ou-htransform": (ou_htransform_tpd, ("lam", "x0", "chirality")),
     "ou-noise-marginal": (ou_skew_driven_marginal, ("lam", "x0", "T")),
 }
 MIXTURE_KINDS = {
@@ -126,7 +128,7 @@ def _read_json(path, what) -> dict:
 
 
 def _drift_from_args(args) -> DriftSpec:
-    if args.drift_json:
+    if getattr(args, "drift_json", None):
         desc = _read_json(args.drift_json, "drift descriptor")
         try:
             return drift_spec_from_descriptor(desc)
@@ -137,7 +139,7 @@ def _drift_from_args(args) -> DriftSpec:
     made = _make(DRIFT_KINDS, args)
     if isinstance(made, DriftSpec):
         return made
-    return DriftSpec(kind=made.kind, family=made, shift=getattr(args, "shift", 0.0))
+    return DriftSpec(family=made, shift=getattr(args, "shift", 0.0))
 
 
 def _grid(args, family, n_steps: int, t_start: float = 0.0) -> TimeGrid:
@@ -210,7 +212,15 @@ def cmd_simulate(args, outdir: Path):
     ens = simulate(drift, args.x0, grid, _sim_config(args))
     artifacts = [_emit_ensemble(ens, outdir, "ensemble", args.format)]
     terminal = ens.values[:, -1]
-    summary = {"terminal_mean": float(terminal.mean()),
+    # the terminal KS against the drift's own law, where it has one
+    pdf, ks, thr = drift.law(args.x0, grid.t_start), None, None
+    if pdf is not None and args.paths >= 100 and grid.t_final < drift.validity_horizon:
+        pad = 8 * drift.diffusion_scale * math.sqrt(grid.t_final - grid.t_start)
+        ref = cdf_from_pdf(lambda v: pdf(v, grid.t_final),
+                           terminal.min() - pad, terminal.max() + pad)
+        ks, thr = ks_statistic(terminal, ref), ks_threshold(args.paths)
+    summary = {"law": None if pdf is None else drift.kind, "terminal_ks": ks,
+               "threshold": thr, "terminal_mean": float(terminal.mean()),
                "terminal_variance": float(terminal.var(ddof=1)),
                "terminal_skewness": float(
                    ((terminal - terminal.mean()) ** 3).mean() / terminal.std() ** 3),
@@ -225,9 +235,15 @@ def cmd_simulate(args, outdir: Path):
 def cmd_density(args, outdir: Path):
     xs = _parse_range(args.x)
     ts = _parse_floats(args.t)
-    tpd, flags = DENSITY_KINDS[args.kind]
-    params = _params(args, flags, f"kind={args.kind}")
-    grid = density_grid(lambda x, t: tpd(x, t, *params), xs, ts)
+    if args.kind in DENSITY_KINDS:
+        tpd, flags = DENSITY_KINDS[args.kind]
+        params = _params(args, flags, f"kind={args.kind}")
+        pdf = lambda x, t: tpd(x, t, *params)
+    else:
+        pdf = _drift_from_args(args).law(args.x0)
+        if pdf is None:
+            raise SchemaError(f"kind={args.kind} has no closed-form law from x0={args.x0}")
+    grid = density_grid(pdf, xs, ts)
     csv_path = outdir / "density.csv"
     density_grid_to_csv(grid, csv_path)
     sp = outdir / "density_summary.json"
@@ -301,29 +317,25 @@ def cmd_mixture(args, outdir: Path):
     return (0 if ks <= thr else 1), artifacts
 
 
-# the flag each ou mode does not read
-_OU_UNREAD = {"htransform": "T", "sknoise": "chirality"}
-
-
 def cmd_ou(args, outdir: Path):
-    unread = _OU_UNREAD[args.mode]
-    if getattr(args, unread) is not None:
-        raise SchemaError(f"--{unread} is not read under --mode {args.mode}")
+    # each mode rejects the flag it does not read: --T via _params
+    if args.mode == "sknoise" and args.chirality is not None:
+        raise SchemaError("--chirality is not read under --mode sknoise")
     cfg = _sim_config(args)
     # the skew-noise horizon is --T, not --t-end, so no cutoff by default
     grid = _grid(args, None, args.steps)
     term = grid.t_final
     if args.mode == "htransform":
-        chirality = 1 if args.chirality is None else args.chirality
-        ens = simulate(_ou_drift(args.lam, chirality), args.x0, grid, cfg)
-        ref = cdf_from_pdf(lambda v: ou_htransform_tpd(v, term, args.lam, args.x0,
-                                                       chirality),
-                           -10 - abs(args.x0), 10 + abs(args.x0)
-                           + 3 * math.exp(args.lam * term))
+        _params(args, ("lam",), "mode=htransform")
+        drift = _ou_drift(args.lam, 1 if args.chirality is None else args.chirality)
+        ens = simulate(drift, args.x0, grid, cfg)
+        pdf = drift.law(args.x0)
+        ref = cdf_from_pdf(lambda v: pdf(v, term), -10 - abs(args.x0),
+                           10 + abs(args.x0) + 3 * math.exp(args.lam * term))
         ks = ks_statistic(ens.values[:, -1], ref)
         artifacts = [_emit_ensemble(ens, outdir, "ou_htransform", args.format)]
     else:
-        (T,) = _params(args, ("T",), "mode=sknoise")
+        _, T = _params(args, ("lam", "T"), "mode=sknoise")
         ens_x, ens_z = simulate_ou_skew_noise(args.lam, args.x0, T, grid, cfg)
         ref = cdf_from_pdf(lambda v: ou_skew_driven_marginal(v, term, args.lam, args.x0, T),
                            -12, 12)
@@ -359,8 +371,7 @@ def _add_common(p):
 def _add_family_params(p, kinds, kind_required=True):
     p.add_argument("--kind", choices=kinds, required=kind_required, default=None)
     read = {f for _, flags in kinds.values() for f in flags}
-    for name, about in (("T", "horizon (horizon kind)"), ("alpha", "constant skewness"),
-                        ("C", "constant correlation in [0,1)"), ("lam", "mean-reversion rate")):
+    for name, about in _KIND_PARAMS.items():
         if name in read:
             p.add_argument(f"--{name}", type=float, default=None, help=about)
     p.add_argument("--chirality", type=int, choices=(-1, 1), default=1)
@@ -403,9 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="tabulate a closed-form density")
     _add_common(p)
-    _add_family_params(p, DENSITY_KINDS)
+    _add_family_params(p, {**DRIFT_KINDS, **DENSITY_KINDS})
     p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--rho", type=float, default=None)
     p.add_argument("--t", required=True, help="comma list of times")
     p.add_argument("--x", required=True, help="x grid as lo:hi:step")
 

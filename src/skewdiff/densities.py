@@ -62,21 +62,18 @@ def _gauss_logpdf(x, mean, var):
     return -0.5 * (x - mean) ** 2 / var - 0.5 * np.log(var) - LOG_SQRT_2PI
 
 
-def horizon_tpd(x, t: float, x0: float, T: float, chirality: int = 1):
-    """Transition density of the finite-horizon skew diffusion from x0.
-
-    Gaussian(x0, t) kernel reweighted by the harmonic-function ratio
-    Phi(c * x / sqrt(T - t)) / Phi(c * x0 / sqrt(T)); mass is preserved for
-    every starting point.  Valid for 0 < t < T.
-    """
-    if not 0 < t < T:
-        raise HorizonError(f"t must lie in (0, {T}), got {t}")
+def _ratio_kernel(x, mean, var, a, x_prev, a_prev):
+    """Gaussian(mean, var) density times Phi(a x) / Phi(a_prev x_prev)."""
     x = np.asarray(x, dtype=float)
-    a_t = chirality / math.sqrt(T - t)
-    a_0 = chirality / math.sqrt(T)
-    logq = (_gauss_logpdf(x, x0, t)
-            + std_normal_logcdf(a_t * x) - std_normal_logcdf(a_0 * x0))
-    return np.exp(logq)
+    return np.exp(_gauss_logpdf(x, mean, var)
+                  + std_normal_logcdf(a * x) - std_normal_logcdf(a_prev * x_prev))
+
+
+def horizon_tpd(x, t: float, x0: float, T: float, chirality: int = 1):
+    """Transition density of the finite-horizon skew diffusion from (x0, 0):
+    the two-time kernel below at t_prev = 0.  Mass is preserved for every
+    starting point.  Valid for 0 < t < T."""
+    return horizon_tpd_two_time(x, t, x0, 0.0, T, chirality)
 
 
 def horizon_tpd_two_time(x, t: float, x_prev: float, t_prev: float, T: float,
@@ -88,12 +85,8 @@ def horizon_tpd_two_time(x, t: float, x_prev: float, t_prev: float, T: float,
     """
     if not 0 <= t_prev < t < T:
         raise HorizonError(f"need 0 <= t_prev < t < T, got ({t_prev}, {t}, {T})")
-    x = np.asarray(x, dtype=float)
-    a_t = chirality / math.sqrt(T - t)
-    a_p = chirality / math.sqrt(T - t_prev)
-    logq = (_gauss_logpdf(x, x_prev, t - t_prev)
-            + std_normal_logcdf(a_t * x) - std_normal_logcdf(a_p * x_prev))
-    return np.exp(logq)
+    return _ratio_kernel(x, x_prev, t - t_prev, chirality / math.sqrt(T - t),
+                         x_prev, chirality / math.sqrt(T - t_prev))
 
 
 def constant_skew_tpd(x, t: float, alpha: float, chirality: int = 1):
@@ -137,12 +130,8 @@ def family_tpd_unshifted(x, t: float, family: SkewFamily, x0: float,
     family.check_time(t)
     if not t > t0 >= 0:
         raise ValueError("need t > t0 >= 0")
-    x = np.asarray(x, dtype=float)
-    a_t = float(family.alpha(t))
-    a_0 = float(family.alpha(t0))   # t0 = 0 requires a family with finite alpha(0)
-    logq = (_gauss_logpdf(x, x0, t - t0)
-            + std_normal_logcdf(a_t * x) - std_normal_logcdf(a_0 * x0))
-    return np.exp(logq)
+    return _ratio_kernel(x, x0, t - t0, float(family.alpha(t)), x0,
+                         float(family.alpha(t0)))  # t0 = 0 needs a finite alpha(0)
 
 
 def restart_tpd(x, t: float, x_prev: float, t_prev: float, family: SkewFamily):
@@ -203,12 +192,9 @@ def ou_htransform_tpd_raw(x, t: float, lam: float, x0: float, chirality: int = 1
     truth for the ESN parameter mapping."""
     if not (t > 0 and lam > 0):
         raise ValueError("t and lam must be positive")
-    x = np.asarray(x, dtype=float)
     m_plus, s2_plus = _ou_growing_moments(t, lam, x0)
-    s = math.sqrt(2.0 * lam)
-    logq = (_gauss_logpdf(x, m_plus, s2_plus)
-            + std_normal_logcdf(chirality * s * x) - std_normal_logcdf(chirality * s * x0))
-    return np.exp(logq)
+    a = chirality * math.sqrt(2.0 * lam)
+    return _ratio_kernel(x, m_plus, s2_plus, a, x0, a)
 
 
 def ou_skew_driven_marginal(x, t: float, lam: float, x0: float, T: float):

@@ -13,9 +13,8 @@ solver for arbitrary amplitude paths.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,9 +24,6 @@ from scipy.optimize import brentq
 
 from .dists import mills
 from .errors import HorizonError, SchemaError
-
-FAMILY_KINDS = ("horizon", "constant_skew", "constant_correlation", "general")
-VALID_KINDS = (*FAMILY_KINDS, "ou_htransform", "custom")
 
 
 @dataclass(frozen=True)
@@ -69,20 +65,14 @@ class SkewFamily:
             "horizon": self.validity_horizon if math.isfinite(self.validity_horizon) else "inf",
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.descriptor(), sort_keys=True)
-
 
 def family_from_descriptor(desc: dict) -> SkewFamily:
     kind = desc.get("kind")
     params = desc.get("parameters", {})
     chirality = int(desc.get("chirality", 1))
-    if kind == "horizon":
-        return horizon_family(params["T"], chirality)
-    if kind == "constant_skew":
-        return constant_skew_family(params["alpha"], chirality)
-    if kind == "constant_correlation":
-        return constant_correlation_family(params["C"], chirality)
+    if kind in CLOSED_FORM_FAMILIES:
+        make, name = CLOSED_FORM_FAMILIES[kind]
+        return make(params[name], chirality)
     if kind == "general":
         horizon = desc.get("horizon", "inf")
         horizon = math.inf if horizon == "inf" else float(horizon)
@@ -95,22 +85,28 @@ def family_from_descriptor(desc: dict) -> SkewFamily:
     raise ValueError(f"unknown family kind {kind!r}")
 
 
+def _numeric_alpha(log_lambda, chirality, lo, hi):
+    """alpha(t) = chirality * Lambda / sqrt(1 - t Lambda^2) from log Lambda,
+    evaluable on [lo, hi] and below the validity horizon."""
+    def alpha(t):
+        t = np.asarray(t, dtype=float)
+        if np.any(t < lo) or np.any(t > hi):
+            raise HorizonError(f"numeric family only evaluable on [{lo:g}, {hi:g}]")
+        lam = np.exp(log_lambda(t))
+        under = 1.0 - t * lam * lam
+        if np.any(under <= 0):
+            raise HorizonError("evaluation at or beyond the validity horizon")
+        return chirality * lam / np.sqrt(under)
+    return alpha
+
+
 def _family_from_gamma_table(C, chirality, t_nodes, psi_vals, gamma, horizon):
     """Rebuild a numeric family from its serialized log-growth table."""
     spline = CubicHermiteSpline(np.log(t_nodes), gamma, -(1.0 - psi_vals))
     psi_interp = CubicSpline(t_nodes, psi_vals)
     logC = math.log(C) if C > 0 else -math.inf
-    lo, hi = float(t_nodes[0]), float(t_nodes[-1])
-
-    def alpha(t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < lo) or np.any(t > hi):
-            raise HorizonError(f"numeric family only evaluable on [{lo:g}, {hi:g}]")
-        lam = np.exp(logC + spline(np.log(t)))
-        under = 1.0 - t * lam * lam
-        if np.any(under <= 0):
-            raise HorizonError("evaluation at or beyond the validity horizon")
-        return chirality * lam / np.sqrt(under)
+    alpha = _numeric_alpha(lambda t: logC + spline(np.log(t)), chirality,
+                           float(t_nodes[0]), float(t_nodes[-1]))
 
     def psi(t):
         return np.clip(psi_interp(np.asarray(t, dtype=float)), 0.0, 1.0)
@@ -204,6 +200,12 @@ def constant_correlation_family(C: float, chirality: int = 1) -> SkewFamily:
                       alpha_dot=alpha_dot)
 
 
+# closed-form family kind -> (constructor, the name of its one parameter)
+CLOSED_FORM_FAMILIES = {"horizon": (horizon_family, "T"),
+                        "constant_skew": (constant_skew_family, "alpha"),
+                        "constant_correlation": (constant_correlation_family, "C")}
+
+
 def _log_growth_nodes(psi, t_nodes, anchor_zero: bool):
     """Cumulative Gamma(t) = -int (1 - psi(s))/s ds at the given nodes.
 
@@ -275,15 +277,7 @@ def family_from_amplitude(psi: Callable, C: float, chirality: int,
         t = np.asarray(t, dtype=float)
         return logC + spline(np.log(t))
 
-    def alpha(t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < nodes[0]) or np.any(t > t_hi):
-            raise HorizonError(f"numeric family only evaluable on [{nodes[0]:g}, {t_hi:g}]")
-        lam = np.exp(log_lambda(t))
-        under = 1.0 - t * lam * lam
-        if np.any(under <= 0):
-            raise HorizonError("evaluation at or beyond the validity horizon")
-        return chirality * lam / np.sqrt(under)
+    alpha = _numeric_alpha(log_lambda, chirality, nodes[0], t_hi)
 
     def psi_vec(t):
         t = np.asarray(t, dtype=float)
@@ -364,42 +358,36 @@ def ode_residual(family: SkewFamily, t, fd_step: float = 1e-4):
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Named, evaluable drift built from a family or an OU transform.
+    """Drift of Y = shift + sigma * X (sigma = diffusion_scale), where
+    dX = mu(X, t) dt + dW and mu is
+      - a family's psi_t * alpha_t * mills(alpha_t * x).  The horizon drift
+        is shift-free (the initial condition only rescales the density
+        normalization), so a nonzero shift is rejected for a horizon family;
+      - for params {"lam", "chirality"}, the OU h-transform lam*x +
+        chirality * sqrt(2 lam) * mills(chirality * sqrt(2 lam) * x);
+      - or mu_fn(y, t), the drift of Y itself, used as given.
+    `kind` is derived (the family's kind, "ou_htransform" or "custom"); an
+    init-only `kind` argument must name it."""
 
-    kind selects the formula:
-      - "horizon", "constant_skew", "constant_correlation", "general":
-        amplitude * alpha_t * mills(alpha_t * (x - shift) / sigma); the
-        shift is the modified drift required for a nonzero start.  The
-        horizon drift is shift-free (the initial condition only rescales
-        the density normalization), so a nonzero shift is rejected for a
-        horizon family under any kind.
-      - "ou_htransform": lam*x + chirality * sqrt(2 lam) *
-        mills(chirality * sqrt(2 lam) * x); params = {"lam", "chirality"}.
-      - "custom": user-supplied mu(x, t).
-    """
-
-    kind: str
     family: Optional[SkewFamily] = None
     shift: float = 0.0
     diffusion_scale: float = 1.0
     params: dict = field(default_factory=dict)
     mu_fn: Optional[Callable] = None
+    kind: InitVar[Optional[str]] = None
 
-    def __post_init__(self):
-        if self.kind not in VALID_KINDS:
-            raise SchemaError(f"unknown drift kind {self.kind!r}")
+    def __post_init__(self, kind):
         if not self.diffusion_scale > 0:
             raise SchemaError("diffusion_scale must be positive")
-        if self.kind in FAMILY_KINDS:
-            if self.family is None:
-                raise SchemaError(f"kind {self.kind!r} requires a family")
-        if self.family is not None and self.family.kind == "horizon" and self.shift != 0.0:
+        derived = (self.family.kind if self.family is not None
+                   else "custom" if self.mu_fn is not None else "ou_htransform")
+        if derived == "ou_htransform" and not {"lam", "chirality"} <= self.params.keys():
+            raise SchemaError("a drift needs a family, a mu_fn or params {'lam', 'chirality'}")
+        if kind not in (None, derived):
+            raise SchemaError(f"drift kind {kind!r} does not match its {derived!r} definition")
+        if derived == "horizon" and self.shift != 0.0:
             raise SchemaError("the horizon drift is shift-free; shift must be 0")
-        if self.kind == "ou_htransform":
-            if "lam" not in self.params or "chirality" not in self.params:
-                raise SchemaError("ou_htransform requires params {'lam', 'chirality'}")
-        if self.kind == "custom" and self.mu_fn is None:
-            raise SchemaError("custom drift requires mu_fn")
+        object.__setattr__(self, "kind", derived)
 
     @property
     def validity_horizon(self) -> float:
@@ -409,6 +397,26 @@ class DriftSpec:
 
     def mu(self, x, t: float):
         return drift_value(self, x, t)
+
+    def law(self, x0: float, t0: float = 0.0):
+        """Closed-form pdf(y, t) of Y started at (x0, t0), or None.
+
+        It is base((y - shift)/sigma, t)/sigma, with base the law of X from
+        (x0 - shift)/sigma: the horizon and (time-free) OU h-transform
+        kernels from any start, a family's marginal only from (shift, 0)."""
+        from .densities import family_tpd, horizon_tpd_two_time, ou_htransform_tpd
+        shift, sigma, fam, p = self.shift, self.diffusion_scale, self.family, self.params
+        u0 = (x0 - shift) / sigma
+        if self.kind == "horizon":
+            base = lambda u, t: horizon_tpd_two_time(u, t, u0, t0, fam.params["T"],
+                                                     fam.chirality)
+        elif self.kind == "ou_htransform":
+            base = lambda u, t: ou_htransform_tpd(u, t - t0, p["lam"], u0, p["chirality"])
+        elif fam is not None and t0 == 0 and x0 == shift:
+            base = lambda u, t: family_tpd(u, t, fam)
+        else:
+            return None
+        return lambda y, t: base((y - shift) / sigma, t) / sigma
 
     def descriptor(self) -> dict:
         d = {"kind": self.kind, "shift": self.shift, "sigma": self.diffusion_scale}
@@ -421,29 +429,32 @@ class DriftSpec:
 
 def drift_spec_from_descriptor(desc: dict) -> DriftSpec:
     """Rebuild a drift from its descriptor; a bare family descriptor stands
-    for that family's own drift (no shift, unit diffusion scale)."""
+    for that family's own drift, and kind "general" for any family's drift."""
     kind = desc["kind"]
     if kind == "custom":
         raise ValueError("custom drifts are not JSON-constructible")
-    if "family" not in desc and kind in FAMILY_KINDS:
-        return DriftSpec(kind=kind, family=family_from_descriptor(desc))
+    if "family" not in desc and kind != "ou_htransform":
+        return DriftSpec(family=family_from_descriptor(desc))
     family = family_from_descriptor(desc["family"]) if "family" in desc else None
-    return DriftSpec(kind=kind, family=family, shift=float(desc.get("shift", 0.0)),
+    return DriftSpec(kind=None if kind == "general" else kind, family=family,
+                     shift=float(desc.get("shift", 0.0)),
                      diffusion_scale=float(desc.get("sigma", 1.0)),
                      params=desc.get("parameters", {}))
 
 
 def drift_value(spec: DriftSpec, x, t: float):
-    """Evaluate the drift mu(x, t); vectorized over x."""
+    """Evaluate the drift of Y at (x, t); vectorized over x.  A family or
+    OU drift is sigma * mu((x - shift)/sigma, t), the image of X's drift."""
     x = np.asarray(x, dtype=float)
     if spec.kind == "custom":
         return spec.mu_fn(x, t)
+    u = (x - spec.shift) / spec.diffusion_scale
     if spec.kind == "ou_htransform":
         from .ou_skew import OuSkewSpec, ou_htransform_drift
         p = spec.params
-        return ou_htransform_drift(x, OuSkewSpec(lam=p["lam"], chirality=p["chirality"]))
+        return spec.diffusion_scale * ou_htransform_drift(
+            u, OuSkewSpec(lam=p["lam"], chirality=p["chirality"]))
     fam = spec.family
     fam.check_time(t)
     a = fam.alpha(t)
-    p = fam.psi(t)
-    return p * a * mills(a * (x - spec.shift) / spec.diffusion_scale)
+    return spec.diffusion_scale * fam.psi(t) * a * mills(a * u)

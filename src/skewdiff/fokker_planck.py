@@ -65,18 +65,13 @@ def _operator_bands(mu_face, dx, diff):
     w_right = 1.0 - w_left
 
     dcoef = diff / dx**2
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
-    # face j sits between nodes j and j+1; zero flux outside the domain
-    diag[:-1] += -(mu_face * w_left) / dx - dcoef
-    upper[1:] += -(mu_face * w_right) / dx + dcoef
-    diag[1:] += (mu_face * w_right) / dx - dcoef
-    lower[:-1] += (mu_face * w_left) / dx + dcoef
+    # rows: upper, main and lower diagonal; face j sits between nodes j and
+    # j+1, with zero flux outside the domain
     ab = np.zeros((3, n))
-    ab[0, 1:] = upper[1:]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[:-1]
+    ab[1, :-1] += -(mu_face * w_left) / dx - dcoef
+    ab[0, 1:] += -(mu_face * w_right) / dx + dcoef
+    ab[1, 1:] += (mu_face * w_right) / dx - dcoef
+    ab[2, :-1] += (mu_face * w_left) / dx + dcoef
     return ab
 
 

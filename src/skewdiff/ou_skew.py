@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
@@ -134,7 +135,7 @@ def simulate_ou_skew_noise(lam: float, x0: float, T: float, grid: TimeGrid,
     """
     if not lam > 0:
         raise SchemaError(f"lam must be positive, got {lam}")
-    noise = DriftSpec(kind="horizon", family=horizon_family(T))
+    noise = DriftSpec(family=horizon_family(T))
     if not grid.t_final < T:
         raise SchemaError(f"the skew noise needs t_final < T, got t_final="
                           f"{grid.t_final} and T={T}")
@@ -142,9 +143,9 @@ def simulate_ou_skew_noise(lam: float, x0: float, T: float, grid: TimeGrid,
     sqdt = math.sqrt(dt)
     times = grid.times()
 
-    def step(states, zs, k):
+    def step(states, zs, k, lo):
         x, z = states
-        inc, n = _clamp(noise.mu(z, times[k]) * dt, cfg.drift_clamp)
+        inc, n = _clamp(noise.mu(z, times[k]) * dt, cfg.drift_clamp, k, lo)
         zs[0] *= sqdt
         dz = inc + zs[0]
         # x + (-lam * x) * dt + dz, summed in that order
@@ -155,7 +156,7 @@ def simulate_ou_skew_noise(lam: float, x0: float, T: float, grid: TimeGrid,
         dz += z
         return (x_new, dz), n
 
-    (xv, zv), clamps = _integrate(lambda lo, hi: step, (x0, 0.0), grid, cfg)
+    (xv, zv), clamps = _integrate(lambda lo, hi: partial(step, lo=lo), (x0, 0.0), grid, cfg)
     ens_x = PathEnsemble(grid=grid, values=xv, seed=cfg.seed,
                          record_stride=cfg.record_stride, clamp_events=clamps)
     ens_z = PathEnsemble(grid=grid, values=zv, seed=cfg.seed,

@@ -164,23 +164,23 @@ def _draw_labels(seed: int, n_paths: int, p_plus: float) -> np.ndarray:
     return out
 
 
-def _check_finite(x: np.ndarray, step: int, path_offset: int):
-    if not np.all(np.isfinite(x)):
-        bad = int(np.nonzero(~np.isfinite(x))[0][0])
-        raise SimulationError(
-            f"non-finite value at path {path_offset + bad}, step {step}",
-            path_index=path_offset + bad, step_index=step)
+def _check_finite(bad: np.ndarray, step: int, path_offset: int):
+    """SimulationError naming the first path flagged in `bad` at state `step`."""
+    if bad.any():
+        i = path_offset + int(np.flatnonzero(bad)[0])
+        raise SimulationError(f"non-finite value at path {i}, step {step}",
+                              path_index=i, step_index=step)
 
 
-def _clamp(inc: np.ndarray, limit: float):
-    """Clip a drift increment to [-limit, limit]; returns (inc, events)."""
+def _clamp(inc: np.ndarray, limit: float, k: int, path_offset: int):
+    """Clip the drift increment of step k to [-limit, limit]; returns (inc,
+    events).  A NaN fails the fast test, so only the slow path looks for
+    one: it makes state k + 1 of its path the first non-finite value."""
     inc = np.asarray(inc)
     if -limit <= inc.min() and inc.max() <= limit:
         return inc, 0
-    over = np.abs(inc) > limit
-    if over.any():
-        return np.clip(inc, -limit, limit), int(over.sum())
-    return inc, 0
+    _check_finite(np.isnan(inc), k + 1, path_offset)
+    return np.clip(inc, -limit, limit), int((np.abs(inc) > limit).sum())
 
 
 def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
@@ -235,7 +235,7 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
                         out[lo:hi, (k + 1) // cfg.record_stride] = x
             k0 += chunk
             for x in states:
-                _check_finite(x, k0, lo)
+                _check_finite(~np.isfinite(x), k0, lo)
         clamp_total[block] = clamps
 
     workers = min(thread_count(cfg.n_threads), len(blocks))
@@ -292,7 +292,7 @@ def simulate(drift: "DriftSpec", x0: float, grid: TimeGrid, cfg: SimConfig,
 
         def step(states, zs, k):
             x, = states
-            inc, n = _clamp(mu_at(x, times[k]) * dt, cfg.drift_clamp)
+            inc, n = _clamp(mu_at(x, times[k]) * dt, cfg.drift_clamp, k, lo)
             # x + inc + sigma * sqdt * z, summed in that order
             zs[0] *= sigma * sqdt
             x = x + inc

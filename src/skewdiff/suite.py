@@ -148,7 +148,7 @@ def _check_monte_carlo(report: ValidationReport, seed: int, quick: bool):
     n = 20_000 if quick else 50_000
     steps = 250 if quick else 500
     fam = constant_skew_family(1.0, +1)
-    drift = DriftSpec(kind="constant_skew", family=fam)
+    drift = DriftSpec(family=fam)
     grid = TimeGrid(0.0, 1.0, steps)
     cfg = SimConfig(n_paths=n, seed=seed, record_stride=steps)
     ens = simulate(drift, 0.0, grid, cfg)
@@ -159,7 +159,7 @@ def _check_monte_carlo(report: ValidationReport, seed: int, quick: bool):
     report.add("mc/clamp-fraction", ens.clamp_events / (n * steps), 1e-3,
                notes="clamped steps must stay below 0.1%")
 
-    bm = simulate(DriftSpec(kind="custom", mu_fn=lambda x, t: np.zeros_like(x)),
+    bm = simulate(DriftSpec(mu_fn=lambda x, t: np.zeros_like(x)),
                   0.3, TimeGrid(0.0, 1.0, 300), SimConfig(n_paths=n, seed=seed + 1,
                                                           record_stride=75))
     T = 1.0

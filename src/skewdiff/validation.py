@@ -133,7 +133,7 @@ def kl_grid(p: DensityGrid, q: DensityGrid, t_index: int = -1,
 def _energy_paths(family: SkewFamily, paths: PathEnsemble) -> np.ndarray:
     """Half the time-integrated squared drift along each path (left Riemann
     on the recorded grid)."""
-    spec = DriftSpec(kind=family.kind, family=family)
+    spec = DriftSpec(family=family)
     times = paths.times
     dt = np.diff(times)
     acc = np.zeros(paths.n_paths)
@@ -151,6 +151,13 @@ def girsanov_energy(family: SkewFamily, paths: PathEnsemble):
     return float(energy.mean()), float(energy.std(ddof=1) / math.sqrt(len(energy)))
 
 
+def _log_ratio_paths(family: SkewFamily, paths: PathEnsemble, x0: float) -> np.ndarray:
+    """The terminal log harmonic ratio log h(X_end)/h(x0) along each path."""
+    times = paths.times
+    return (std_normal_logcdf(family.alpha(float(times[-1])) * paths.values[:, -1])
+            - std_normal_logcdf(family.alpha(float(times[0])) * x0))
+
+
 def path_kl_telescoped(family: SkewFamily, paths: PathEnsemble, x0: float):
     """Relative entropy of the skewed path law w.r.t. the Brownian one,
     estimated as the mean terminal log harmonic ratio log h(X_end)/h(x0).
@@ -159,12 +166,7 @@ def path_kl_telescoped(family: SkewFamily, paths: PathEnsemble, x0: float):
     measures, so this telescopes the divergence without density estimation.
     Orientation: KL(skewed || Brownian), the quantity the quadratic drift
     energy equals.  Returns (estimate, standard_error)."""
-    times = paths.times
-    t_end, t_0 = float(times[-1]), float(times[0])
-    a_end = family.alpha(t_end)
-    a_0 = family.alpha(t_0)
-    vals = (std_normal_logcdf(a_end * paths.values[:, -1])
-            - std_normal_logcdf(a_0 * x0))
+    vals = _log_ratio_paths(family, paths, x0)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
@@ -172,12 +174,7 @@ def girsanov_kl_gap(family: SkewFamily, paths: PathEnsemble, x0: float):
     """Per-path gap between the telescoped log ratio and the quadratic
     energy; zero in the mean exactly when the optimality equality holds.
     Returns (gap_mean, gap_se)."""
-    times = paths.times
-    a_end = family.alpha(float(times[-1]))
-    a_0 = family.alpha(float(times[0]))
-    kl_paths = (std_normal_logcdf(a_end * paths.values[:, -1])
-                - std_normal_logcdf(a_0 * x0))
-    gap = kl_paths - _energy_paths(family, paths)
+    gap = _log_ratio_paths(family, paths, x0) - _energy_paths(family, paths)
     return float(gap.mean()), float(gap.std(ddof=1) / math.sqrt(len(gap)))
 
 

@@ -50,7 +50,7 @@ _SIM_WALL = {"elapsed": 0.0}
 
 @pytest.fixture(scope="module")
 def constant_skew_run():
-    drift = DriftSpec(kind="constant_skew", family=constant_skew_family(1.0, +1))
+    drift = DriftSpec(family=constant_skew_family(1.0, +1))
     grid = TimeGrid(0.0, 1.0, 1000)             # dt = 1e-3
     cfg = SimConfig(n_paths=200_000, seed=SEED, record_stride=250)
     t0 = time.perf_counter()
@@ -62,7 +62,7 @@ def constant_skew_run():
 @pytest.fixture(scope="module")
 def horizon_run():
     T, eps = 1.0, 1e-4
-    drift = DriftSpec(kind="horizon", family=horizon_family(T, +1))
+    drift = DriftSpec(family=horizon_family(T, +1))
     grid = TimeGrid(0.0, T, 2500, terminal_cutoff_epsilon=eps)
     cfg = SimConfig(n_paths=200_000, seed=SEED + 1, record_stride=625)
     t0 = time.perf_counter()
@@ -143,7 +143,7 @@ def test_criterion_3_forward_equation_oracle():
     t0 = time.perf_counter()
     grid = TimeGrid(0.0, 1.0, 1000)
 
-    zero = DriftSpec(kind="custom", mu_fn=lambda x, t: np.zeros_like(x))
+    zero = DriftSpec(mu_fn=lambda x, t: np.zeros_like(x))
     cfg = FpConfig(x_min=-10, x_max=10, n_x=2001, n_t=10_000)
     sol = solve_kfe(zero, 0.0, grid, cfg)
     w = cfg.mollifier_width()
@@ -151,7 +151,7 @@ def test_criterion_3_forward_equation_oracle():
     err_heat = l1(sol.values[-1], ref, sol.x_nodes)
 
     lam, x0 = 1.0, 1.0
-    ou = DriftSpec(kind="custom", mu_fn=lambda x, t: -lam * x)
+    ou = DriftSpec(mu_fn=lambda x, t: -lam * x)
     cfg_ou = FpConfig(x_min=-9, x_max=10, n_x=2001, n_t=10_000)
     sol_ou = solve_kfe(ou, x0, grid, cfg_ou)
     m = x0 * math.exp(-lam)
@@ -159,7 +159,7 @@ def test_criterion_3_forward_equation_oracle():
     ref_ou = np.exp(-(sol_ou.x_nodes - m) ** 2 / (2 * v)) / math.sqrt(2 * math.pi * v)
     err_ou = l1(sol_ou.values[-1], ref_ou, sol_ou.x_nodes)
 
-    skew = DriftSpec(kind="constant_skew", family=constant_skew_family(1.0, +1))
+    skew = DriftSpec(family=constant_skew_family(1.0, +1))
     cfg_sk = FpConfig(x_min=-10, x_max=10, n_x=2001, n_t=10_000)
     sol_sk = solve_kfe(skew, 0.0, grid, cfg_sk)
     ref_sk = constant_skew_tpd(sol_sk.x_nodes, 1.0, 1.0, +1)
@@ -286,8 +286,8 @@ def test_criterion_7_pointwise_mixture_identities():
 def test_criterion_7_mixture_simulations():
     T, eps = 1.0, 1e-4
     n = 200_000
-    dplus = DriftSpec(kind="horizon", family=horizon_family(T, +1))
-    dminus = DriftSpec(kind="horizon", family=horizon_family(T, -1))
+    dplus = DriftSpec(family=horizon_family(T, +1))
+    dminus = DriftSpec(family=horizon_family(T, -1))
     grid = TimeGrid(0.0, T, 2500, terminal_cutoff_epsilon=eps)
     cfg = SimConfig(n_paths=n, seed=SEED + 3, record_stride=2500)
     ens = simulate_mixture(dplus, dminus, 0.5, 0.0, grid, cfg)
@@ -297,8 +297,8 @@ def test_criterion_7_mixture_simulations():
     thr = ks_threshold(n)
 
     lam, x0 = 1.0, 0.3
-    oplus = DriftSpec(kind="ou_htransform", params={"lam": lam, "chirality": +1})
-    ominus = DriftSpec(kind="ou_htransform", params={"lam": lam, "chirality": -1})
+    oplus = DriftSpec(params={"lam": lam, "chirality": +1})
+    ominus = DriftSpec(params={"lam": lam, "chirality": -1})
     _, p_plus = ou_mixture_probability(lam, x0)
     grid2 = TimeGrid(0.0, 1.0, 1000)
     ens2 = simulate_mixture(oplus, ominus, p_plus, x0, grid2,
@@ -320,7 +320,7 @@ def test_criterion_7_mixture_simulations():
 def test_criterion_8_martingale_means():
     n = 100_000
     T, x0 = 1.0, 0.3
-    zero = DriftSpec(kind="custom", mu_fn=lambda x, t: np.zeros_like(x))
+    zero = DriftSpec(mu_fn=lambda x, t: np.zeros_like(x))
     bm = simulate(zero, x0, TimeGrid(0.0, T, 300),
                   SimConfig(n_paths=n, seed=SEED + 5, record_stride=75))
 
@@ -330,7 +330,7 @@ def test_criterion_8_martingale_means():
     rows_b = martingale_mean(h_b, bm, x0, checkpoints=[0.25, 0.5, 0.75])
 
     lam = 1.0
-    ou = DriftSpec(kind="custom", mu_fn=lambda x, t: -lam * x)
+    ou = DriftSpec(mu_fn=lambda x, t: -lam * x)
     ou_paths = simulate(ou, x0, TimeGrid(0.0, 0.32, 320),
                         SimConfig(n_paths=n, seed=SEED + 6, record_stride=80))
 
@@ -399,7 +399,7 @@ def test_criterion_10_skew_noise_marginal():
 # ------------------------------------------------------------ criterion 11
 def test_criterion_11_energy_equals_divergence():
     fam = horizon_family(1.0, +1)
-    drift = DriftSpec(kind="horizon", family=fam)
+    drift = DriftSpec(family=fam)
     all_ok = True
     details = []
     for seed in (1, 2, 3):

@@ -53,6 +53,27 @@ class TestDensityCommand:
                    "--t", "1.0", "--x", "-1:1:0.5")
         assert code == 2
 
+    def test_start_without_a_law_exits_2(self, tmp_path):
+        # a family's law is known only from the shift, here 0
+        base = ("density", "--kind", "constant-skew", "--alpha", "1", "--t", "1",
+                "--x", "-1:1:0.5")
+        assert run(tmp_path, *base, "--x0", "2") == 2
+        assert not (tmp_path / "density.csv").exists()
+        assert run(tmp_path, *base, "--x0", "0") == 0
+
+    @pytest.mark.parametrize("c", ["0.3", "0.6", "0.9"])
+    def test_constant_correlation_is_the_censored_law(self, tmp_path, c):
+        # the censoring identity: the constant-correlation law from 0 is the
+        # censored posterior at correlation C
+        grid = ("--t", "0.25,1,3", "--x", "-5:5:0.25")
+        assert run(tmp_path / "cc", "density", "--kind", "constant-correlation",
+                   "--C", c, *grid) == 0
+        assert run(tmp_path / "rho", "density", "--kind", "censored", "--rho", c, *grid) == 0
+        cc, rho = (np.loadtxt(tmp_path / d / "density.csv", delimiter=",", skiprows=1)
+                   for d in ("cc", "rho"))
+        assert np.array_equal(cc[:, :2], rho[:, :2])
+        np.testing.assert_allclose(cc[:, 2], rho[:, 2], rtol=1.5e-14, atol=0)
+
 
 class TestSimulateCommand:
     def test_artifacts_and_determinism(self, tmp_path):
@@ -66,6 +87,24 @@ class TestSimulateCommand:
         assert (a / "ensemble.skdf").read_bytes() == (b / "ensemble.skdf").read_bytes()
         summary = json.loads((a / "summary.json").read_text())
         assert summary["clamp_events"] == 0
+
+    @pytest.mark.parametrize("argv,law", [
+        (("--kind", "constant-skew", "--alpha", "1"), "constant_skew"),
+        (("--kind", "horizon", "--T", "1", "--x0", "0.3"), "horizon"),
+        (("--kind", "ou-htransform", "--lam", "1", "--t-start", "0.2", "--x0", "-0.5"),
+         "ou_htransform"),
+        (("--kind", "constant-skew", "--alpha", "1", "--t-start", "0.2"), None)])
+    def test_summary_reports_the_law(self, tmp_path, argv, law):
+        n = 4000
+        assert run(tmp_path, "simulate", *argv, "--t-end", "0.8", "--steps", "400",
+                   "--paths", str(n), "--record-stride", "400", "--seed", "2") == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["law"] == law
+        if law is None:
+            assert summary["terminal_ks"] is None and summary["threshold"] is None
+        else:
+            assert summary["threshold"] == ks_threshold(n)
+            assert summary["terminal_ks"] <= summary["threshold"]
 
     def test_drift_descriptor_file(self, tmp_path):
         # export a family, then simulate from the descriptor file
@@ -191,7 +230,11 @@ class TestRunSettingsReadOnce:
         ("mixture", "--T", "1", *SIM, "--t-start", "0.3"),
         ("ou", "--lam", "1", *SIM, "--t-start", "0.3"),
         ("family", "--kind", "horizon", "--T", "1", "--lam", "1"),
-        (*DENSITY, "--t", "1", "--x", "0:1:0.5", "--C", "0.5")])
+        (*DENSITY, "--t", "1", "--x", "0:1:0.5", "--C", "0.5"),
+        # a parameter flag that only another kind reads
+        ("simulate", "--kind", "constant-skew", "--alpha", "1", "--T", "2", *SIM),
+        ("density", "--kind", "censored", "--rho", "0.5", "--lam", "1", "--t", "1",
+         "--x", "0:1:0.5")])
     def test_configuration_error_exits_2(self, tmp_path, capsys, argv):
         (tmp_path / "list_params.json").write_text(
             json.dumps({"kind": "horizon", "parameters": []}))

@@ -242,7 +242,7 @@ class TestForwardEquationResiduals:
         from skewdiff import forward_residual
         T = 1.0
         fam = horizon_family(T, +1)
-        spec = DriftSpec(kind="horizon", family=fam)
+        spec = DriftSpec(family=fam)
         res = forward_residual(lambda x, t: horizon_tpd(x, t, 0.0, T, +1),
                                lambda x, t: drift_value(spec, x, t),
                                np.linspace(-3, 3, 25), np.linspace(0.2, 0.8, 7))
@@ -251,15 +251,14 @@ class TestForwardEquationResiduals:
     def test_constant_skew_density_needs_amplitude(self):
         from skewdiff import forward_residual
         fam = constant_skew_family(1.0, +1)
-        spec = DriftSpec(kind="constant_skew", family=fam)
+        spec = DriftSpec(family=fam)
         xs = np.linspace(-3, 3, 25)
         ts = np.linspace(0.3, 2.0, 7)
         res = forward_residual(lambda x, t: constant_skew_tpd(x, t, 1.0, +1),
                                lambda x, t: drift_value(spec, x, t), xs, ts)
         assert res < 1e-6
         # negative control: unit amplitude in place of the decaying one
-        unit = DriftSpec(kind="custom",
-                         mu_fn=lambda x, t: drift_value(spec, x, t) / float(fam.psi(t)))
+        unit = DriftSpec(mu_fn=lambda x, t: drift_value(spec, x, t) / float(fam.psi(t)))
         res_bad = forward_residual(lambda x, t: constant_skew_tpd(x, t, 1.0, +1),
                                    lambda x, t: unit.mu(x, t), xs, ts)
         assert res_bad > 1e-3

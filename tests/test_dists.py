@@ -4,11 +4,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from skewdiff import (ExtendedSkewNormalParams, SkewNormalParams, esn_pdf,
-                      half_normal_pdf, log_mills, raw_gauss_integral,
+                      half_normal_pdf, log_mills, mills, raw_gauss_integral,
                       sn_moments, sn_pdf, std_normal_cdf)
 
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -76,6 +78,29 @@ class TestLogMills:
     def test_finite_everywhere(self):
         xs = np.array([-1e6, -40.0, 0.0, 35.0, 100.0])
         assert np.all(np.isfinite(log_mills(xs)))
+
+    def test_continuous_across_the_branch_at_8(self):
+        below, above = log_mills(8.0), log_mills(np.nextafter(8.0, 9.0))
+        # the true step over one ulp is about -8 * 1.8e-15
+        assert abs(above - below) < 1e-13
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(x=st.floats(6.0, 10.0))
+    def test_both_branches_agree_near_8(self, x):
+        # mills is one erfcx evaluation with no branch
+        assert abs(log_mills(x) - math.log(mills(x))) < 1e-13
+
+
+class TestMills:
+    def test_non_increasing_on_a_dense_grid(self):
+        xs = np.linspace(-40.0, 38.0, 2_000_001)
+        assert np.all(np.diff(mills(xs)) <= 0)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(a=st.floats(-40.0, 38.0), b=st.floats(-40.0, 38.0))
+    def test_non_increasing(self, a, b):
+        lo, hi = min(a, b), max(a, b)
+        assert mills(lo) >= mills(hi)
 
 
 class TestSkewNormalPdf:

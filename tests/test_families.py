@@ -151,21 +151,21 @@ class TestEvolutionEquation:
 class TestDriftValue:
     def test_horizon_drift_at_origin(self):
         fam = horizon_family(10.0, +1)
-        spec = DriftSpec(kind="horizon", family=fam)
+        spec = DriftSpec(family=fam)
         for t in (0.5, 5.0, 9.0):
             expect = float(fam.psi(t)) * float(fam.alpha(t)) * SQRT_2_OVER_PI
             assert_allclose(float(drift_value(spec, 0.0, t)), expect, rtol=1e-13)
 
     def test_mirror_antisymmetry(self):
-        plus = DriftSpec(kind="constant_skew", family=constant_skew_family(1.5, +1))
-        minus = DriftSpec(kind="constant_skew", family=constant_skew_family(1.5, -1))
+        plus = DriftSpec(family=constant_skew_family(1.5, +1))
+        minus = DriftSpec(family=constant_skew_family(1.5, -1))
         xs = np.linspace(-6, 6, 41)
         assert_allclose(drift_value(minus, xs, 0.7), -drift_value(plus, -xs, 0.7),
                         rtol=1e-13)
 
     def test_linear_restoring_asymptote(self):
         fam = constant_skew_family(1.0, +1)
-        spec = DriftSpec(kind="constant_skew", family=fam)
+        spec = DriftSpec(family=fam)
         t = 1.0
         x = -60.0
         target = -float(fam.psi(t)) * 1.0**2 * x
@@ -173,44 +173,67 @@ class TestDriftValue:
 
     def test_finite_on_wide_lattice(self):
         fam = horizon_family(1.0, +1)
-        spec = DriftSpec(kind="horizon", family=fam)
+        spec = DriftSpec(family=fam)
         xs = np.linspace(-50, 50, 101)
         for t in (0.1, 0.5, 0.9, 0.999):
             assert np.all(np.isfinite(drift_value(spec, xs, t)))
 
     def test_horizon_violation_raises(self):
-        spec = DriftSpec(kind="horizon", family=horizon_family(1.0, +1))
+        spec = DriftSpec(family=horizon_family(1.0, +1))
         with pytest.raises(HorizonError):
             drift_value(spec, 0.0, 1.0)
 
     def test_shift_rejected_for_horizon_kind(self):
         fam = horizon_family(1.0, +1)
-        DriftSpec(kind="horizon", family=fam, shift=0.0)
+        DriftSpec(family=fam, shift=0.0)
         with pytest.raises(SchemaError):
-            DriftSpec(kind="horizon", family=fam, shift=2.0)
+            DriftSpec(family=fam, shift=2.0)
 
     def test_shift_rejected_for_horizon_family_of_any_kind(self):
+        # a descriptor's "general" kind names the drift of whatever family it holds
         with pytest.raises(SchemaError):
-            DriftSpec(kind="general", family=horizon_family(1.0), shift=1.5)
+            drift_spec_from_descriptor({"kind": "general", "shift": 1.5,
+                                        "family": horizon_family(1.0).descriptor()})
 
     def test_shift_applied_for_general_kind(self):
         fam = constant_skew_family(1.0, +1)
-        spec = DriftSpec(kind="general", family=fam, shift=1.5)
-        base = DriftSpec(kind="general", family=fam, shift=0.0)
+        spec = drift_spec_from_descriptor({"kind": "general", "shift": 1.5,
+                                           "family": fam.descriptor()})
+        assert spec.kind == "constant_skew"
+        base = DriftSpec(family=fam, shift=0.0)
         xs = np.linspace(-3, 3, 13)
         assert_allclose(drift_value(spec, xs + 1.5, 0.8), drift_value(base, xs, 0.8),
                         rtol=1e-14)
 
     def test_diffusion_scale(self):
+        # Y = shift + sigma X: the drift is sigma * mu((y - shift) / sigma)
         fam = constant_skew_family(1.0, +1)
-        sigma = 2.0
-        spec = DriftSpec(kind="constant_skew", family=fam, diffusion_scale=sigma)
+        sigma, shift = 2.0, 0.3
+        spec = DriftSpec(family=fam, shift=shift, diffusion_scale=sigma)
         t, x = 0.5, 0.9
-        expect = float(fam.psi(t)) * 1.0 * float(mills(1.0 * x / sigma))
+        expect = sigma * float(fam.psi(t)) * 1.0 * float(mills(1.0 * (x - shift) / sigma))
         assert_allclose(float(drift_value(spec, x, t)), expect, rtol=1e-14)
+        ou = DriftSpec(params={"lam": 1.0, "chirality": -1}, diffusion_scale=sigma)
+        unit = DriftSpec(params={"lam": 1.0, "chirality": -1})
+        assert_allclose(drift_value(ou, x, t), sigma * drift_value(unit, x / sigma, t),
+                        rtol=1e-14)
+
+    def test_derived_kind(self):
+        assert DriftSpec(family=horizon_family(1.0)).kind == "horizon"
+        assert DriftSpec(params={"lam": 1.0, "chirality": 1}).kind == "ou_htransform"
+        assert DriftSpec(mu_fn=lambda x, t: x).kind == "custom"
+        # an explicit kind is only a check against the definition
+        assert DriftSpec(kind="horizon", family=horizon_family(1.0)).kind == "horizon"
+        for bad in (lambda: DriftSpec(kind="general", family=horizon_family(1.0)),
+                    lambda: DriftSpec(kind="custom"), lambda: DriftSpec()):
+            with pytest.raises(SchemaError):
+                bad()
+        with pytest.raises(SchemaError):
+            drift_spec_from_descriptor({"kind": "horizon",
+                                        "family": constant_skew_family(1.0).descriptor()})
 
     def test_custom_drift(self):
-        spec = DriftSpec(kind="custom", mu_fn=lambda x, t: -2.0 * x)
+        spec = DriftSpec(mu_fn=lambda x, t: -2.0 * x)
         assert_allclose(drift_value(spec, np.array([1.0, -3.0]), 0.1),
                         np.array([-2.0, 6.0]))
 
@@ -247,7 +270,7 @@ class TestSerialization:
     def test_bare_family_descriptor_is_its_drift(self, fam):
         spec = drift_spec_from_descriptor(fam.descriptor())
         assert spec.kind == fam.kind and spec.shift == 0.0
-        base = DriftSpec(kind=fam.kind, family=fam)
+        base = DriftSpec(family=fam)
         xs = np.linspace(-3, 3, 13)
         assert_allclose(drift_value(spec, xs, 0.8), drift_value(base, xs, 0.8), rtol=1e-12)
         back = drift_spec_from_descriptor(base.descriptor())

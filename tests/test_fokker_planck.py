@@ -10,7 +10,7 @@ from skewdiff import (DriftSpec, FpConfig, PdeInstabilityError, TimeGrid,
                       constant_skew_tpd, horizon_family, horizon_tpd,
                       ou_h_residual, solve_kfe)
 
-ZERO = DriftSpec(kind="custom", mu_fn=lambda x, t: np.zeros_like(x))
+ZERO = DriftSpec(mu_fn=lambda x, t: np.zeros_like(x))
 
 
 def l1(a, b, x):
@@ -41,7 +41,7 @@ class TestForwardSolver:
 
     def test_linear_drift_vs_ou_law(self):
         lam, x0 = 1.0, 1.0
-        drift = DriftSpec(kind="custom", mu_fn=lambda x, t: -lam * x)
+        drift = DriftSpec(mu_fn=lambda x, t: -lam * x)
         cfg = FpConfig(x_min=-8, x_max=9, n_x=1201, n_t=2000)
         sol = solve_kfe(drift, x0, TimeGrid(0.0, 1.0, 2000), cfg)
         w = cfg.mollifier_width()
@@ -52,7 +52,7 @@ class TestForwardSolver:
 
     def test_constant_skew_drift_vs_closed_form(self):
         fam = constant_skew_family(1.0, +1)
-        drift = DriftSpec(kind="constant_skew", family=fam)
+        drift = DriftSpec(family=fam)
         cfg = FpConfig(x_min=-9, x_max=10, n_x=1201, n_t=2000)
         sol = solve_kfe(drift, 0.0, TimeGrid(0.0, 1.0, 2000), cfg)
         ref = constant_skew_tpd(sol.x_nodes, 1.0, 1.0, +1)
@@ -60,7 +60,7 @@ class TestForwardSolver:
 
     def test_horizon_drift_consistency(self):
         T = 1.0
-        drift = DriftSpec(kind="horizon", family=horizon_family(T, +1))
+        drift = DriftSpec(family=horizon_family(T, +1))
         cfg = FpConfig(x_min=-9, x_max=10, n_x=1201, n_t=1600)
         sol = solve_kfe(drift, 0.0, TimeGrid(0.0, 0.8 * T, 1600), cfg)
         ref = horizon_tpd(sol.x_nodes, 0.8 * T, 0.0, T, +1)
@@ -69,7 +69,7 @@ class TestForwardSolver:
     def test_mass_and_positivity(self):
         cfg = FpConfig(x_min=-9, x_max=10, n_x=801, n_t=500)
         fam = constant_skew_family(1.0, +1)
-        sol = solve_kfe(DriftSpec(kind="constant_skew", family=fam), 0.0,
+        sol = solve_kfe(DriftSpec(family=fam), 0.0,
                         TimeGrid(0.0, 1.0, 500), cfg)
         assert np.all(sol.values >= -1e-10)
         dx = sol.x_nodes[1] - sol.x_nodes[0]
@@ -80,7 +80,7 @@ class TestForwardSolver:
         # cell Peclet 2.5 everywhere: upwinded faces with the damped implicit
         # scheme form a monotone system, so the solution stays positive and
         # conservative even though the advection is violent
-        drift = DriftSpec(kind="custom", mu_fn=lambda x, t: np.full_like(x, 50.0))
+        drift = DriftSpec(mu_fn=lambda x, t: np.full_like(x, 50.0))
         cfg = FpConfig(x_min=-6, x_max=6, n_x=241, n_t=800, theta=1.0)
         sol = solve_kfe(drift, -3.0, TimeGrid(0.0, 0.5, 800), cfg)
         assert np.all(sol.values >= -1e-12)

@@ -11,7 +11,7 @@ from skewdiff.io import (density_grid_summary, density_grid_to_csv,
                          ensemble_from_binary, ensemble_to_binary,
                          ensemble_to_csv)
 
-ZERO = DriftSpec(kind="custom", mu_fn=lambda x, t: np.zeros_like(x))
+ZERO = DriftSpec(mu_fn=lambda x, t: np.zeros_like(x))
 
 
 @pytest.fixture()
@@ -22,8 +22,8 @@ def small_ensemble():
 
 @pytest.fixture()
 def labeled_ensemble():
-    plus = DriftSpec(kind="constant_skew", family=constant_skew_family(1.0, +1))
-    minus = DriftSpec(kind="constant_skew", family=constant_skew_family(1.0, -1))
+    plus = DriftSpec(family=constant_skew_family(1.0, +1))
+    minus = DriftSpec(family=constant_skew_family(1.0, -1))
     return simulate_mixture(plus, minus, 0.5, 0.0, TimeGrid(0.0, 1.0, 20),
                             SimConfig(n_paths=10, seed=19, record_stride=4))
 

@@ -14,12 +14,11 @@ from skewdiff import (DriftSpec, HorizonError, SchemaError, SimConfig,
                       simulate_bivariate_censoring, simulate_mixture,
                       sn_moments, SkewNormalParams)
 
-ZERO_DRIFT = DriftSpec(kind="custom", mu_fn=lambda x, t: np.zeros_like(x))
+ZERO_DRIFT = DriftSpec(mu_fn=lambda x, t: np.zeros_like(x))
 
 
 def skew_drift(alpha=1.0, chirality=1):
-    return DriftSpec(kind="constant_skew",
-                     family=constant_skew_family(alpha, chirality))
+    return DriftSpec(family=constant_skew_family(alpha, chirality))
 
 
 class TestTimeGrid:
@@ -97,7 +96,7 @@ class TestSkewLaw:
     def test_horizon_terminal_negative_fraction(self):
         T, eps = 1.0, 1e-4
         n = 20000
-        drift = DriftSpec(kind="horizon", family=horizon_family(T, +1))
+        drift = DriftSpec(family=horizon_family(T, +1))
         ens = simulate(drift, 0.0, TimeGrid(0.0, T, 2000, terminal_cutoff_epsilon=eps),
                        SimConfig(n_paths=n, seed=17, record_stride=2000))
         assert np.mean(ens.values[:, -1] < 0) < 0.02
@@ -111,7 +110,7 @@ class TestSafeguards:
         assert ens.clamp_events == 0
 
     def test_clamp_counting(self):
-        stiff = DriftSpec(kind="custom", mu_fn=lambda x, t: np.full_like(x, 500.0))
+        stiff = DriftSpec(mu_fn=lambda x, t: np.full_like(x, 500.0))
         ens = simulate(stiff, 0.0, TimeGrid(0.0, 1.0, 10),
                        SimConfig(n_paths=7, seed=1, drift_clamp=1.0, record_stride=10))
         assert ens.clamp_events == 70
@@ -119,15 +118,25 @@ class TestSafeguards:
         assert np.all(ens.values[:, -1] < 10.0 + 20.0)
 
     def test_nan_detection(self):
-        bad = DriftSpec(kind="custom", mu_fn=lambda x, t: x * np.nan)
+        bad = DriftSpec(mu_fn=lambda x, t: x * np.nan)
         with pytest.raises(SimulationError) as err:
             simulate(bad, 0.0, TimeGrid(0.0, 1.0, 10), SimConfig(n_paths=3, seed=1,
                                                                  record_stride=10))
         assert err.value.path_index is not None
         assert err.value.step_index is not None
 
+    def test_nan_names_its_step(self):
+        # the drift turns NaN at t = 0.03, grid index 3, so the state at
+        # index 4 is the first non-finite one, inside the first draw chunk
+        bad = DriftSpec(mu_fn=lambda x, t: x + (np.nan if t > 0.025 else 0.0))
+        with pytest.raises(SimulationError) as err:
+            simulate(bad, 0.0, TimeGrid(0.0, 1.0, 100),
+                     SimConfig(n_paths=9000, seed=1, record_stride=100))
+        assert (err.value.path_index, err.value.step_index) == (0, 4)
+        assert "step 4" in str(err.value)
+
     def test_horizon_guard(self):
-        drift = DriftSpec(kind="horizon", family=horizon_family(1.0, +1))
+        drift = DriftSpec(family=horizon_family(1.0, +1))
         with pytest.raises(HorizonError):
             simulate(drift, 0.0, TimeGrid(0.0, 1.5, 100), SimConfig(n_paths=2, seed=1,
                                                                     record_stride=100))
@@ -253,8 +262,8 @@ def _mixture_digest(ens) -> str:
 def _pinned_mixture(case: str, n_threads: int):
     """8200 paths: one full noise block of 8192 and a short second one."""
     if case == "horizon_clamp":
-        plus = DriftSpec(kind="horizon", family=horizon_family(1.0, +1))
-        minus = DriftSpec(kind="horizon", family=horizon_family(1.0, -1))
+        plus = DriftSpec(family=horizon_family(1.0, +1))
+        minus = DriftSpec(family=horizon_family(1.0, -1))
         return simulate_mixture(
             plus, minus, 0.5, 0.0, TimeGrid(0.0, 1.0, 40, terminal_cutoff_epsilon=1e-4),
             SimConfig(n_paths=8200, seed=29, record_stride=8, drift_clamp=0.2,
@@ -306,7 +315,7 @@ def _pinned_simulation(case: str, seed: int, n_threads: int):
             lambda t: math.sqrt(t), TimeGrid(0.0, 1.0, 40),
             SimConfig(n_paths=8200, seed=seed, record_stride=8, n_threads=n_threads))
     if case == "horizon_clamp":
-        return (simulate(DriftSpec(kind="horizon", family=horizon_family(1.0, +1)), 0.0,
+        return (simulate(DriftSpec(family=horizon_family(1.0, +1)), 0.0,
                          TimeGrid(0.0, 1.0, 40, terminal_cutoff_epsilon=1e-4),
                          SimConfig(n_paths=8200, seed=seed, record_stride=8,
                                    drift_clamp=0.2, n_threads=n_threads)),)

@@ -12,7 +12,7 @@ from skewdiff import (DriftSpec, SimConfig, TimeGrid, ValidationReport,
                       martingale_mean, normalization_audit,
                       path_kl_telescoped, simulate, std_normal_cdf)
 
-ZERO = DriftSpec(kind="custom", mu_fn=lambda x, t: np.zeros_like(x))
+ZERO = DriftSpec(mu_fn=lambda x, t: np.zeros_like(x))
 
 
 class TestKsStatistic:
@@ -111,7 +111,7 @@ class TestMartingaleMean:
 @pytest.fixture(scope="module")
 def skew_run():
     fam = horizon_family(1.0, +1)
-    drift = DriftSpec(kind="horizon", family=fam)
+    drift = DriftSpec(family=fam)
     ens = simulate(drift, 0.0, TimeGrid(0.0, 0.8, 400),
                    SimConfig(n_paths=20000, seed=113))
     return fam, ens
@@ -138,7 +138,7 @@ class TestDriftEnergyIdentity:
     def test_longer_window_more_energy(self):
         # the quadratic energy accumulates monotonically in the window length
         fam = horizon_family(1.0, +1)
-        drift = DriftSpec(kind="horizon", family=fam)
+        drift = DriftSpec(family=fam)
         energies = []
         for frac in (0.4, 0.8):
             ens = simulate(drift, 0.0, TimeGrid(0.0, frac, 200),
@@ -152,7 +152,7 @@ class TestDriftEnergyIdentity:
         energies = []
         for T in (1.0, 2.0):
             fam = horizon_family(T, +1)
-            drift = DriftSpec(kind="horizon", family=fam)
+            drift = DriftSpec(family=fam)
             ens = simulate(drift, 0.0, TimeGrid(0.0, 0.8 * T, 200),
                            SimConfig(n_paths=5000, seed=131))
             energies.append(girsanov_energy(fam, ens)[0])
