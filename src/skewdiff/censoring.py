@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .dists import mills
+from .errors import SchemaError
 from .families import SkewFamily, DriftSpec, drift_value
 from .sde import PathEnsemble
 
@@ -125,6 +126,8 @@ def posterior_from_censored_sim(ensemble_x: PathEnsemble, ensemble_y: PathEnsemb
     (x_grid, density, survivor_fraction, n_survivors).  Raises when fewer
     than 1000 paths survive, since the estimate is meaningless below that.
     """
+    if bandwidth is not None and not 0 < bandwidth < math.inf:
+        raise SchemaError(f"bandwidth must be positive and finite, got {bandwidth}")
     xs = ensemble_x.values[:, t_index]
     ys = ensemble_y.values[:, t_index]
     keep = ys >= 0.0

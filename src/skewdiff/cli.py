@@ -235,6 +235,8 @@ def cmd_simulate(args, outdir: Path):
 def cmd_density(args, outdir: Path):
     xs = _parse_range(args.x)
     ts = _parse_floats(args.t)
+    if not all(0 < t < math.inf for t in ts):
+        raise SchemaError(f"--t times must be positive and finite, got {args.t!r}")
     if args.kind in DENSITY_KINDS:
         tpd, flags = DENSITY_KINDS[args.kind]
         params = _params(args, flags, f"kind={args.kind}")
@@ -273,14 +275,21 @@ def cmd_censor(args, outdir: Path):
     grid = TimeGrid(t_start=0.0, t_end=T, n_steps=args.steps)
     cfg = SimConfig(n_paths=args.paths, seed=args.seed,
                     record_stride=args.record_stride, n_threads=args.threads)
+    # each check time must be a positive recorded time
+    times = grid.times()[::cfg.record_stride]
+    checks = []
+    for t_check in _parse_floats(args.check_t):
+        j = int(np.argmin(np.abs(times - t_check)))
+        if not (t_check > 0 and abs(times[j] - t_check) <= 1e-9):
+            raise SchemaError(f"--check-t {t_check} is not a positive recorded time "
+                              f"(every {grid.dt * cfg.record_stride:g} up to {T:g})")
+        checks.append(j)
     ens_x, ens_y = simulate_bivariate_censoring(rho, grid, cfg)
 
     rho_vals = np.array([rho(t) if callable(rho) else rho for t in grid.times()[:-1]])
     results = []
     artifacts = []
-    for t_check in _parse_floats(args.check_t):
-        times = ens_x.times
-        j = int(np.argmin(np.abs(times - t_check)))
+    for j in checks:
         t_j = float(times[j])
         n_sub = int(round(t_j / grid.dt))
         r_eff = float(rho_vals[:n_sub].sum() * grid.dt / t_j)  # time-t correlation of the pair
@@ -385,7 +394,9 @@ def _add_sim_params(p):
     p.add_argument("--epsilon", type=float, default=None,
                    help="terminal cutoff (default 1e-4*t_end for horizon drifts)")
     p.add_argument("--record-stride", type=int, default=1)
-    p.add_argument("--clamp", type=float, default=10.0)
+    p.add_argument("--clamp", type=float, default=10.0,
+                   help="bound on a step's drift increment, in units of the "
+                        "drift's sigma (default 10)")
     p.add_argument("--antithetic", action="store_true")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--format", choices=("csv", "binary"), default="csv",

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dists import (ExtendedSkewNormalParams, LOG_SQRT_2PI, esn_logpdf,
                     std_normal_logcdf, std_normal_logpdf)
@@ -228,6 +227,7 @@ def chapman_kolmogorov_residual(tpd, x0: float, t0: float, t1: float, t2: float,
     `tpd(x, t, x_prev, t_prev)` must accept general two-time arguments.  The
     inner integral runs over the whole line by adaptive quadrature.
     """
+    from scipy.integrate import quad
     if not t0 < t1 < t2:
         raise ValueError("need t0 < t1 < t2")
     x2_grid = np.atleast_1d(np.asarray(x2_grid, dtype=float))
@@ -251,6 +251,7 @@ def chapman_kolmogorov_residual(tpd, x0: float, t0: float, t1: float, t2: float,
 def density_mass(fn, t: float, lo: float = None, hi: float = None,
                  center: float = 0.0, width: float = None) -> float:
     """Adaptive-quadrature mass of a density slice x -> fn(x, t)."""
+    from scipy.integrate import quad
     if lo is None or hi is None:
         w = width if width is not None else 12.0 * math.sqrt(max(t, 1e-12)) + 8.0
         lo = center - w if lo is None else lo

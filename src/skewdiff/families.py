@@ -18,9 +18,6 @@ from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.optimize import brentq
 
 from .dists import mills
 from .errors import HorizonError, SchemaError
@@ -102,6 +99,7 @@ def _numeric_alpha(log_lambda, chirality, lo, hi):
 
 def _family_from_gamma_table(C, chirality, t_nodes, psi_vals, gamma, horizon):
     """Rebuild a numeric family from its serialized log-growth table."""
+    from scipy.interpolate import CubicHermiteSpline, CubicSpline
     spline = CubicHermiteSpline(np.log(t_nodes), gamma, -(1.0 - psi_vals))
     psi_interp = CubicSpline(t_nodes, psi_vals)
     logC = math.log(C) if C > 0 else -math.inf
@@ -213,6 +211,7 @@ def _log_growth_nodes(psi, t_nodes, anchor_zero: bool):
     otherwise at t = 1, which fixes the normalization e^Gamma(1) = 1 that
     the half-amplitude closed form uses.
     """
+    from scipy.integrate import quad
 
     def integrand(s):
         return (1.0 - float(psi(s))) / s
@@ -248,6 +247,8 @@ def family_from_amplitude(psi: Callable, C: float, chirality: int,
     interpolated with a cubic spline in log-time; the validity horizon is
     located by bisection on t * Lambda(t)^2 - 1.
     """
+    from scipy.interpolate import CubicHermiteSpline
+    from scipy.optimize import brentq
     if C < 0:
         raise SchemaError(f"C must be nonnegative, got {C}")
     chirality = int(chirality)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .dists import std_normal_cdf
 from .densities import DensityGrid
@@ -82,6 +81,7 @@ def solve_kfe(drift: DriftSpec, x0: float, grid: TimeGrid, cfg: FpConfig) -> Den
     Raises PdeInstabilityError when negative values below -1e-10 or a
     midpoint-mass drift above 1e-6 appear, with step diagnostics attached.
     """
+    from scipy.linalg import solve_banded
     if not (cfg.x_min < x0 < cfg.x_max):
         raise SchemaError("x0 must lie inside the spatial domain")
     dx = cfg.dx

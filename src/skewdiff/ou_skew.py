@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dists import LOG_SQRT_2PI, mills, std_normal_cdf, std_normal_logcdf
 from .errors import SchemaError, SkewDiffError
@@ -170,6 +169,7 @@ def lamperti_map(sigma_fn, z: float, t: float, anchor: float = 0.0) -> float:
     Maps a diffusion with state-dependent coefficient sigma to unit
     diffusion scale.  sigma_fn must stay positive on the integration range.
     """
+    from scipy.integrate import quad
     lo, hi = (anchor, z) if z >= anchor else (z, anchor)
     probe = np.linspace(lo, hi, 33)
     vals = np.array([float(sigma_fn(u, t)) for u in probe])

@@ -113,6 +113,8 @@ class SimConfig:
             raise SchemaError("drift_clamp must be positive and finite")
         if self.record_stride < 1:
             raise SchemaError("record_stride must be >= 1")
+        if self.n_threads is not None and self.n_threads < 1:
+            raise SchemaError("n_threads must be >= 1")
         if self.antithetic and self.n_paths % 2:
             raise SchemaError("antithetic sampling needs an even n_paths")
 
@@ -261,8 +263,10 @@ def simulate(drift: "DriftSpec", x0: float, grid: TimeGrid, cfg: SimConfig,
              _drift_minus: Optional["DriftSpec"] = None) -> PathEnsemble:
     """Euler-Maruyama integration of dX = mu(X, t) dt + sigma dW.
 
-    Per-step drift increments are clamped at cfg.drift_clamp in magnitude
-    (events counted on the ensemble); sigma is drift.diffusion_scale.
+    sigma is drift.diffusion_scale.  Per-step drift increments are clamped
+    at sigma * cfg.drift_clamp in magnitude (events counted on the
+    ensemble), which bounds X's increment in Y = shift + sigma * X at
+    cfg.drift_clamp whatever sigma is.
     When `_labels`/`_drift_minus` are given (mixture use), paths labeled -1
     follow the second drift.
     """
@@ -271,6 +275,7 @@ def simulate(drift: "DriftSpec", x0: float, grid: TimeGrid, cfg: SimConfig,
     dt = grid.dt
     sqdt = math.sqrt(dt)
     sigma = drift.diffusion_scale
+    limit = cfg.drift_clamp * sigma
     times = grid.times()
 
     def step_for(lo, hi):
@@ -292,7 +297,7 @@ def simulate(drift: "DriftSpec", x0: float, grid: TimeGrid, cfg: SimConfig,
 
         def step(states, zs, k):
             x, = states
-            inc, n = _clamp(mu_at(x, times[k]) * dt, cfg.drift_clamp, k, lo)
+            inc, n = _clamp(mu_at(x, times[k]) * dt, limit, k, lo)
             # x + inc + sigma * sqdt * z, summed in that order
             zs[0] *= sigma * sqdt
             x = x + inc
@@ -328,8 +333,8 @@ def simulate_bivariate_censoring(rho, grid: TimeGrid, cfg: SimConfig):
     rho_fn = rho if callable(rho) else (lambda t, _r=float(rho): _r)
     times = grid.times()
     rho_vals = np.array([float(rho_fn(t)) for t in times[:-1]])
-    if np.any(np.abs(rho_vals) > 1.0 + 1e-12):
-        raise ValueError("|rho(t)| must not exceed 1 on the grid")
+    if not np.all(np.abs(rho_vals) <= 1.0 + 1e-12):
+        raise SchemaError("|rho(t)| must not exceed 1 on the grid")
     rho_vals = np.clip(rho_vals, -1.0, 1.0)
     ortho = np.sqrt(1.0 - rho_vals**2)
     sqdt = math.sqrt(grid.dt)

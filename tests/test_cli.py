@@ -165,6 +165,27 @@ class TestConfigurationErrors:
         assert run(tmp_path, "density", "--kind", "constant-skew", "--alpha", "1.0",
                    "--t", "1.0", "--x", "0:1:0.5", "--format", "csv") == 2
 
+    CENSOR = ("censor", "--t-end", "1", "--steps", "100", "--paths", "4000",
+              "--record-stride", "25")
+
+    @pytest.mark.parametrize("argv", [
+        # a check time that is not recorded was checked at the nearest one
+        (*CENSOR, "--check-t", "0.3"),
+        (*CENSOR, "--check-t", "2"),
+        (*CENSOR, "--check-t", "0"),
+        (*CENSOR, "--check-t", "0.5", "--rho-kind", "constant", "--rho", "1.5"),
+        (*CENSOR, "--check-t", "0.5", "--bandwidth", "-1"),
+        ("density", "--kind", "constant-skew", "--alpha", "1", "--t", "0", "--x=-1:1:0.5"),
+        ("density", "--kind", "constant-skew", "--alpha", "1", "--t", "-1", "--x=-1:1:0.5"),
+        # ran on one thread
+        ("simulate", "--kind", "constant-skew", "--alpha", "1", *SIM, "--threads", "0"),
+    ], ids=["check_t_between", "check_t_past_end", "check_t_zero", "rho_above_one",
+            "negative_bandwidth", "density_t_zero", "density_t_negative", "zero_threads"])
+    def test_setting_out_of_range_exits_2(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "diagnostics.json").exists()
+
     def test_mixture_honors_clamp(self, tmp_path):
         def clamps(out, *extra):
             assert main(["mixture", "--kind", "horizon", "--T", "1.0", "--t-end", "0.5",

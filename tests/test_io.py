@@ -3,10 +3,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from skewdiff import DriftSpec, SimConfig, TimeGrid, density_grid, simulate, \
     simulate_mixture, constant_skew_family, constant_skew_tpd
 from skewdiff.densities import DensityGrid
+from skewdiff.sde import PathEnsemble
 from skewdiff.io import (density_grid_summary, density_grid_to_csv,
                          ensemble_from_binary, ensemble_to_binary,
                          ensemble_to_csv)
@@ -56,6 +60,44 @@ class TestBinaryRoundTrip:
         ensemble_to_binary(small_ensemble, p1)
         ensemble_to_binary(small_ensemble, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@st.composite
+def _ensembles(draw):
+    """Any v1-representable ensemble: stride a divisor of n_steps, a grid
+    that starts at or after 0, any int64 seed, any float64 values."""
+    n_steps = draw(st.integers(1, 64))
+    stride = draw(st.sampled_from([d for d in range(1, n_steps + 1) if n_steps % d == 0]))
+    t_start = draw(st.floats(0.0, 10.0))
+    span = draw(st.floats(1e-3, 10.0))
+    eps = draw(st.floats(0.0, 0.9 * span))
+    grid = TimeGrid(t_start, t_start + span, n_steps, eps)
+    n_paths = draw(st.integers(1, 12))
+    values = draw(hnp.arrays(np.float64, (n_paths, n_steps // stride + 1)))
+    labels = draw(st.none() | hnp.arrays(np.int8, n_paths))
+    seed = draw(st.integers(-2**63, 2**63 - 1))
+    return PathEnsemble(grid=grid, values=values, seed=seed, labels=labels,
+                        record_stride=stride)
+
+
+class TestBinaryRoundTripProperty:
+    def test_round_trip(self, tmp_path):
+        @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+        @given(ens=_ensembles())
+        def check(ens):
+            p = tmp_path / "ens.skdf"
+            ensemble_to_binary(ens, p)
+            back = ensemble_from_binary(p)
+            assert back.values.tobytes() == ens.values.tobytes()
+            assert back.times.tobytes() == ens.times.tobytes()
+            assert (back.seed, back.grid, back.record_stride) == \
+                (ens.seed, ens.grid, ens.record_stride)
+            if ens.labels is None:
+                assert back.labels is None
+            else:
+                assert back.labels.tobytes() == ens.labels.tobytes()
+
+        check()
 
 
 class TestCsv:

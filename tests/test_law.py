@@ -36,6 +36,18 @@ class TestImageMap:
         assert x.clamp_events == 0
         assert np.array_equal(y.values, 2.0 * x.values)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_clamp_scales_with_sigma(self, threads):
+        # the clamp bounds X's increment: clamping Y's at 0.3 whatever sigma
+        # gave 427 events at sigma = 1 and 3514 at sigma = 2
+        grid = TimeGrid(0.0, 1.0, 20, 1e-4)
+        cfg = SimConfig(n_paths=8192, seed=3, drift_clamp=0.3, n_threads=threads)
+        fam = horizon_family(1.0)
+        x = simulate(DriftSpec(family=fam), 0.0, grid, cfg)
+        y = simulate(DriftSpec(family=fam, diffusion_scale=2.0), 0.0, grid, cfg)
+        assert x.clamp_events == y.clamp_events == 427
+        assert np.array_equal(y.values, 2.0 * x.values)
+
     @pytest.mark.parametrize("sigma", [0.7, 1.5, 3.0])
     def test_other_sigma_matches_to_roundoff(self, sigma):
         # measured: max |Y - sigma X| is 1.3e-15 of max |sigma X| at 100 steps
