@@ -36,9 +36,12 @@ from .validation import cdf_from_pdf, ks_statistic, ks_threshold
 
 def _parse_floats(text: str, sep: str = ","):
     try:
-        return [float(v) for v in text.split(sep) if v.strip()]
+        values = [float(v) for v in text.split(sep) if v.strip()]
     except ValueError:
-        raise SchemaError(f"not a {sep!r}-separated list of numbers: {text!r}") from None
+        values = []
+    if not values:
+        raise SchemaError(f"not a {sep!r}-separated list of numbers: {text!r}")
+    return values
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -189,10 +192,10 @@ def _emit_ensemble(ens, outdir: Path, stem: str, fmt: str):
 
 def cmd_family(args, outdir: Path):
     fam = _make(FAMILY_KINDS, args)
+    ts = np.asarray(_parse_floats(args.table_t)) if args.table_t else None
     artifacts = [outdir / "family.json"]
     write_json(artifacts[0], fam.descriptor())
-    if args.table_t:
-        ts = np.asarray(_parse_floats(args.table_t))
+    if ts is not None:
         tab = outdir / "family_table.csv"
         columns_to_csv(tab, ("t", "psi", "alpha"), ts,
                        [fam.psi(t) for t in ts], [fam.alpha(t) for t in ts])
@@ -241,10 +244,15 @@ def cmd_density(args, outdir: Path):
         tpd, flags = DENSITY_KINDS[args.kind]
         params = _params(args, flags, f"kind={args.kind}")
         pdf = lambda x, t: tpd(x, t, *params)
+        # the kinds here that read --T hold their law below it
+        horizon = math.inf if args.T is None else args.T
     else:
-        pdf = _drift_from_args(args).law(args.x0)
+        drift = _drift_from_args(args)
+        pdf, horizon = drift.law(args.x0), drift.validity_horizon
         if pdf is None:
             raise SchemaError(f"kind={args.kind} has no closed-form law from x0={args.x0}")
+    if max(ts) >= horizon:
+        raise SchemaError(f"--t times must stay below the horizon {horizon:g}, got {args.t!r}")
     grid = density_grid(pdf, xs, ts)
     csv_path = outdir / "density.csv"
     density_grid_to_csv(grid, csv_path)
@@ -268,10 +276,12 @@ def cmd_fokker_planck(args, outdir: Path):
 
 def cmd_censor(args, outdir: Path):
     T = args.t_end
+    # --rho is read, and required, only under --rho-kind constant
     if args.rho_kind == "sqrt-ramp":
+        _params(args, (), "rho-kind=sqrt-ramp")
         rho = lambda t: math.sqrt(max(t, 0.0) / T)
     else:
-        rho = args.rho if args.rho is not None else 0.0
+        rho, = _params(args, ("rho",), "rho-kind=constant")
     grid = TimeGrid(t_start=0.0, t_end=T, n_steps=args.steps)
     cfg = SimConfig(n_paths=args.paths, seed=args.seed,
                     record_stride=args.record_stride, n_threads=args.threads)

@@ -179,12 +179,31 @@ class TestConfigurationErrors:
         ("density", "--kind", "constant-skew", "--alpha", "1", "--t", "-1", "--x=-1:1:0.5"),
         # ran on one thread
         ("simulate", "--kind", "constant-skew", "--alpha", "1", *SIM, "--threads", "0"),
+        # ran the sqrt-ramp correlation, ignoring --rho
+        (*CENSOR, "--check-t", "0.5", "--rho", "0.9"),
+        # ran at rho = 0
+        (*CENSOR, "--check-t", "0.5", "--rho-kind", "constant"),
+        # an empty list ran with no checks, or wrote a header-only table
+        (*CENSOR, "--check-t="),
+        ("density", "--kind", "constant-skew", "--alpha", "1", "--t=", "--x=-1:1:0.5"),
+        # a time at or past the law's horizon was a numerical failure
+        ("density", "--kind", "horizon", "--T", "1", "--t", "2", "--x=-1:1:0.5"),
+        ("density", "--kind", "horizon", "--T", "1", "--t", "0.5,1", "--x=-1:1:0.5"),
+        ("density", "--kind", "ou-noise-marginal", "--lam", "1", "--T", "2", "--t", "2",
+         "--x=-1:1:0.5"),
     ], ids=["check_t_between", "check_t_past_end", "check_t_zero", "rho_above_one",
-            "negative_bandwidth", "density_t_zero", "density_t_negative", "zero_threads"])
+            "negative_bandwidth", "density_t_zero", "density_t_negative", "zero_threads",
+            "rho_without_constant_kind", "constant_kind_without_rho", "check_t_empty",
+            "density_t_empty", "density_t_past_horizon", "density_t_at_horizon",
+            "density_t_at_noise_horizon"])
     def test_setting_out_of_range_exits_2(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "diagnostics.json").exists()
+
+    def test_empty_table_times_write_nothing(self, tmp_path):
+        assert run(tmp_path, "family", "--kind", "horizon", "--T", "1", "--table-t=,") == 2
+        assert not list(tmp_path.iterdir())
 
     def test_mixture_honors_clamp(self, tmp_path):
         def clamps(out, *extra):

@@ -1,4 +1,6 @@
 """Forward solver accuracy, conservation, and backward-equation residuals."""
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -7,8 +9,9 @@ from numpy.testing import assert_allclose
 
 from skewdiff import (DriftSpec, FpConfig, PdeInstabilityError, TimeGrid,
                       brownian_h_residual, constant_skew_family,
-                      constant_skew_tpd, horizon_family, horizon_tpd,
-                      ou_h_residual, solve_kfe)
+                      constant_skew_tpd, family_from_amplitude, horizon_family,
+                      horizon_tpd, ou_h_residual, solve_kfe)
+from skewdiff import cli
 
 ZERO = DriftSpec(mu_fn=lambda x, t: np.zeros_like(x))
 
@@ -98,6 +101,124 @@ class TestForwardSolver:
         cfg = FpConfig(x_min=-1, x_max=1, n_x=101, n_t=64)
         with pytest.raises(ValueError):
             solve_kfe(ZERO, 5.0, TimeGrid(0.0, 1.0, 64), cfg)
+
+
+def _pinned_solve(case: str):
+    """Solves of 100 steps, so that any batch of steps that does not divide
+    100 ends mid-run; every step is a stored slice."""
+    grid = TimeGrid(0.0, 1.0, 100)
+    x0, lo, hi, n_x, theta = 0.0, -8.0, 10.0, 201, 0.5
+    skew = DriftSpec(family=constant_skew_family(1.0, +1))
+    if case == "constant_skew":
+        drift = skew
+    elif case == "ou_htransform":
+        drift, lo, hi = DriftSpec(params={"lam": 1.0, "chirality": 1}), -6.0, 12.0
+    elif case == "horizon_eps":
+        # theta = 1: Crank-Nicolson fails its positivity check near the
+        # horizon on this grid
+        drift, lo, hi, theta = DriftSpec(family=horizon_family(1.0, +1)), -6.0, 6.0, 1.0
+        grid = TimeGrid(0.0, 1.0, 100, terminal_cutoff_epsilon=0.01)
+    elif case == "general":
+        drift = DriftSpec(family=family_from_amplitude(
+            lambda t: 0.5, 0.6, +1, np.linspace(0.01, 1.2, 40)))
+        grid = TimeGrid(0.1, 1.0, 100)
+    elif case == "sigma2":
+        drift = DriftSpec(family=constant_skew_family(1.0, +1), diffusion_scale=2.0)
+        lo, hi = -14.0, 18.0
+    elif case == "custom":
+        drift, x0 = DriftSpec(mu_fn=lambda x, t: np.sin(3.0 * t) - 0.5 * x), 0.5
+    else:
+        drift, n_x = skew, 121
+        theta = {"theta0": 0.0, "theta05": 0.5, "theta1": 1.0}[case]
+    return solve_kfe(drift, x0, grid, FpConfig(x_min=lo, x_max=hi, n_x=n_x, n_t=100,
+                                               theta=theta))
+
+
+def _sha256(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# sha256 of each solve's (values, t_nodes), recorded while every step built
+# its own bands and called scipy.linalg.solve_banded
+KFE_PINS = {
+    "constant_skew": "8b1e741ca0a59ff9fb6c7be0ff1b5a1d21f94d5f6842c37f7c7885febc289636",
+    "ou_htransform": "24a1721371008f0b760d3c9eb5bbd894b42d33baa071069f74a5f10baf62cd2e",
+    "horizon_eps": "4b158fdf67c17a9c13a2a62b7714617e65fa9dea3ebf86c3b18d3e23e273ec20",
+    "general": "2dd122ed15e7dba38a5b67b7d255b6f7870596331f805a455b6103cd0d5870aa",
+    "sigma2": "85c039528f0059c05c42b156fb43aebb552cf5da074d807d53dc2ec6b02efb6a",
+    "custom": "7b63cc3a2eca74c479b2a5e61295603a6bbd7b8a9fd3b0c5064c6c53d719139a",
+    "theta0": "b87c14ad16515768c6ad3eb952e3b9ff3273f23e8d386771bb861c4b0af4ba8b",
+    "theta05": "2fd0cb25c724425a9b0d2fd0817ecfa06f701243f328aedeeefb438cf62aef82",
+    "theta1": "7b960ccc2cadad220c76a6d80f00ef31b9f8caf5718733fd8d5fbbc7008b998a",
+}
+
+# a small time-dependent CLI solve: 450 steps, every second one stored
+FP_CLI = ("fokker-planck", "--kind", "constant-skew", "--alpha", "1", "--t-end", "0.5",
+          "--x-min", "-6", "--x-max", "6", "--n-x", "101", "--n-t", "450")
+FP_CLI_PINS = {
+    "kfe_solution.csv": "edc5b3ed9f93deebbc9488c9e3325c8d9f731aef88c52dc5c31208071693daf6",
+    "kfe_summary.json": "838a63d9fb1e973f944e6a412d1a5054243e0d26d8973f489a0fca9296bc271a",
+}
+
+# the Crank-Nicolson horizon solve that fails near T whatever the cutoff
+FP_HORIZON = ("fokker-planck", "--kind", "horizon", "--T", "1", "--t-end", "1",
+              "--x-min", "-6", "--x-max", "6", "--n-x", "201", "--n-t", "100")
+FP_HORIZON_DIAGNOSTICS_SHA256 = \
+    "63ba2c1a60e38950be068549ef7f4a8edf95b03b18737355a7bcfc1459b78615"
+
+
+# past the horizon: the drift raises at step 50, after step 43's instability
+FP_PAST_HORIZON = ("fokker-planck", "--kind", "horizon", "--T", "1", "--t-end", "2",
+                   "--x-min", "-6", "--x-max", "6", "--n-x", "201", "--n-t", "100")
+
+
+def _nan_from_003():
+    return DriftSpec(mu_fn=lambda x, t: x * 0.0 + (np.nan if t >= 0.03 else 1.0))
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("case", sorted(KFE_PINS))
+    def test_matches_recorded_digest(self, case):
+        sol = _pinned_solve(case)
+        assert _sha256(sol.values, sol.t_nodes) == KFE_PINS[case]
+
+    def test_cli_artifacts(self, tmp_path):
+        assert cli.main([*FP_CLI, "--output-dir", str(tmp_path)]) == 0
+        for name, digest in FP_CLI_PINS.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    def test_non_finite_drift_is_value_error(self):
+        cfg = FpConfig(x_min=-5, x_max=5, n_x=101, n_t=100)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_kfe(_nan_from_003(), 0.0, TimeGrid(0.0, 1.0, 100), cfg)
+
+    def test_non_finite_drift_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_drift_from_args", lambda args: _nan_from_003())
+        code = cli.main(["fokker-planck", "--t-end", "1", "--x-min", "-5", "--x-max", "5",
+                         "--n-x", "101", "--n-t", "100", "--output-dir", str(tmp_path)])
+        assert code == 3
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag == {"error": "array must not contain infs or NaNs", "type": "ValueError"}
+
+    def test_crank_nicolson_horizon_instability_exits_3(self, tmp_path, capsys):
+        assert cli.main([*FP_HORIZON, "--output-dir", str(tmp_path)]) == 3
+        assert "instability at step 90" in capsys.readouterr().err
+        diag = (tmp_path / "diagnostics.json").read_bytes()
+        assert json.loads(diag)["diagnostics"]["step"] == 90
+        assert hashlib.sha256(diag).hexdigest() == FP_HORIZON_DIAGNOSTICS_SHA256
+
+    @pytest.mark.parametrize("theta,error", [("0.5", "PdeInstabilityError"),
+                                             ("1", "HorizonError")])
+    def test_first_failure_in_step_order(self, tmp_path, theta, error):
+        assert cli.main([*FP_PAST_HORIZON, "--theta", theta,
+                         "--output-dir", str(tmp_path)]) == 3
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["type"] == error
+        if error == "PdeInstabilityError":
+            assert diag["diagnostics"]["step"] == 43
 
 
 class TestBrownianBackwardResidual:
