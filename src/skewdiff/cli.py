@@ -21,7 +21,9 @@ import scipy
 
 from . import __version__
 from .censoring import posterior_from_censored_sim
-from .densities import censored_posterior, density_grid, ou_skew_driven_marginal
+from .densities import (_ou_moments, censored_posterior, density_grid,
+                        ou_skew_driven_marginal)
+from .dists import ExtendedSkewNormalParams, esn_pdf
 from .errors import SchemaError, SkewDiffError
 from .families import (CLOSED_FORM_FAMILIES, DriftSpec, drift_spec_from_descriptor,
                        horizon_family)
@@ -81,9 +83,9 @@ def _ou_drift(lam, chirality) -> DriftSpec:
 def _horizon_mixture(T, x0):
     """Horizon drifts of both chiralities; their mixture is Brownian motion."""
     def target(t):
-        return cdf_from_pdf(
-            lambda v: np.exp(-0.5 * (v - x0) ** 2 / t) / math.sqrt(2 * math.pi * t),
-            x0 - 8 * math.sqrt(t), x0 + 8 * math.sqrt(t))
+        sd = math.sqrt(t)
+        p = ExtendedSkewNormalParams(x0, sd, 0.0, 0.0)
+        return cdf_from_pdf(lambda v: esn_pdf(v, p), x0 - 8 * sd, x0 + 8 * sd)
     drifts = [DriftSpec(family=horizon_family(T, c)) for c in (1, -1)]
     return drifts, mixture_probability(x0, T), target, "brownian"
 
@@ -91,8 +93,8 @@ def _horizon_mixture(T, x0):
 def _ou_mixture(lam, x0):
     """OU h-transforms of both chiralities; their mixture is the growing OU."""
     def target(t):
-        sd = math.sqrt((math.exp(2 * lam * t) - 1) / (2 * lam))
-        m = x0 * math.exp(lam * t)
+        m, var = _ou_moments(t, lam, x0)
+        sd = math.sqrt(var)
         return cdf_from_pdf(lambda v: repulsive_ou_tpd(v, t, lam, x0), m - 8 * sd, m + 8 * sd)
     drifts = [_ou_drift(lam, c) for c in (1, -1)]
     return drifts, ou_mixture_probability(lam, x0), target, "growing-ou"
@@ -243,6 +245,10 @@ def cmd_density(args, outdir: Path):
     if args.kind in DENSITY_KINDS:
         tpd, flags = DENSITY_KINDS[args.kind]
         params = _params(args, flags, f"kind={args.kind}")
+        if args.rho is not None and not abs(args.rho) < 1:
+            raise SchemaError(f"--rho must lie in (-1, 1), got {args.rho}")
+        if args.lam is not None and not args.lam > 0:
+            raise SchemaError(f"--lam must be positive, got {args.lam}")
         pdf = lambda x, t: tpd(x, t, *params)
         # the kinds here that read --T hold their law below it
         horizon = math.inf if args.T is None else args.T

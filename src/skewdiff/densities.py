@@ -1,7 +1,8 @@
 """Closed-form transition and marginal densities, evaluated in log space.
 
-Every skewed density here is a Gaussian kernel times a Gaussian-cdf factor;
-exponentiation happens last so ratios of near-zero tail masses stay finite.
+Every normalized law here is one extended skew-normal (ESN) law, given by
+its (location, scale, shape, truncation) and evaluated by `dists.esn_pdf`;
+only the two ratio forms kept as independent references are written out.
 Grids record their trapezoid mass per time slice rather than assuming
 normalization: the unshifted general-family kernel genuinely loses mass for
 a nonzero start, and that deviation is itself a tested signature.
@@ -13,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dists import (ExtendedSkewNormalParams, LOG_SQRT_2PI, esn_logpdf,
-                    std_normal_logcdf, std_normal_logpdf)
+from .dists import (ExtendedSkewNormalParams, LOG_SQRT_2PI, esn_pdf,
+                    std_normal_logcdf)
 from .errors import HorizonError
 from .families import SkewFamily
 
@@ -57,14 +58,11 @@ def density_grid(fn, x_nodes, t_nodes) -> DensityGrid:
     return DensityGrid(x_nodes=x_nodes, t_nodes=t_nodes, values=values)
 
 
-def _gauss_logpdf(x, mean, var):
-    return -0.5 * (x - mean) ** 2 / var - 0.5 * np.log(var) - LOG_SQRT_2PI
-
-
 def _ratio_kernel(x, mean, var, a, x_prev, a_prev):
-    """Gaussian(mean, var) density times Phi(a x) / Phi(a_prev x_prev)."""
+    """Gaussian(mean, var) density times Phi(a x) / Phi(a_prev x_prev),
+    written out term by term: the reference the ESN forms are checked against."""
     x = np.asarray(x, dtype=float)
-    return np.exp(_gauss_logpdf(x, mean, var)
+    return np.exp(-0.5 * (x - mean) ** 2 / var - 0.5 * np.log(var) - LOG_SQRT_2PI
                   + std_normal_logcdf(a * x) - std_normal_logcdf(a_prev * x_prev))
 
 
@@ -79,13 +77,18 @@ def horizon_tpd_two_time(x, t: float, x_prev: float, t_prev: float, T: float,
                          chirality: int = 1):
     """General two-time kernel of the finite-horizon diffusion.
 
-    Same harmonic-ratio structure with skewness evaluated at the absolute
-    times, which is what makes the kernel an exact semigroup.
+    Gaussian(x_prev, t - t_prev) times Phi(alpha_t x)/Phi(alpha_prev x_prev),
+    with the skewness alpha_u = chirality/sqrt(T - u) at the absolute times,
+    which is what makes the kernel an exact semigroup.  That is the ESN law
+    with location x_prev, scale s = sqrt(t - t_prev), shape alpha_t * s and
+    truncation alpha_t * x_prev, whose normaliser alpha_t * x_prev /
+    sqrt(1 + alpha_t^2 s^2) equals alpha_prev * x_prev.
     """
     if not 0 <= t_prev < t < T:
         raise HorizonError(f"need 0 <= t_prev < t < T, got ({t_prev}, {t}, {T})")
-    return _ratio_kernel(x, x_prev, t - t_prev, chirality / math.sqrt(T - t),
-                         x_prev, chirality / math.sqrt(T - t_prev))
+    s = math.sqrt(t - t_prev)
+    a_t = chirality / math.sqrt(T - t)
+    return esn_pdf(x, ExtendedSkewNormalParams(x_prev, s, a_t * s, a_t * x_prev))
 
 
 def constant_skew_tpd(x, t: float, alpha: float, chirality: int = 1):
@@ -93,11 +96,8 @@ def constant_skew_tpd(x, t: float, alpha: float, chirality: int = 1):
     skew-normal with scale sqrt(t) and shape chirality*alpha*sqrt(t)."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    x = np.asarray(x, dtype=float)
-    z = x / math.sqrt(t)
-    logq = (math.log(2.0) - 0.5 * math.log(t) + std_normal_logpdf(z)
-            + std_normal_logcdf(chirality * alpha * x))
-    return np.exp(logq)
+    s = math.sqrt(t)
+    return esn_pdf(x, ExtendedSkewNormalParams(0.0, s, chirality * alpha * s, 0.0))
 
 
 def family_tpd(x, t: float, family: SkewFamily, x0: float = 0.0):
@@ -105,16 +105,14 @@ def family_tpd(x, t: float, family: SkewFamily, x0: float = 0.0):
 
     The cdf factor is evaluated at alpha_t * (x - x0): the drift of a
     nonzero-start process must carry the same shift, and this is the density
-    that stays normalized for every x0.
+    that stays normalized for every x0.  It is the skew-normal law with
+    location x0, scale sqrt(t) and shape alpha_t * sqrt(t).
     """
     family.check_time(t)
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    x = np.asarray(x, dtype=float)
-    a_t = float(family.alpha(t))
-    logq = (math.log(2.0) - 0.5 * math.log(t) + std_normal_logpdf((x - x0) / math.sqrt(t))
-            + std_normal_logcdf(a_t * (x - x0)))
-    return np.exp(logq)
+    s = math.sqrt(t)
+    return esn_pdf(x, ExtendedSkewNormalParams(x0, s, float(family.alpha(t)) * s, 0.0))
 
 
 def family_tpd_unshifted(x, t: float, family: SkewFamily, x0: float,
@@ -146,23 +144,21 @@ def restart_tpd(x, t: float, x_prev: float, t_prev: float, family: SkewFamily):
 
 def censored_posterior(x, t: float, rho_t: float):
     """Density of X_t given Y_t >= 0 for a centered bivariate-Gaussian pair
-    with common variance t and correlation rho_t."""
+    with common variance t and correlation rho_t: the skew-normal law with
+    scale sqrt(t) and shape rho_t / sqrt(1 - rho_t^2)."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     if not abs(rho_t) < 1:
         raise ValueError("|rho_t| must be < 1 (degenerate limit is half-normal)")
-    x = np.asarray(x, dtype=float)
-    coef = rho_t / math.sqrt(1.0 - rho_t * rho_t)
-    z = x / math.sqrt(t)
-    logq = (math.log(2.0) - 0.5 * math.log(t) + std_normal_logpdf(z)
-            + std_normal_logcdf(coef * z))
-    return np.exp(logq)
+    shape = rho_t / math.sqrt(1.0 - rho_t * rho_t)
+    return esn_pdf(x, ExtendedSkewNormalParams(0.0, math.sqrt(t), shape, 0.0))
 
 
-def _ou_growing_moments(t: float, lam: float, x0: float):
-    m_plus = x0 * math.exp(lam * t)
-    s2_plus = (math.exp(2.0 * lam * t) - 1.0) / (2.0 * lam)
-    return m_plus, s2_plus
+def _ou_moments(t: float, rate: float, x0: float):
+    """Mean and variance at time t of dX = rate * X dt + dW from x0."""
+    mean = x0 * math.exp(rate * t)
+    var = (math.exp(2.0 * rate * t) - 1.0) / (2.0 * rate)
+    return mean, var
 
 
 def ou_htransform_tpd(x, t: float, lam: float, x0: float, chirality: int = 1):
@@ -176,13 +172,12 @@ def ou_htransform_tpd(x, t: float, lam: float, x0: float, chirality: int = 1):
     """
     if not (t > 0 and lam > 0):
         raise ValueError("t and lam must be positive")
-    x = np.asarray(x, dtype=float)
-    m_plus, s2_plus = _ou_growing_moments(t, lam, x0)
+    m_plus, s2_plus = _ou_moments(t, lam, x0)
     k_t = math.sqrt(math.expm1(2.0 * lam * t))
     p = ExtendedSkewNormalParams(location=m_plus, scale=math.sqrt(s2_plus),
                                  shape=chirality * k_t,
                                  truncation=chirality * math.sqrt(2.0 * lam) * m_plus)
-    return np.exp(esn_logpdf(x, p))
+    return esn_pdf(x, p)
 
 
 def ou_htransform_tpd_raw(x, t: float, lam: float, x0: float, chirality: int = 1):
@@ -191,7 +186,7 @@ def ou_htransform_tpd_raw(x, t: float, lam: float, x0: float, chirality: int = 1
     truth for the ESN parameter mapping."""
     if not (t > 0 and lam > 0):
         raise ValueError("t and lam must be positive")
-    m_plus, s2_plus = _ou_growing_moments(t, lam, x0)
+    m_plus, s2_plus = _ou_moments(t, lam, x0)
     a = chirality * math.sqrt(2.0 * lam)
     return _ratio_kernel(x, m_plus, s2_plus, a, x0, a)
 
@@ -201,8 +196,8 @@ def ou_skew_driven_marginal(x, t: float, lam: float, x0: float, T: float):
     skew noise (shared increments, right chirality).
 
     The pair (system, noise) is the harmonic reweighting of a degenerate
-    Gaussian pair, so the marginal is the decaying-OU Gaussian times
-    2*Phi(k(t) (x - m)), with
+    Gaussian pair, so the marginal is the decaying-OU Gaussian N(m, s^2)
+    times 2*Phi(k(t) (x - m)), the skew-normal law with shape k(t) * s, where
 
         k(t) = (2 / (1 + e^{-lam t})) / sqrt(T - (2/lam) tanh(lam t / 2)).
 
@@ -210,14 +205,11 @@ def ou_skew_driven_marginal(x, t: float, lam: float, x0: float, T: float):
     """
     if not (0 < t < T and lam > 0):
         raise ValueError("need 0 < t < T and lam > 0")
-    x = np.asarray(x, dtype=float)
+    m_minus, s2_minus = _ou_moments(t, -lam, x0)
+    s = math.sqrt(s2_minus)
     u = math.exp(-lam * t)
-    m_minus = x0 * u
-    s2_minus = (1.0 - u * u) / (2.0 * lam)
     k = (2.0 / (1.0 + u)) / math.sqrt(T - (2.0 / lam) * math.tanh(0.5 * lam * t))
-    logq = (_gauss_logpdf(x, m_minus, s2_minus) + math.log(2.0)
-            + std_normal_logcdf(k * (x - m_minus)))
-    return np.exp(logq)
+    return esn_pdf(x, ExtendedSkewNormalParams(m_minus, s, k * s, 0.0))
 
 
 def chapman_kolmogorov_residual(tpd, x0: float, t0: float, t1: float, t2: float,

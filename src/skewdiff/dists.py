@@ -38,10 +38,8 @@ class SkewNormalParams:
     shape: float
 
     def __post_init__(self):
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        if not (math.isfinite(self.location) and math.isfinite(self.shape)):
-            raise ValueError("location and shape must be finite")
+        # the extended law at truncation 0, so its checks are the same
+        ExtendedSkewNormalParams(self.location, self.scale, self.shape, 0.0)
 
 
 @dataclass(frozen=True)
@@ -117,16 +115,13 @@ def mills(x):
 
 
 def sn_logpdf(x, p: SkewNormalParams):
-    x, scalar = _as_array(x)
-    z = (x - p.location) / p.scale
-    out = math.log(2.0) - math.log(p.scale) + std_normal_logpdf(z) + log_ndtr(p.shape * z)
-    return _ret(out, scalar)
+    return esn_logpdf(x, ExtendedSkewNormalParams(p.location, p.scale, p.shape, 0.0))
 
 
 def sn_pdf(x, p: SkewNormalParams):
-    """Skew-normal density 2/scale * phi(z) * Phi(shape*z), z standardized."""
-    x, scalar = _as_array(x)
-    return _ret(np.exp(sn_logpdf(x, p)), scalar)
+    """Skew-normal density 2/scale * phi(z) * Phi(shape*z), z standardized:
+    the extended law at truncation 0."""
+    return esn_pdf(x, ExtendedSkewNormalParams(p.location, p.scale, p.shape, 0.0))
 
 
 def sn_moments(p: SkewNormalParams):
@@ -140,10 +135,15 @@ def sn_moments(p: SkewNormalParams):
 
 
 def esn_logpdf(x, p: ExtendedSkewNormalParams):
+    """log phi(z) Phi(truncation + shape z) / (scale Phi(truncation/sqrt(1 + shape^2)))
+    at z = (x - location)/scale; every closed-form law is evaluated here."""
     x, scalar = _as_array(x)
     z = (x - p.location) / p.scale
+    if scalar:
+        z = z[()]   # a NumPy scalar: its arithmetic is cheaper than a 0-d array's
     norm = log_ndtr(p.truncation / math.sqrt(1.0 + p.shape * p.shape))
-    out = -math.log(p.scale) + std_normal_logpdf(z) + log_ndtr(p.truncation + p.shape * z) - norm
+    out = (-math.log(p.scale) + (-0.5 * z * z - LOG_SQRT_2PI)
+           + log_ndtr(p.truncation + p.shape * z) - norm)
     return _ret(out, scalar)
 
 

@@ -382,8 +382,12 @@ class DriftSpec:
             raise SchemaError("diffusion_scale must be positive")
         derived = (self.family.kind if self.family is not None
                    else "custom" if self.mu_fn is not None else "ou_htransform")
-        if derived == "ou_htransform" and not {"lam", "chirality"} <= self.params.keys():
-            raise SchemaError("a drift needs a family, a mu_fn or params {'lam', 'chirality'}")
+        if derived == "ou_htransform":
+            if not {"lam", "chirality"} <= self.params.keys():
+                raise SchemaError("a drift needs a family, a mu_fn or params {'lam', 'chirality'}")
+            from .ou_skew import OuSkewSpec
+            # a SchemaError for a bad rate or chirality, before any evaluation
+            OuSkewSpec(lam=self.params["lam"], chirality=self.params["chirality"])
         if kind not in (None, derived):
             raise SchemaError(f"drift kind {kind!r} does not match its {derived!r} definition")
         if derived == "horizon" and self.shift != 0.0:

@@ -14,7 +14,9 @@ from functools import partial
 
 import numpy as np
 
-from .dists import LOG_SQRT_2PI, mills, std_normal_cdf, std_normal_logcdf
+from .densities import _ou_moments, ou_htransform_tpd_raw
+from .dists import (ExtendedSkewNormalParams, esn_pdf, mills, std_normal_cdf,
+                    std_normal_logcdf)
 from .errors import SchemaError, SkewDiffError
 from .families import DriftSpec, horizon_family
 from .sde import PathEnsemble, SimConfig, TimeGrid, _clamp, _integrate
@@ -81,18 +83,14 @@ def ou_mixture_probability(lam: float, x: float):
 
 def stationary_ou_tpd(x, t: float, lam: float, x0: float):
     """Gaussian transition law of dX = -lam X dt + dW from x0."""
-    x = np.asarray(x, dtype=float)
-    m = x0 * math.exp(-lam * t)
-    v = (1.0 - math.exp(-2.0 * lam * t)) / (2.0 * lam)
-    return np.exp(-0.5 * (x - m) ** 2 / v - 0.5 * math.log(v) - LOG_SQRT_2PI)
+    m, v = _ou_moments(t, -lam, x0)
+    return esn_pdf(x, ExtendedSkewNormalParams(m, math.sqrt(v), 0.0, 0.0))
 
 
 def repulsive_ou_tpd(x, t: float, lam: float, x0: float):
     """Gaussian transition law of the unstable counterpart dX = +lam X dt + dW."""
-    x = np.asarray(x, dtype=float)
-    m = x0 * math.exp(lam * t)
-    v = (math.exp(2.0 * lam * t) - 1.0) / (2.0 * lam)
-    return np.exp(-0.5 * (x - m) ** 2 / v - 0.5 * math.log(v) - LOG_SQRT_2PI)
+    m, v = _ou_moments(t, lam, x0)
+    return esn_pdf(x, ExtendedSkewNormalParams(m, math.sqrt(v), 0.0, 0.0))
 
 
 def ou_identity_residual(lam: float, x0: float, x_grid, t_values) -> float:
@@ -106,7 +104,6 @@ def ou_identity_residual(lam: float, x0: float, x_grid, t_values) -> float:
     the repulsive one, so the identity is exact; a single time factor,
     already inside each harmonic factor, is the correct bookkeeping.
     """
-    from .densities import ou_htransform_tpd_raw
     p_minus, p_plus = ou_mixture_probability(lam, x0)
     x = np.asarray(x_grid, dtype=float)
     worst = 0.0

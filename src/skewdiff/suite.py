@@ -16,7 +16,7 @@ from .censoring import (ou_selection_discrepancy, verify_ou_selection,
 from .densities import (chapman_kolmogorov_residual, constant_skew_tpd,
                         horizon_tpd, horizon_tpd_two_time, ou_htransform_tpd,
                         ou_htransform_tpd_raw, restart_tpd)
-from .dists import std_normal_cdf
+from .dists import ExtendedSkewNormalParams, esn_pdf, std_normal_cdf
 from .families import (DriftSpec, constant_correlation_family,
                        constant_skew_family, family_from_amplitude,
                        horizon_family, ode_residual)
@@ -111,7 +111,7 @@ def _check_pointwise_identities(report: ValidationReport):
         for t in (0.25, 0.5, 0.75):
             mix = (p_plus * horizon_tpd(xs, t, x0, T, +1)
                    + p_minus * horizon_tpd(xs, t, x0, T, -1))
-            gauss = np.exp(-0.5 * (xs - x0) ** 2 / t) / math.sqrt(2 * math.pi * t)
+            gauss = esn_pdf(xs, ExtendedSkewNormalParams(x0, math.sqrt(t), 0.0, 0.0))
             worst = max(worst, float(np.max(np.abs(mix - gauss))))
     report.add("identity/brownian-recombination", worst, 1e-10)
 

@@ -191,15 +191,22 @@ class TestConfigurationErrors:
         ("density", "--kind", "horizon", "--T", "1", "--t", "0.5,1", "--x=-1:1:0.5"),
         ("density", "--kind", "ou-noise-marginal", "--lam", "1", "--T", "2", "--t", "2",
          "--x=-1:1:0.5"),
+        # a bad law parameter was a numerical failure
+        ("density", "--kind", "ou-noise-marginal", "--lam", "-1", "--T", "2", "--t", "1",
+         "--x=-1:1:0.5"),
+        ("density", "--kind", "censored", "--rho", "1.5", "--t", "1", "--x=-1:1:0.5"),
+        ("density", "--kind", "ou-htransform", "--lam", "-1", "--t", "1", "--x=-1:1:0.5"),
     ], ids=["check_t_between", "check_t_past_end", "check_t_zero", "rho_above_one",
             "negative_bandwidth", "density_t_zero", "density_t_negative", "zero_threads",
             "rho_without_constant_kind", "constant_kind_without_rho", "check_t_empty",
             "density_t_empty", "density_t_past_horizon", "density_t_at_horizon",
-            "density_t_at_noise_horizon"])
+            "density_t_at_noise_horizon", "density_negative_noise_rate",
+            "density_rho_above_one", "density_negative_ou_rate"])
     def test_setting_out_of_range_exits_2(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "diagnostics.json").exists()
+        assert not (tmp_path / "density.csv").exists()
 
     def test_empty_table_times_write_nothing(self, tmp_path):
         assert run(tmp_path, "family", "--kind", "horizon", "--T", "1", "--table-t=,") == 2

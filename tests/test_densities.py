@@ -55,6 +55,18 @@ class TestHorizonTpd:
         with pytest.raises(HorizonError):
             horizon_tpd(0.0, 1.0, 0.0, 1.0, +1)
 
+    @pytest.mark.parametrize("chirality", [1, -1])
+    @pytest.mark.parametrize("t_prev,t,x_prev", [(0.0, 0.5, 0.0), (0.2, 0.8, 0.7),
+                                                 (0.5, 0.99, -1.2)])
+    def test_two_time_kernel_matches_the_ratio_form(self, t_prev, t, x_prev, chirality):
+        # the ESN form against Gaussian(x_prev, t - t_prev) times
+        # Phi(alpha_t x) / Phi(alpha_prev x_prev), written out term by term
+        xs = np.linspace(-8, 10, 1801)
+        ref = family_tpd_unshifted(xs, t, horizon_family(1.0, chirality), x_prev, t_prev)
+        keep = ref > 1e-250
+        assert_allclose(horizon_tpd_two_time(xs, t, x_prev, t_prev, 1.0, chirality)[keep],
+                        ref[keep], rtol=1e-12, atol=0)
+
 
 class TestConstantSkewTpd:
     def test_zero_skew_gaussian(self):

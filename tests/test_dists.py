@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.stats import skewnorm
 
 from skewdiff import (ExtendedSkewNormalParams, SkewNormalParams, esn_pdf,
                       half_normal_pdf, log_mills, mills, raw_gauss_integral,
@@ -126,6 +127,18 @@ class TestSkewNormalPdf:
         a = sn_pdf(xs, SkewNormalParams(0.0, 1.3, 2.0))
         b = sn_pdf(-xs, SkewNormalParams(0.0, 1.3, -2.0))
         assert_allclose(a, b, rtol=1e-14)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("loc,scale,shape", [
+        (0.0, 1.0, 1.0), (0.3, 1.7, 2.5), (-1.2, 0.6, 7.0), (2.0, 3.0, 0.5)])
+    def test_matches_scipy_skewnorm(self, loc, scale, shape, sign):
+        # independent code; below 1e-250 its own tail loses relative accuracy
+        xs = np.linspace(-8, 10, 1801)
+        ref = skewnorm.pdf(xs, sign * shape, loc=loc, scale=scale)
+        keep = ref > 1e-250
+        for q in (sn_pdf(xs, SkewNormalParams(loc, scale, sign * shape)),
+                  esn_pdf(xs, ExtendedSkewNormalParams(loc, scale, sign * shape, 0.0))):
+            assert_allclose(q[keep], ref[keep], rtol=1e-12, atol=0)
 
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
