@@ -453,7 +453,10 @@ def drift_value(spec: DriftSpec, x, t: float):
     x = np.asarray(x, dtype=float)
     if spec.kind == "custom":
         return spec.mu_fn(x, t)
-    u = (x - spec.shift) / spec.diffusion_scale
+    if spec.shift == 0.0 and spec.diffusion_scale == 1.0:
+        u = x   # the identity map: (x - 0)/1 is x, bit for bit
+    else:
+        u = (x - spec.shift) / spec.diffusion_scale
     if spec.kind == "ou_htransform":
         from .ou_skew import OuSkewSpec, ou_htransform_drift
         p = spec.params
@@ -462,4 +465,7 @@ def drift_value(spec: DriftSpec, x, t: float):
     fam = spec.family
     fam.check_time(t)
     a = fam.alpha(t)
-    return spec.diffusion_scale * fam.psi(t) * a * mills(a * u)
+    m = mills(a * u)
+    # sigma * psi * alpha * m, with the coefficient's product formed first
+    m *= float(spec.diffusion_scale * fam.psi(t) * a)
+    return m

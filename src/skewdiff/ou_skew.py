@@ -142,7 +142,6 @@ def simulate_ou_skew_noise(lam: float, x0: float, T: float, grid: TimeGrid,
     def step(states, zs, k, lo):
         x, z = states
         inc, n = _clamp(noise.mu(z, times[k]) * dt, cfg.drift_clamp, k, lo)
-        zs[0] *= sqdt
         dz = inc + zs[0]
         # x + (-lam * x) * dt + dz, summed in that order
         x_new = -lam * x
@@ -152,7 +151,8 @@ def simulate_ou_skew_noise(lam: float, x0: float, T: float, grid: TimeGrid,
         dz += z
         return (x_new, dz), n
 
-    (xv, zv), clamps = _integrate(lambda lo, hi: partial(step, lo=lo), (x0, 0.0), grid, cfg)
+    (xv, zv), clamps = _integrate(lambda lo, hi: partial(step, lo=lo), (x0, 0.0), grid, cfg,
+                                  scales=(sqdt,))
     ens_x = PathEnsemble(grid=grid, values=xv, seed=cfg.seed,
                          record_stride=cfg.record_stride, clamp_events=clamps)
     ens_z = PathEnsemble(grid=grid, values=zv, seed=cfg.seed,

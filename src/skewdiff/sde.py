@@ -186,22 +186,28 @@ def _clamp(inc: np.ndarray, limit: float, k: int, path_offset: int):
 
 
 def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
-               n_noise: int = 1):
+               scales=(1.0,)):
     """The one Euler-Maruyama engine behind every simulator.
 
     `step_for(lo, hi)` builds the step for paths lo:hi; the step maps
     (states, zs, k) to (new states, clamp events), where states holds one
-    array per component and zs one standard normal row per noise stream
-    for the step from grid time k to k + 1; a step may overwrite its zs
-    rows.  Stream tag i (0 = primary, 1 = secondary) is keyed by
+    array per component and zs one noise row per stream for the step from
+    grid time k to k + 1; a step may overwrite its zs rows.  Stream i's row
+    is a standard normal draw times scales[i], a number or an array of one
+    value per step.  Stream tag i (0 = primary, 1 = secondary) is keyed by
     (seed, i, block), so the ensemble does not depend on the thread count.
-    Each stream fills one reused buffer of _STEP_CHUNK rows; the generator
-    writes its draws in order, so the chunk size does not change them.
-    Returns one n_paths x n_recorded array per component (started at x0s)
-    and the total clamp events.
+    Each stream fills one reused buffer of _STEP_CHUNK rows and scales it
+    in one call; the generator writes its draws in order, so the chunk size
+    does not change them.  Returns one n_paths x n_recorded array per
+    component (started at x0s) and the total clamp events.
     """
     if grid.n_steps % cfg.record_stride:
         raise SchemaError("record_stride must divide n_steps")
+    # one column per stream: row k scales step k's draws (negated for
+    # flip_noise; -(z * s) and z * -s are the same double)
+    sign = -1.0 if cfg.flip_noise else 1.0
+    columns = [np.broadcast_to(sign * np.asarray(s, dtype=float), (grid.n_steps,))[:, None]
+               for s in scales]
     n_rec = grid.n_steps // cfg.record_stride + 1
     outs = tuple(np.empty((cfg.n_paths, n_rec)) for _ in x0s)
     blocks = _blocks(cfg.n_paths)
@@ -211,7 +217,7 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
         lo, hi = blk
         m = hi - lo
         block = lo // _BLOCK_SIZE
-        rngs = [_stream(cfg.seed, tag, block) for tag in range(n_noise)]
+        rngs = [_stream(cfg.seed, tag, block) for tag in range(len(columns))]
         bufs = [np.empty((min(_STEP_CHUNK, grid.n_steps), m)) for _ in rngs]
         step = step_for(lo, hi)
         states = tuple(np.full(m, float(v)) for v in x0s)
@@ -222,12 +228,11 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
         while k0 < grid.n_steps:
             chunk = min(_STEP_CHUNK, grid.n_steps - k0)
             zs = [buf[:chunk] for buf in bufs]
-            for rng, z in zip(rngs, zs):
+            for rng, z, col in zip(rngs, zs, columns):
                 rng.standard_normal(out=z)
                 if cfg.antithetic:
                     np.negative(z[:, 0::2], out=z[:, 1::2])
-                if cfg.flip_noise:
-                    np.negative(z, out=z)
+                z *= col[k0:k0 + chunk]
             for j in range(chunk):
                 k = k0 + j
                 states, n = step(states, [z[j] for z in zs], k)
@@ -299,13 +304,12 @@ def simulate(drift: "DriftSpec", x0: float, grid: TimeGrid, cfg: SimConfig,
             x, = states
             inc, n = _clamp(mu_at(x, times[k]) * dt, limit, k, lo)
             # x + inc + sigma * sqdt * z, summed in that order
-            zs[0] *= sigma * sqdt
             x = x + inc
             x += zs[0]
             return (x,), n
         return step
 
-    (values,), clamps = _integrate(step_for, (x0,), grid, cfg)
+    (values,), clamps = _integrate(step_for, (x0,), grid, cfg, scales=(sigma * sqdt,))
     return PathEnsemble(grid=grid, values=values, seed=cfg.seed,
                         labels=None if _labels is None else _labels.copy(),
                         record_stride=cfg.record_stride, clamp_events=clamps)
@@ -342,15 +346,14 @@ def simulate_bivariate_censoring(rho, grid: TimeGrid, cfg: SimConfig):
     def step(states, zs, k):
         x, y = states
         dx, dw = zs
-        dx *= sqdt
-        dw *= ortho[k] * sqdt
         # y + rho * dx + ortho * sqdt * w, summed in that order
         y_new = rho_vals[k] * dx
         y_new += y
         y_new += dw
         return (x + dx, y_new), 0
 
-    (xv, yv), _ = _integrate(lambda lo, hi: step, (0.0, 0.0), grid, cfg, n_noise=2)
+    (xv, yv), _ = _integrate(lambda lo, hi: step, (0.0, 0.0), grid, cfg,
+                             scales=(sqdt, ortho * sqdt))
     ens_x = PathEnsemble(grid=grid, values=xv, seed=cfg.seed, record_stride=cfg.record_stride)
     ens_y = PathEnsemble(grid=grid, values=yv, seed=cfg.seed, record_stride=cfg.record_stride)
     return ens_x, ens_y
