@@ -1,5 +1,6 @@
 """Special functions and the skew-normal family vs quadrature oracles."""
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.stats import skewnorm
 from skewdiff import (ExtendedSkewNormalParams, SkewNormalParams, esn_pdf,
                       half_normal_pdf, log_mills, mills, raw_gauss_integral,
                       sn_moments, sn_pdf, std_normal_cdf)
+from skewdiff.dists import MILLS_CUTOFF
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -88,11 +90,97 @@ class TestLogMills:
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(x=st.floats(6.0, 10.0))
     def test_both_branches_agree_near_8(self, x):
-        # mills is one erfcx evaluation with no branch
+        # log_mills changes branch at 8; mills is on its exp/ndtr branch here
         assert abs(log_mills(x) - math.log(mills(x))) < 1e-13
 
 
+# phi(x)/Phi(x) to 40 digits (mpmath npdf/ncdf at 60 digits), where the
+# value is a normal double; -5.000000000000001 is the double just below
+# MILLS_CUTOFF = -5, so both branches are sampled next to the cutoff
+MILLS_40_DIGITS = [
+    (-40.0, "4.002496884720726372324487099536973575337e+1"),
+    (-30.0, "3.003325966743367703707112410001225147464e+1"),
+    (-20.0, "2.004975306852785054221402330872098860445e+1"),
+    (-12.0, "1.208221417525428432981885083374623476208e+1"),
+    (-8.0, "8.121368112236112680653520238905514653862"),
+    (-6.5, "6.647301361190490691266412500790156790572"),
+    (-5.5, "5.67141031389730562274961999674866329777"),
+    (-5.000000000000001, "5.186503967125842974754661034075267793455"),
+    (-5.0, "5.186503967125842115616508962005236720272"),
+    (-4.5, "4.704319844827732403970005458622953541428"),
+    (-3.0, "3.283098654930436506928092226812199827258"),
+    (-2.0, "2.37321553282284086729903269082653501241"),
+    (-1.0, "1.525135276160981209089090536390578713307"),
+    (-0.5, "1.141077770368064480883882973261128518292"),
+    (0.0, "7.978845608028653558798921198687637369517e-1"),
+    (0.5, "5.09160433837033485827186132137527721971e-1"),
+    (1.0, "2.875999709391783612286701273852172145023e-1"),
+    (2.0, "5.524786267898995910230097255552393403623e-2"),
+    (3.5, "8.728857536547359970182953910634401888311e-4"),
+    (5.0, "1.486719940904905712441744119460570914237e-6"),
+    (8.0, "5.052271083536895430948106737152236509669e-15"),
+    (10.0, "7.6945986267064193463390922117524926457e-23"),
+    (15.0, "5.530709549844416159161768220380836368684e-50"),
+    (20.0, "5.520948362159763189582735682787000953833e-88"),
+    (25.0, "7.653929736419392659649689886516383303972e-137"),
+    (30.0, "1.47364613487854751904949326604507448706e-196"),
+    (35.0, "3.940396277136024330690949355011546094956e-267"),
+    (37.5, "1.72823373228410522075079284035982653234e-306"),
+]
+
+
+def _mills_rtol(x):
+    """Twice the largest relative error measured at the table's points in
+    x's range: the erfcx branch below the cutoff (1.7e-16), the exp/ndtr
+    branch up to 8 (2.8e-15, at -5), and beyond, where the rounding of
+    x^2 in the exponent grows (3.7e-14, at 37.5)."""
+    if x < MILLS_CUTOFF:
+        return 3.4e-16
+    return 5.7e-15 if x <= 8.0 else 7.4e-14
+
+
 class TestMills:
+    def test_table_matches_mpmath(self):
+        with mpmath.workdps(60):
+            for x, ref in MILLS_40_DIGITS:
+                exact = mpmath.npdf(x) / mpmath.ncdf(x)
+                assert abs(exact / mpmath.mpf(ref) - 1) < mpmath.mpf("1e-39")
+
+    @pytest.mark.parametrize("x,ref", MILLS_40_DIGITS)
+    def test_relative_error(self, x, ref):
+        with mpmath.workdps(40):
+            ref = mpmath.mpf(ref)
+            for got in (mills(x), mills(np.array([x]))[0]):
+                assert float(abs(mpmath.mpf(float(got)) / ref - 1)) <= _mills_rtol(x)
+
+    def test_continuous_across_the_cutoff(self):
+        below = np.nextafter(MILLS_CUTOFF, -np.inf)
+        at, under = mills(MILLS_CUTOFF), mills(below)
+        # the true step is +1.7e-16 relative; the exp/ndtr branch's own
+        # error at -5 (2.8e-15) makes the measured jump -2.7e-15
+        assert abs(under - at) <= 5.5e-15 * at
+        assert_allclose(mills(np.array([below, MILLS_CUTOFF])), [under, at], rtol=0)
+
+    @pytest.mark.parametrize("x", [0.3, -7.0, np.float64(0.3), np.array(-7.0), 2,
+                                   np.array([1.5])[0]])
+    def test_scalar_is_a_python_float(self, x):
+        assert type(mills(x)) is float
+
+    def test_scalar_matches_array_bits(self):
+        xs = np.array([x for x, _ in MILLS_40_DIGITS] + [-1e6, 38.6, 40.0, 1e6])
+        assert np.array_equal(mills(xs), [mills(float(x)) for x in xs])
+
+    def test_no_runtime_warning(self):
+        xs = np.concatenate([np.linspace(-1e6, 1e6, 200_001),
+                             [-1e3, -39.0, -38.5, -5.0, 38.6, 40.0, 1e3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            m = mills(xs)
+            for x in (-1e6, -39.0, 38.6, 1e6, np.float64(1e200)):
+                mills(x)
+        assert np.all(np.isfinite(m)) and np.all(m >= 0)
+        assert m[0] > 1e6 and m[-1] == 0.0
+
     def test_non_increasing_on_a_dense_grid(self):
         xs = np.linspace(-40.0, 38.0, 2_000_001)
         assert np.all(np.diff(mills(xs)) <= 0)

@@ -141,33 +141,39 @@ def _sha256(*arrays) -> str:
     return h.hexdigest()
 
 
-# sha256 of each solve's (values, t_nodes), recorded while every step built
-# its own bands and called scipy.linalg.solve_banded
+# sha256 of each solve's (values, t_nodes); first recorded while every step
+# built its own bands and called scipy.linalg.solve_banded, re-recorded when
+# mills took its exp/ndtr branch (every value moved by at most 8.9e-16; the
+# custom drift calls no mills and never changed)
 KFE_PINS = {
-    "constant_skew": "8b1e741ca0a59ff9fb6c7be0ff1b5a1d21f94d5f6842c37f7c7885febc289636",
-    "ou_htransform": "24a1721371008f0b760d3c9eb5bbd894b42d33baa071069f74a5f10baf62cd2e",
-    "horizon_eps": "4b158fdf67c17a9c13a2a62b7714617e65fa9dea3ebf86c3b18d3e23e273ec20",
-    "general": "2dd122ed15e7dba38a5b67b7d255b6f7870596331f805a455b6103cd0d5870aa",
-    "sigma2": "85c039528f0059c05c42b156fb43aebb552cf5da074d807d53dc2ec6b02efb6a",
+    "constant_skew": "96a546532c97381833a55a7222f9ae6887e0d2687b836edaff77819ec5a1d1c6",
+    "ou_htransform": "1607de0207dea003d3999524db7e69c294ded8050ca67bf137a99337c34a5e08",
+    "horizon_eps": "459f9468b65e8fcde56e667d1beb54c4444fe1c5130e98a663e49465e9bb8b02",
+    "general": "d1717d6eb3bace610f7efe7e41a4b10b213419bd7d58e09900391c80a44bf4a3",
+    "sigma2": "52117cf7485cc9f2e031b0ff98351c736e83bde0cf5a183463372b6b2de27f6c",
     "custom": "7b63cc3a2eca74c479b2a5e61295603a6bbd7b8a9fd3b0c5064c6c53d719139a",
-    "theta0": "b87c14ad16515768c6ad3eb952e3b9ff3273f23e8d386771bb861c4b0af4ba8b",
-    "theta05": "2fd0cb25c724425a9b0d2fd0817ecfa06f701243f328aedeeefb438cf62aef82",
-    "theta1": "7b960ccc2cadad220c76a6d80f00ef31b9f8caf5718733fd8d5fbbc7008b998a",
+    "theta0": "46d3670dd5f4d8d7781a5145256a22f075d17aa8552d306cad68aa6f120e1a08",
+    "theta05": "14bc913104b3dae2ff8c095a8b5f3441e522fbe2a0e2bde2ebc9f57cf0f11e23",
+    "theta1": "517dc4406d8466a98cc37034881063dbe62dfd18a936385f37ea3d389a14f6c9",
 }
 
-# a small time-dependent CLI solve: 450 steps, every second one stored
+# a small time-dependent CLI solve: 450 steps, every second one stored;
+# re-recorded when mills took its exp/ndtr branch (the CSV's values moved by
+# at most 3.9e-16)
 FP_CLI = ("fokker-planck", "--kind", "constant-skew", "--alpha", "1", "--t-end", "0.5",
           "--x-min", "-6", "--x-max", "6", "--n-x", "101", "--n-t", "450")
 FP_CLI_PINS = {
-    "kfe_solution.csv": "edc5b3ed9f93deebbc9488c9e3325c8d9f731aef88c52dc5c31208071693daf6",
-    "kfe_summary.json": "838a63d9fb1e973f944e6a412d1a5054243e0d26d8973f489a0fca9296bc271a",
+    "kfe_solution.csv": "adf8590c349eddbc0c9bc8474c204670952fb073667ada6e67893e6f048d5d4c",
+    "kfe_summary.json": "2309529d5d1cbf78b5e01fa46f5e6a0fc4adc6e51a224ff92cb276db2c1befd0",
 }
 
-# the Crank-Nicolson horizon solve that fails near T whatever the cutoff
+# the Crank-Nicolson horizon solve that fails near T whatever the cutoff;
+# its diagnostics were re-recorded when mills took its exp/ndtr branch
+# (min_value moved by 1.4e-24 and mass from 1.0000000000000002 to 1.0)
 FP_HORIZON = ("fokker-planck", "--kind", "horizon", "--T", "1", "--t-end", "1",
               "--x-min", "-6", "--x-max", "6", "--n-x", "201", "--n-t", "100")
 FP_HORIZON_DIAGNOSTICS_SHA256 = \
-    "63ba2c1a60e38950be068549ef7f4a8edf95b03b18737355a7bcfc1459b78615"
+    "bf3cb181d0af1355380a752c7c30fa2a27504ce4a633df678dde7ed2eb8fee83"
 
 
 # past the horizon: the drift raises at step 50, after step 43's instability

@@ -127,11 +127,13 @@ class TestCsv:
 
 
 # sha256 of the bytes the row-at-a-time writers produced; the CSV layout
-# is a contract, so these must not move
+# is a contract, so these must not move.  The ensemble's values were
+# re-recorded when mills took its exp/ndtr branch (they moved by at most
+# 2.2e-16; header and layout unchanged)
 DENSITY_CSV_SHA256 = \
     "014bb4999a35a21d65ddec9a035ef87a476401a2a8517cebd7bc0ff9087733b9"
 ENSEMBLE_CSV_SHA256 = \
-    "411d3b3e7997b21c32c9dbacfe911fc8f1e652b967302e81961314836c40e06c"
+    "19ae40f9c67e012ef92e5761bef2257ad00efd968a59cf00b9eef642c99d7378"
 
 
 def _special_grid():

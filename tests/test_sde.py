@@ -277,15 +277,16 @@ def _pinned_mixture(case: str, n_threads: int):
                                       n_threads=n_threads, **extra))
 
 
-# sha256 of (values, labels, clamp_events), recorded when the mixture
-# branch still evaluated both drifts on every path
+# sha256 of (values, labels, clamp_events); first recorded when the mixture
+# branch still evaluated both drifts on every path, re-recorded when mills
+# took its exp/ndtr branch (every value moved by at most 1.1e-15)
 MIXTURE_PINS = {
-    "p0": "863a615397049d6448d6d5d2bdb8f741fd90361331eb8d5bea547b2eb9d147a3",
-    "p05": "2a681bc59c624b700cb75383bf9c6c7793ceebeec1292c11a5b88d425d2c3e0a",
-    "p1": "26eca7258465d04126c097eda2bbb1fb7596f96402f12fcce546eec4f35398c2",
-    "antithetic": "c9aceb5d676b4ca994ec58a4c30b92a9fc2836e46a203924b396bb87c1dde5b4",
-    "flip_noise": "6b9895bd088738cdced7402c4dfeb9dd20e651d16ce0d8874d975a915f363390",
-    "horizon_clamp": "6bc5ecc86e52d793fdadd9cea2dd0f5105203d9ff3f55fb0e3aad1c8ec39e2cc",
+    "p0": "e28506dfad927bdedd236c44249ef54e45c7b091e912e5baac7d3cad0653de15",
+    "p05": "3129bb8f38229741a33eefe8627c684b086ba4e5df608a378f66c9a72e1376c2",
+    "p1": "1689c0b98d38dd3e3e038dd01f53859a5d78ad8daa44f4c11c125a1957199b54",
+    "antithetic": "7e9793a375ec87c15cecd01aae53e9436682be4f3143b7b8825cc5a7641533a5",
+    "flip_noise": "ba7633157c654f8866f9b17625d3e275101473b979bbd501aaf73d8db928bbba",
+    "horizon_clamp": "194aab2d46bf2aa5cbd36f2db920b647f0612ff8b456a3e7551ef3e849ad94ed",
 }
 
 
@@ -334,31 +335,33 @@ def _pinned_simulation(case: str, seed: int, n_threads: int):
                                n_threads=n_threads, **extra)),)
 
 
-# sha256 of each ensemble's (values, clamp_events), recorded while each
-# simulator still ran its own block loop
+# sha256 of each ensemble's (values, clamp_events); first recorded while each
+# simulator still ran its own block loop.  The drift cases were re-recorded
+# when mills took its exp/ndtr branch (every value moved by at most 8.9e-16);
+# the bivariate cases call no drift and never changed
 SIMULATION_PINS = {
     ("constant_skew", 5):
-        "6f16a97104ec00eac3440d5c7f8f65265d26199ea8328ac2d08dd766462b1009",
+        "7ac9a1142d882c59e14b42cb750ae692de3a9e87133992af07bc96ddf7cd7181",
     ("constant_skew", 6):
-        "2c765125c86ca6ccc74af5e309a57bc2dfd687bd07db83345c9ef9af8924b017",
+        "fcec34544d0401f7bd146a16e6268fbe40701a559a16057b04a03cb6a6a93312",
     ("horizon_clamp", 5):
-        "d0633448ded1a654f54c363cd3c72e4bf25e52df667a5addd51c39094a6e6c20",
+        "fe5a0c5d6854d7ce427616ddb60a7902722c461c193f187fdded44833114bdbb",
     ("horizon_clamp", 6):
-        "8bbbb9cdff450a201c08bf94c5125f1fa482efe35064fabfc9334a12a53b1665",
+        "94ca58dd5c0f411db9b13b7760a011478c741c85511d8aba27641201a28bf174",
     ("antithetic_flip", 5):
-        "0ca5f31bacc9fc39e70e4a608bea5ddff986cc2b27d69c6b126b5d85f2795908",
+        "5634e3c4c4b13fe48cb6b290c5767dd9024b16d13e641612f772eee0dd6de561",
     ("antithetic_flip", 6):
-        "dcf7b04721359038dc73eee1136dd9636619680ff481acd1550a21f5efee77bd",
+        "73e221b34665594f27d79391e5066a06f11296f602373f1c11c864f02b402dfa",
     ("bivariate_sqrt_rho", 5):
         "62c4ddbc4db9f3d00495177aa9a984059821d00ea6c17501d6bd19431975a795",
     ("bivariate_sqrt_rho", 6):
         "6afb91f5f2102e348aa89b1889b1cd90d4f761c805e57610822af31a18a5c4b6",
     # 100 steps, so that any noise draw chunk of 64 steps or fewer ends
-    # mid-run; recorded while the engine drew 512 steps per chunk
+    # mid-run; first recorded while the engine drew 512 steps per chunk
     ("constant_skew_100_steps", 5):
-        "cb44d2829c42cea3d97414475a90474420a298310359d930a76c8b0dd800f830",
+        "db1918de715eeea191ba904c21d9239272d29764eae7bcef243f76f4e287df71",
     ("constant_skew_100_steps", 6):
-        "66f5ed028220e2bcaae22b6c311f5e9f1adb14b1cb7f4ef3aa16ccadf9da03a0",
+        "e538fec341e55c5bbd22300c3178ea36e4237bee9db9bad36970d20d7b72007b",
     ("bivariate_100_steps", 5):
         "6c2ca62fdd09c0967cf7dad7f615add13e6c07d339adeb49c176780bc4d7c5a3",
     ("bivariate_100_steps", 6):
