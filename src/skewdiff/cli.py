@@ -288,6 +288,9 @@ def cmd_censor(args, outdir: Path):
         rho = lambda t: math.sqrt(max(t, 0.0) / T)
     else:
         rho, = _params(args, ("rho",), "rho-kind=constant")
+        # the survivors' law exists only for |rho| < 1: reject before simulating
+        if not abs(rho) < 1:
+            raise SchemaError(f"--rho must lie in (-1, 1), got {rho}")
     grid = TimeGrid(t_start=0.0, t_end=T, n_steps=args.steps)
     cfg = SimConfig(n_paths=args.paths, seed=args.seed,
                     record_stride=args.record_stride, n_threads=args.threads)

@@ -175,6 +175,9 @@ class TestConfigurationErrors:
         (*CENSOR, "--check-t", "0"),
         (*CENSOR, "--check-t", "0.5", "--rho-kind", "constant", "--rho", "1.5"),
         (*CENSOR, "--check-t", "0.5", "--bandwidth", "-1"),
+        # simulated, then failed in censored_posterior: exit 3
+        (*CENSOR, "--check-t", "0.5", "--rho-kind", "constant", "--rho", "1"),
+        (*CENSOR, "--check-t", "0.5", "--rho-kind", "constant", "--rho", "-1"),
         ("density", "--kind", "constant-skew", "--alpha", "1", "--t", "0", "--x=-1:1:0.5"),
         ("density", "--kind", "constant-skew", "--alpha", "1", "--t", "-1", "--x=-1:1:0.5"),
         # ran on one thread
@@ -197,7 +200,8 @@ class TestConfigurationErrors:
         ("density", "--kind", "censored", "--rho", "1.5", "--t", "1", "--x=-1:1:0.5"),
         ("density", "--kind", "ou-htransform", "--lam", "-1", "--t", "1", "--x=-1:1:0.5"),
     ], ids=["check_t_between", "check_t_past_end", "check_t_zero", "rho_above_one",
-            "negative_bandwidth", "density_t_zero", "density_t_negative", "zero_threads",
+            "negative_bandwidth", "rho_one", "rho_minus_one", "density_t_zero",
+            "density_t_negative", "zero_threads",
             "rho_without_constant_kind", "constant_kind_without_rho", "check_t_empty",
             "density_t_empty", "density_t_past_horizon", "density_t_at_horizon",
             "density_t_at_noise_horizon", "density_negative_noise_rate",
@@ -207,6 +211,7 @@ class TestConfigurationErrors:
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "diagnostics.json").exists()
         assert not (tmp_path / "density.csv").exists()
+        assert not list(tmp_path.glob("kde_*.csv"))
 
     def test_empty_table_times_write_nothing(self, tmp_path):
         assert run(tmp_path, "family", "--kind", "horizon", "--T", "1", "--table-t=,") == 2
