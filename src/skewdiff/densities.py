@@ -157,7 +157,8 @@ def censored_posterior(x, t: float, rho_t: float):
 def _ou_moments(t: float, rate: float, x0: float):
     """Mean and variance at time t of dX = rate * X dt + dW from x0."""
     mean = x0 * math.exp(rate * t)
-    var = (math.exp(2.0 * rate * t) - 1.0) / (2.0 * rate)
+    # expm1: exp(2 rate t) - 1 cancels when |rate| t is small
+    var = math.expm1(2.0 * rate * t) / (2.0 * rate)
     return mean, var
 
 

@@ -14,7 +14,7 @@ from skewdiff import (DriftSpec, HorizonError, SkewNormalParams,
                       horizon_tpd_two_time, ou_htransform_tpd,
                       ou_htransform_tpd_raw, ou_skew_driven_marginal,
                       restart_tpd, sn_moments, sn_pdf)
-from skewdiff.densities import density_mass
+from skewdiff.densities import _ou_moments, density_mass
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -196,6 +196,21 @@ class TestOuReversalTpd:
             mass = density_mass(lambda x, t: ou_htransform_tpd(x, t, 1.0, 0.4, chir),
                                 1.0, center=0.4 * math.e, width=25.0)
             assert abs(mass - 1.0) < 1e-9
+
+
+class TestOuMoments:
+    @pytest.mark.parametrize("rate,t,mean,var", [
+        # 40 digits from mpmath at the doubles given, x0 = 1.3; at small
+        # |rate| t the variance (exp(2 rate t) - 1)/(2 rate) cancels
+        (-1e-6, 0.8, "1.299998960000416044297941477111970519931",
+         "0.7999993600003413776056789356577235069665"),
+        (-1e-4, 1.9, "1.299753023463513998321386441727025574336",
+         "1.899639045722322874657565554617043174283"),
+    ])
+    def test_small_rate_against_frozen_values(self, rate, t, mean, var):
+        m, v = _ou_moments(t, rate, 1.3)
+        assert_allclose(m, float(mean), rtol=1e-14, atol=0)
+        assert_allclose(v, float(var), rtol=1e-14, atol=0)
 
 
 class TestSkewNoiseMarginal:
