@@ -110,12 +110,6 @@ def log_mills(x):
     return _ret(np.where(x > 8.0, direct, via_erfcx), scalar)
 
 
-def _mills_scalar(v: float) -> float:
-    if v < MILLS_CUTOFF:
-        return float(_SQRT_2_OVER_PI / erfcx(-v / _SQRT_2))
-    return float(np.exp(v * v * -0.5 - LOG_SQRT_2PI) / ndtr(v))
-
-
 def mills(x):
     """Inverse Mills ratio phi(x)/Phi(x); behaves like -x for x -> -inf.
 
@@ -134,7 +128,10 @@ def mills(x):
     on the hot path of every drift evaluation.
     """
     if isinstance(x, float) or np.ndim(x) == 0:    # no 0-d array round trip
-        return _mills_scalar(float(x))
+        v = float(x)
+        if v < MILLS_CUTOFF:
+            return float(_SQRT_2_OVER_PI / erfcx(-v / _SQRT_2))
+        return float(np.exp(v * v * -0.5 - LOG_SQRT_2PI) / ndtr(v))
     x = np.asarray(x, dtype=float)
     # clipped, so neither x^2 overflows nor 0/0 forms where both factors
     # underflow; the clipped-off elements are exact or overwritten below
