@@ -1,8 +1,8 @@
 """Skew-normal diffusions: densities, drift families, simulation, validation."""
 
 from .dists import (ExtendedSkewNormalParams, SkewNormalParams, esn_pdf,
-                    half_normal_pdf, log_mills, mills, raw_gauss_integral,
-                    sn_moments, sn_pdf, std_normal_cdf)
+                    half_normal_pdf, log_mills, mills, sn_moments, sn_pdf,
+                    std_normal_cdf)
 from .errors import (HorizonError, PdeInstabilityError, SchemaError,
                      SimulationError, SkewDiffError)
 from .families import (DriftSpec, SkewFamily, amplitude_from_family,

@@ -134,6 +134,8 @@ def _read_json(path, what) -> dict:
 
 def _drift_from_args(args) -> DriftSpec:
     if getattr(args, "drift_json", None):
+        if args.kind is not None:
+            raise SchemaError("--kind and --drift-json are exclusive")
         desc = _read_json(args.drift_json, "drift descriptor")
         try:
             return drift_spec_from_descriptor(desc)
@@ -242,7 +244,14 @@ def cmd_density(args, outdir: Path):
     ts = _parse_floats(args.t)
     if not all(0 < t < math.inf for t in ts):
         raise SchemaError(f"--t times must be positive and finite, got {args.t!r}")
-    if args.kind in DENSITY_KINDS:
+    if args.drift_json or args.kind not in DENSITY_KINDS:
+        # a drift's own law; --kind beside --drift-json is refused here
+        drift = _drift_from_args(args)
+        pdf, horizon = drift.law(args.x0), drift.validity_horizon
+        if pdf is None:
+            raise SchemaError(f"the {drift.kind} drift has no closed-form law "
+                              f"from x0={args.x0}")
+    else:
         tpd, flags = DENSITY_KINDS[args.kind]
         params = _params(args, flags, f"kind={args.kind}")
         if args.rho is not None and not abs(args.rho) < 1:
@@ -252,11 +261,6 @@ def cmd_density(args, outdir: Path):
         pdf = lambda x, t: tpd(x, t, *params)
         # the kinds here that read --T hold their law below it
         horizon = math.inf if args.T is None else args.T
-    else:
-        drift = _drift_from_args(args)
-        pdf, horizon = drift.law(args.x0), drift.validity_horizon
-        if pdf is None:
-            raise SchemaError(f"kind={args.kind} has no closed-form law from x0={args.x0}")
     if max(ts) >= horizon:
         raise SchemaError(f"--t times must stay below the horizon {horizon:g}, got {args.t!r}")
     grid = density_grid(pdf, xs, ts)
@@ -444,7 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="tabulate a closed-form density")
     _add_common(p)
-    _add_family_params(p, {**DRIFT_KINDS, **DENSITY_KINDS})
+    _add_family_params(p, {**DRIFT_KINDS, **DENSITY_KINDS}, kind_required=False)
+    p.add_argument("--drift-json", default=None,
+                   help="drift (or family) descriptor file, instead of --kind")
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--t", required=True, help="comma list of times")
     p.add_argument("--x", required=True, help="x grid as lo:hi:step")

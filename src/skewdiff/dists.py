@@ -13,7 +13,6 @@ import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT_2 = math.sqrt(2.0)
 
@@ -81,17 +80,6 @@ def std_normal_logcdf(x):
     """log P(Z <= x), finite and accurate into the deep left tail."""
     x, scalar = _as_array(x)
     return _ret(log_ndtr(x), scalar)
-
-
-def raw_gauss_integral(x):
-    """Unnormalized Gaussian mass: integral of exp(-s^2/2) over (-inf, x].
-
-    Equals sqrt(2*pi) * std_normal_cdf(x).  Ratios of this quantity are
-    identical to cdf ratios; it exists so that literal unnormalized-integral
-    formulas can be evaluated verbatim in tests.
-    """
-    x, scalar = _as_array(x)
-    return _ret(SQRT_2PI * ndtr(x), scalar)
 
 
 def log_mills(x):

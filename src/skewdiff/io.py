@@ -3,8 +3,13 @@
 CSV contract: every float cell is the shortest round-trip Python repr of a
 plain float (``0.1``, ``-0.0``, ``nan``, ``inf``; never a NumPy scalar
 repr), so ``float(cell)`` recovers the value exactly and repeated runs with
-the same configuration produce byte-identical files.  Density tables are
-long-form, one ``x,t,q`` row per node pair; ensembles are one row per path.
+the same configuration produce byte-identical files.  Every cell comes from
+one vectorized formatter, `_floatfmt`, which is tested equal to ``repr``;
+the writers hand it blocks of whole slices or rows, about
+``_floatfmt.CHUNK`` values each, and write each block before formatting
+the next.  They import it on first use, so start-up does not load it.
+Density tables are long-form, one ``x,t,q`` row per node pair;
+ensembles are one row per path.
 The binary ensemble layout is little-endian:
 
     magic "SKDF" | u16 version | u16 flags (bit0 = labels present)
@@ -32,38 +37,59 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _reprs(values) -> list:
-    """`_fmt` of every value of a 1-D array, formatted in one C-level pass
-    (the repr of the plain-float list) instead of one call per value."""
-    vals = np.asarray(values, dtype=float).tolist()
-    return repr(vals)[1:-1].split(", ") if vals else []
+def _csv_rows(*blocks) -> bytes:
+    """CSV text of NUL-padded `_floatfmt` cells.  Each block is shaped
+    (..., columns, WIDTH); the blocks' columns are laid side by side and their
+    leading axes broadcast, one row per index of those axes."""
+    width = blocks[0].shape[-1]
+    lead = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
+    buf = np.empty((*lead, sum(b.shape[-2] for b in blocks), width + 1), np.uint8)
+    col = 0
+    for b in blocks:
+        buf[..., col:col + b.shape[-2], :width] = b
+        col += b.shape[-2]
+    buf[..., width] = ord(",")
+    buf[..., -1, width] = ord("\n")
+    return buf[buf != 0].tobytes()
 
 
 def columns_to_csv(path, names, *columns) -> None:
     """Header `names`, then one row per index of the equal-length columns."""
-    cells = [_reprs(c) for c in columns]
-    with Path(path).open("w", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+    from . import _floatfmt
+    n_rows = min((len(c) for c in columns), default=0)
+    # one row of values per column; each block is formatted in one call, row-major
+    values = np.array([np.asarray(c, dtype=float)[:n_rows] for c in columns])
+    step = max(1, _floatfmt.CHUNK // max(len(columns), 1))
+    with Path(path).open("wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
+        for lo in range(0, n_rows, step):
+            block = values[:, lo:lo + step].T
+            fh.write(_csv_rows(_floatfmt.cells(block).reshape(*block.shape, -1)))
 
 
 def ensemble_to_csv(ens: PathEnsemble, path) -> None:
     """One row per path; metadata in a leading comment, times in the header."""
-    path = Path(path)
-    times = ens.times
-    with path.open("w", newline="\n") as fh:
-        fh.write(f"# skewdiff-ensemble seed={ens.seed} scheme={ens.scheme} "
-                 f"n_paths={ens.n_paths} n_steps={ens.grid.n_steps} "
-                 f"t_start={_fmt(ens.grid.t_start)} t_end={_fmt(ens.grid.t_end)} "
-                 f"epsilon={_fmt(ens.grid.terminal_cutoff_epsilon)} "
-                 f"record_stride={ens.record_stride} clamp_events={ens.clamp_events}\n")
-        cols = ["path"] + (["label"] if ens.labels is not None else []) \
-            + [f"t={t}" for t in _reprs(times)]
-        fh.write(",".join(cols) + "\n")
-        labels = None if ens.labels is None else ens.labels.tolist()
-        for i, row in enumerate(ens.values):
-            head = f"{i}," if labels is None else f"{i},{labels[i]},"
-            fh.write(head + ",".join(_reprs(row)) + "\n")
+    from . import _floatfmt
+    n_times = len(ens.times)
+    labels = None if ens.labels is None else ens.labels.tolist()
+    cols = ["path"] + (["label"] if labels is not None else []) \
+        + [f"t={t.decode()}" for t in _floatfmt.reprs(ens.times).tolist()]
+    step = max(1, _floatfmt.CHUNK // max(n_times, 1))
+    with Path(path).open("wb") as fh:
+        fh.write((f"# skewdiff-ensemble seed={ens.seed} scheme={ens.scheme} "
+                  f"n_paths={ens.n_paths} n_steps={ens.grid.n_steps} "
+                  f"t_start={_fmt(ens.grid.t_start)} t_end={_fmt(ens.grid.t_end)} "
+                  f"epsilon={_fmt(ens.grid.terminal_cutoff_epsilon)} "
+                  f"record_stride={ens.record_stride} clamp_events={ens.clamp_events}\n"
+                  + ",".join(cols) + "\n").encode())
+        for lo in range(0, ens.n_paths, step):
+            rows = range(lo, min(lo + step, ens.n_paths))
+            # the path index (and label) lead each row as one more cell
+            head = np.array([f"{i}" if labels is None else f"{i},{labels[i]}" for i in rows],
+                            dtype=f"S{_floatfmt.WIDTH}").view(np.uint8)
+            values = _floatfmt.cells(ens.values[rows.start:rows.stop])
+            fh.write(_csv_rows(head.reshape(len(rows), 1, -1),
+                               values.reshape(len(rows), n_times, -1)))
 
 
 def ensemble_to_binary(ens: PathEnsemble, path) -> None:
@@ -112,18 +138,24 @@ def ensemble_from_binary(path) -> PathEnsemble:
 
 
 def density_grid_to_csv(grid: DensityGrid, path) -> None:
-    """Long-form x,t,q rows (one per node pair), one time slice at a time.
+    """Long-form x,t,q rows (one per node pair), in time-slice order.
 
-    The x column is formatted once and each t once per slice; a slice is
-    converted with one `tolist` (not the whole grid, which would hold every
-    value as a Python float at once) and written with a single call.
+    Cells come from `_floatfmt`, tested equal to ``repr``: x and t are
+    formatted once, q a block of whole slices (about `_floatfmt.CHUNK`
+    values) at a time, each block written before the next is formatted,
+    so memory stays bounded by the block, not the grid.
     """
-    xs = _reprs(grid.x_nodes)
-    with Path(path).open("w", newline="\n") as fh:
-        fh.write("x,t,q\n")
-        for t, row in zip(grid.t_nodes.tolist(), grid.values):
-            mid = f",{t!r},"
-            fh.write("".join([f"{x}{mid}{q}\n" for x, q in zip(xs, _reprs(row))]))
+    from . import _floatfmt
+    xs = _floatfmt.cells(grid.x_nodes)
+    ts = _floatfmt.cells(grid.t_nodes)
+    n_x, n_t = len(xs), len(ts)
+    step = max(1, _floatfmt.CHUNK // max(n_x, 1))
+    with Path(path).open("wb") as fh:
+        fh.write(b"x,t,q\n")
+        for lo in range(0, n_t, step):
+            n = min(step, n_t - lo)
+            qs = _floatfmt.cells(grid.values[lo:lo + n]).reshape(n, n_x, 1, -1)
+            fh.write(_csv_rows(xs[:, None], ts[lo:lo + n, None, None], qs))
 
 
 def density_grid_summary(grid: DensityGrid) -> dict:

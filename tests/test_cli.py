@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewdiff import (SimulationError, constant_skew_family, constant_skew_tpd,
-                      horizon_family, ks_statistic, ks_threshold)
+from skewdiff import (DriftSpec, SimulationError, constant_skew_family,
+                      constant_skew_tpd, horizon_family, ks_statistic, ks_threshold)
 from skewdiff import cli
 from skewdiff.cli import main
 
@@ -60,6 +60,44 @@ class TestDensityCommand:
         assert run(tmp_path, *base, "--x0", "2") == 2
         assert not (tmp_path / "density.csv").exists()
         assert run(tmp_path, *base, "--x0", "0") == 0
+
+    def test_family_file_gives_the_same_table(self, tmp_path):
+        assert run(tmp_path / "fam", "family", "--kind", "constant-skew", "--alpha", "1") == 0
+        grid = ("--t", "0.5,1", "--x", "-3:3:0.25")
+        assert run(tmp_path / "json", "density", "--drift-json",
+                   str(tmp_path / "fam" / "family.json"), *grid) == 0
+        assert run(tmp_path / "flags", "density", "--kind", "constant-skew", "--alpha", "1",
+                   *grid) == 0
+        assert (tmp_path / "json" / "density.csv").read_bytes() == \
+            (tmp_path / "flags" / "density.csv").read_bytes()
+
+    def test_scaled_and_shifted_descriptor_is_its_law(self, tmp_path):
+        drift = DriftSpec(family=constant_skew_family(1.0), shift=1.5, diffusion_scale=2.0)
+        desc = tmp_path / "drift.json"
+        desc.write_text(json.dumps(drift.descriptor()))
+        assert run(tmp_path, "density", "--drift-json", str(desc), "--x0", "1.5",
+                   "--t", "0.5,1", "--x", "-6:9:0.25") == 0
+        x, t, q = np.loadtxt(tmp_path / "density.csv", delimiter=",", skiprows=1).T
+        law = drift.law(1.5)
+        np.testing.assert_allclose(q, [law(np.asarray(u), s) for u, s in zip(x, t)],
+                                   rtol=1e-14, atol=0)
+
+    def test_general_descriptor_away_from_its_shift_exits_2(self, tmp_path):
+        desc = tmp_path / "drift.json"
+        desc.write_text(json.dumps({"kind": "general", "shift": 1.5,
+                                    "family": constant_skew_family(1.0).descriptor()}))
+        assert run(tmp_path, "density", "--drift-json", str(desc), "--t", "1",
+                   "--x", "-1:1:0.5") == 2
+        assert not (tmp_path / "diagnostics.json").exists()
+        assert not (tmp_path / "density.csv").exists()
+
+    @pytest.mark.parametrize("kind", [("--kind", "constant-skew", "--alpha", "1"),
+                                      ("--kind", "censored", "--rho", "0.5")])
+    def test_kind_beside_drift_json_exits_2(self, tmp_path, kind):
+        assert run(tmp_path / "fam", "family", "--kind", "constant-skew", "--alpha", "1") == 0
+        assert run(tmp_path, "density", *kind, "--drift-json",
+                   str(tmp_path / "fam" / "family.json"), "--t", "1", "--x", "-1:1:0.5") == 2
+        assert not (tmp_path / "density.csv").exists()
 
     @pytest.mark.parametrize("c", ["0.3", "0.6", "0.9"])
     def test_constant_correlation_is_the_censored_law(self, tmp_path, c):

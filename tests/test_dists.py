@@ -12,8 +12,8 @@ from scipy.integrate import quad
 from scipy.stats import skewnorm
 
 from skewdiff import (ExtendedSkewNormalParams, SkewNormalParams, esn_pdf,
-                      half_normal_pdf, log_mills, mills, raw_gauss_integral,
-                      sn_moments, sn_pdf, std_normal_cdf)
+                      half_normal_pdf, log_mills, mills, sn_moments, sn_pdf,
+                      std_normal_cdf)
 from skewdiff.dists import MILLS_CUTOFF
 
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -296,23 +296,3 @@ class TestHalfNormal:
         v = 1.7
         assert_allclose(half_normal_pdf(0.0, v, 0.0, +1),
                         math.sqrt(2 / (math.pi * v)), rtol=1e-14)
-
-
-class TestRawGaussIntegral:
-    def test_half_mass(self):
-        assert_allclose(raw_gauss_integral(0.0), SQRT_2PI / 2, rtol=1e-15)
-
-    def test_full_mass(self):
-        assert_allclose(raw_gauss_integral(40.0), SQRT_2PI, rtol=1e-15)
-
-    def test_at_one(self):
-        assert_allclose(raw_gauss_integral(1.0), SQRT_2PI * 0.8413447460685429,
-                        rtol=1e-13)
-
-    def test_prefactor_equality(self):
-        # 1/(pi sqrt(t)) * raw integral == 2/sqrt(2 pi t) * cdf, algebraically
-        t = 0.37
-        x = 1.234
-        lhs = raw_gauss_integral(x) / (math.pi * math.sqrt(t))
-        rhs = 2.0 / math.sqrt(2 * math.pi * t) * std_normal_cdf(x)
-        assert_allclose(lhs, rhs, rtol=1e-15)

@@ -1,5 +1,7 @@
 """Ensemble and density serialization round trips."""
 import hashlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ from hypothesis.extra import numpy as hnp
 
 from skewdiff import DriftSpec, SimConfig, TimeGrid, density_grid, simulate, \
     simulate_mixture, constant_skew_family, constant_skew_tpd
+from skewdiff import _floatfmt
 from skewdiff.densities import DensityGrid
 from skewdiff.sde import PathEnsemble
-from skewdiff.io import (density_grid_summary, density_grid_to_csv,
+from skewdiff.io import (columns_to_csv, density_grid_summary, density_grid_to_csv,
                          ensemble_from_binary, ensemble_to_binary,
                          ensemble_to_csv)
 
@@ -178,3 +181,130 @@ class TestDensityExports:
         s = density_grid_summary(grid)
         assert abs(s["mass"][0] - 1.0) < 1e-8
         assert s["skewness"][0] > 0
+
+
+def _assert_reprs(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = _floatfmt.reprs(values).tolist()
+    want = [repr(float(v)).encode() for v in values.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+    assert len(got) == len(want)
+
+
+class TestFloatFormatter:
+    """The vectorized formatter against repr(float(v)), the reference."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20240611)
+        bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+        _assert_reprs(bits.view(np.float64))
+
+    def test_any_byte_order(self):
+        values = np.random.default_rng(3).standard_normal(1000) * 1e-5
+        assert np.array_equal(_floatfmt.reprs(values.astype(">f8")),
+                              _floatfmt.reprs(values.astype("<f8")))
+
+    def test_powers_of_two_and_neighbours(self):
+        p2 = np.ldexp(1.0, np.arange(-1074, 1024))
+        _assert_reprs(np.concatenate([p2, np.nextafter(p2, 0.0),
+                                      np.nextafter(p2, np.inf), -p2]))
+
+    def test_first_subnormals(self):
+        _assert_reprs(np.arange(1, 2**16 + 1, dtype=np.uint64).view(np.float64))
+
+    def test_integers_near_2_53(self):
+        _assert_reprs(np.concatenate([2.0**53 + np.arange(-3000, 3000),
+                                      2.0**52 + np.arange(-3000, 3000),
+                                      -np.arange(0, 3000) * 1e10]))
+
+    def test_layout_switches(self):
+        cells = [b"9.999999999999999e-05", b"0.0001", b"9999999999999998.0", b"1e+16",
+                 b"1e-05", b"0.00012", b"123456789012345.6", b"1.5e+300", b"1e-308",
+                 b"5e-324", b"1.7976931348623157e+308", b"100.0", b"-0.001"]
+        assert _floatfmt.reprs([float(c) for c in cells]).tolist() == cells
+
+    def test_special_values(self):
+        values = [0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf]
+        assert _floatfmt.reprs(values).tolist() == \
+            [b"0.0", b"-0.0", b"nan", b"nan", b"inf", b"-inf"]
+
+    def test_empty(self):
+        assert _floatfmt.reprs(np.empty(0)).shape == (0,)
+        assert _floatfmt.cells([]).shape == (0, _floatfmt.WIDTH)
+
+    def test_any_float(self):
+        @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+        @given(values=st.lists(st.floats(), max_size=40))
+        def check(values):
+            _assert_reprs(values)
+
+        check()
+
+    def test_tables_are_built_on_first_use(self):
+        code = ("import skewdiff.cli, skewdiff._floatfmt as f; "
+                "assert f._tables.cache_info().currsize == 0; f.reprs([0.5]); "
+                "assert f._tables.cache_info().currsize == 1")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
+# The per-slice and per-row repr writers that the vectorized ones replaced,
+# kept as the reference for their bytes
+def _reference_density_csv(grid):
+    xs = [repr(x) for x in grid.x_nodes.tolist()]
+    out = ["x,t,q\n"]
+    for t, row in zip(grid.t_nodes.tolist(), grid.values):
+        out += [f"{x},{t!r},{q!r}\n" for x, q in zip(xs, row.tolist())]
+    return "".join(out).encode()
+
+
+def _reference_ensemble_csv(ens):
+    """Everything after the leading comment line."""
+    labels = None if ens.labels is None else ens.labels.tolist()
+    rows = [",".join(["path"] + (["label"] if labels is not None else [])
+                     + [f"t={t!r}" for t in ens.times.tolist()]) + "\n"]
+    for i, row in enumerate(ens.values.tolist()):
+        head = f"{i}," if labels is None else f"{i},{labels[i]},"
+        rows.append(head + ",".join(repr(v) for v in row) + "\n")
+    return "".join(rows).encode()
+
+
+class TestWritersAcrossBlocks:
+    """Grids and ensembles larger than one formatter block, with row widths
+    that do not divide it, against the reference writers."""
+
+    def test_density_grid(self, tmp_path):
+        rng = np.random.default_rng(8)
+        x = np.linspace(-7.0, 11.0, 1003)
+        t = np.linspace(0.01, 2.0, 37)
+        values = rng.standard_normal((37, 1003)) * 10.0 ** rng.integers(-320, 300, (37, 1003))
+        values[3, :5] = [np.nan, -np.inf, -0.0, 5e-324, 1e16]
+        grid = DensityGrid(x, t, values)
+        assert values.size > _floatfmt.CHUNK and _floatfmt.CHUNK % len(x)
+        p = tmp_path / "d.csv"
+        density_grid_to_csv(grid, p)
+        assert p.read_bytes() == _reference_density_csv(grid)
+
+    @pytest.mark.parametrize("labels", [False, True])
+    def test_ensemble(self, tmp_path, labels):
+        rng = np.random.default_rng(9)
+        n_paths, n_steps = 700, 60
+        values = rng.standard_normal((n_paths, n_steps + 1))
+        ens = PathEnsemble(grid=TimeGrid(0.0, 1.0, n_steps), values=values, seed=4,
+                           labels=rng.choice(np.array([-1, 1], np.int8), n_paths)
+                           if labels else None)
+        assert values.size > _floatfmt.CHUNK and _floatfmt.CHUNK % values.shape[1]
+        p = tmp_path / "e.csv"
+        ensemble_to_csv(ens, p)
+        assert p.read_bytes().split(b"\n", 1)[1] == _reference_ensemble_csv(ens)
+
+    def test_columns(self, tmp_path):
+        rng = np.random.default_rng(10)
+        a, b, c = (rng.standard_normal(9000) for _ in range(3))
+        p = tmp_path / "c.csv"
+        columns_to_csv(p, ("a", "b", "c"), a, list(b), c)
+        want = "a,b,c\n" + "".join(f"{u!r},{v!r},{w!r}\n" for u, v, w in
+                                     zip(a.tolist(), b.tolist(), c.tolist()))
+        assert p.read_bytes() == want.encode()
