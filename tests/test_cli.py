@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -11,14 +12,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewdiff import (DriftSpec, SimulationError, constant_skew_family,
-                      constant_skew_tpd, horizon_family, ks_statistic, ks_threshold)
+from skewdiff import (DriftSpec, SimulationError, constant_correlation_family,
+                      constant_skew_family, constant_skew_tpd, horizon_family,
+                      ks_statistic, ks_threshold)
 from skewdiff import cli
 from skewdiff.cli import main
 
 
 def run(tmp_path, *args):
     return main([*args, "--output-dir", str(tmp_path)])
+
+
+# sha256 of (density.csv, density_summary.json) for one `density` run per
+# law; the drift-json case reads a constant-correlation drift with shift 1.5
+# and sigma 2, written by the test
+DENSITY_PINS = {
+    "constant-skew": (
+        ("--kind", "constant-skew", "--alpha", "1.5", "--chirality", "-1",
+         "--t", "0.5,1,2", "--x=-4:4:0.125"),
+        ("42d27e3e2b740190d5a0b875027671194472fd685752fc609b695d46988140d2",
+         "a3adc50b4291d0a29c02b2e4784694f65b1038c068c5c6659207409a6e9054c6")),
+    "horizon": (
+        ("--kind", "horizon", "--T", "1", "--x0", "0.7", "--t", "0.25,0.9,0.99",
+         "--x=-3:4:0.125"),
+        ("ddcd5fc294b3bc2e26c36b14bbcd94710eaaab3ee834b78ed32418e1895ccbd0",
+         "5eff8f4502cacfa398c4a95daec5baa39b81b674af55a112dd1e14df346eb18e")),
+    "ou-htransform": (
+        ("--kind", "ou-htransform", "--lam", "1", "--x0", "-0.4", "--chirality", "-1",
+         "--t", "0.3,1", "--x=-8:3:0.125"),
+        ("c7558b415ae62632da31053bf9820a32f88f6baf48c8d092f53a7447db74c313",
+         "043362c2965e7909c6a7b09c598fc617c30230756b9408de71a1d122b6788bf4")),
+    "drift-json": (
+        ("--drift-json", "{tmp}/drift.json", "--x0", "1.5", "--t", "0.5,1",
+         "--x=-6:9:0.125"),
+        ("757bcd5371104619ac6fd9e1a1679c252da13bf165121d689fc26870e791b736",
+         "313b43f297ae0152077faebaea250a31fe85130bb5cbebd3cd1dbaf77f9bd2de")),
+    "censored": (
+        ("--kind", "censored", "--rho", "-0.7", "--t", "0.25,1", "--x=-4:4:0.125"),
+        ("8deeb8fb4501fbcf3ce1f9f2a5b15dd4162f31c8101508dcb243676446390e02",
+         "8673e9f4af5277a3e88bc4a4f20e57202a65888b50f6e44b5dd48fa6726d1028")),
+    "ou-noise-marginal": (
+        ("--kind", "ou-noise-marginal", "--lam", "1", "--x0", "0.5", "--T", "2",
+         "--t", "0.5,1.5", "--x=-4:4:0.125"),
+        ("2537990cc8dc0145905294f28a13c66330e9d57953d918b729a3a286f44889eb",
+         "7cdfd436266e06ca65086804b7a6cfdd849a61bd4ae5622798f8754ff7fd5234")),
+}
 
 
 class TestFamilyCommand:
@@ -111,6 +149,17 @@ class TestDensityCommand:
                    for d in ("cc", "rho"))
         assert np.array_equal(cc[:, :2], rho[:, :2])
         np.testing.assert_allclose(cc[:, 2], rho[:, 2], rtol=1.5e-14, atol=0)
+
+    @pytest.mark.parametrize("case", sorted(DENSITY_PINS))
+    def test_tables_are_pinned(self, tmp_path, case):
+        desc = tmp_path / "drift.json"
+        desc.write_text(json.dumps(DriftSpec(
+            family=constant_correlation_family(0.6, -1), shift=1.5,
+            diffusion_scale=2.0).descriptor()))
+        argv, digests = DENSITY_PINS[case]
+        assert run(tmp_path, "density", *(a.format(tmp=tmp_path) for a in argv)) == 0
+        for name, digest in zip(("density.csv", "density_summary.json"), digests):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 class TestSimulateCommand:
