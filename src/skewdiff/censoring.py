@@ -86,8 +86,7 @@ def verify_ou_selection(lam: float, x: float, chirality: int = 1):
     with z ~ N(-lam x, lam / 2): that variance matches the Mills argument
     sqrt(2 lam) x, and the factor two restores the Mills amplitude.  A
     single censored mean with variance lam/2 (or any other variance) is off
-    by that factor; see ou_selection_discrepancy for the gap of the
-    unweighted reading.  Returns (drift_direct, drift_via_selection, abs_diff).
+    by that factor.  Returns (drift_direct, drift_via_selection, abs_diff).
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
@@ -98,17 +97,6 @@ def verify_ou_selection(lam: float, x: float, chirality: int = 1):
         mean=-lam * x, std=math.sqrt(lam / 2.0), threshold=0.0, side=side))
     via = -2.0 * censored - lam * x
     return direct, via, abs(direct - via)
-
-
-def ou_selection_discrepancy(lam: float, x: float, chirality: int = 1) -> float:
-    """Gap |drift - (-E[z|z<0])| for the unweighted censored mean with
-    z ~ N(-lam x, 2/lam).  Nonzero in general; reported, not asserted."""
-    from .ou_skew import OuSkewSpec, ou_htransform_drift
-    direct = float(ou_htransform_drift(x, OuSkewSpec(lam=lam, chirality=chirality)))
-    side = "below" if chirality > 0 else "above"
-    censored = truncated_normal_mean(TruncatedNormalSpec(
-        mean=-lam * x, std=math.sqrt(2.0 / lam), threshold=0.0, side=side))
-    return abs(direct - (-censored))
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:

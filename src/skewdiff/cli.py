@@ -21,19 +21,19 @@ import scipy
 
 from . import __version__
 from .censoring import posterior_from_censored_sim
-from .densities import (_ou_moments, censored_posterior, density_grid,
-                        ou_skew_driven_marginal)
-from .dists import ExtendedSkewNormalParams, esn_pdf
+from .densities import (Law, censored_esn, density_grid, ou_gaussian_esn,
+                        ou_skew_driven_esn)
+from .dists import ExtendedSkewNormalParams
 from .errors import SchemaError, SkewDiffError
 from .families import (CLOSED_FORM_FAMILIES, DriftSpec, drift_spec_from_descriptor,
                        horizon_family)
 from .fokker_planck import FpConfig, solve_kfe
 from .io import (columns_to_csv, density_grid_summary, density_grid_to_csv,
                  ensemble_to_binary, ensemble_to_csv, write_json)
-from .ou_skew import ou_mixture_probability, repulsive_ou_tpd, simulate_ou_skew_noise
+from .ou_skew import ou_mixture_probability, simulate_ou_skew_noise
 from .sde import SimConfig, TimeGrid, mixture_probability, simulate, \
     simulate_bivariate_censoring, simulate_mixture, thread_count
-from .validation import cdf_from_pdf, ks_statistic, ks_threshold
+from .validation import ks_statistic, ks_threshold
 
 
 def _parse_floats(text: str, sep: str = ","):
@@ -82,22 +82,16 @@ def _ou_drift(lam, chirality) -> DriftSpec:
 
 def _horizon_mixture(T, x0):
     """Horizon drifts of both chiralities; their mixture is Brownian motion."""
-    def target(t):
-        sd = math.sqrt(t)
-        p = ExtendedSkewNormalParams(x0, sd, 0.0, 0.0)
-        return cdf_from_pdf(lambda v: esn_pdf(v, p), x0 - 8 * sd, x0 + 8 * sd)
     drifts = [DriftSpec(family=horizon_family(T, c)) for c in (1, -1)]
-    return drifts, mixture_probability(x0, T), target, "brownian"
+    brownian = Law(lambda t: ExtendedSkewNormalParams(x0, math.sqrt(t), 0.0, 0.0))
+    return drifts, mixture_probability(x0, T), brownian, "brownian"
 
 
 def _ou_mixture(lam, x0):
     """OU h-transforms of both chiralities; their mixture is the growing OU."""
-    def target(t):
-        m, var = _ou_moments(t, lam, x0)
-        sd = math.sqrt(var)
-        return cdf_from_pdf(lambda v: repulsive_ou_tpd(v, t, lam, x0), m - 8 * sd, m + 8 * sd)
     drifts = [_ou_drift(lam, c) for c in (1, -1)]
-    return drifts, ou_mixture_probability(lam, x0), target, "growing-ou"
+    growing = Law(lambda t: ou_gaussian_esn(t, lam, x0))
+    return drifts, ou_mixture_probability(lam, x0), growing, "growing-ou"
 
 
 # One table per --kind axis: kind -> (constructor, the flags passed to it in
@@ -106,10 +100,10 @@ FAMILY_KINDS = {kind.replace("_", "-"): (make, (param, "chirality"))
                 for kind, (make, param) in CLOSED_FORM_FAMILIES.items()}
 # simulate, fokker-planck and density also take the OU h-transform drift
 DRIFT_KINDS = {**FAMILY_KINDS, "ou-htransform": (_ou_drift, ("lam", "chirality"))}
-# densities that are not the law of a drift, called as f(x, t, *flags)
+# laws that are not the law of a drift, as ESN maps called as f(t, *flags)
 DENSITY_KINDS = {
-    "censored": (censored_posterior, ("rho",)),
-    "ou-noise-marginal": (ou_skew_driven_marginal, ("lam", "x0", "T")),
+    "censored": (censored_esn, ("rho",)),
+    "ou-noise-marginal": (ou_skew_driven_esn, ("lam", "x0", "T")),
 }
 MIXTURE_KINDS = {
     "horizon": (_horizon_mixture, ("T", "x0")),
@@ -220,13 +214,10 @@ def cmd_simulate(args, outdir: Path):
     artifacts = [_emit_ensemble(ens, outdir, "ensemble", args.format)]
     terminal = ens.values[:, -1]
     # the terminal KS against the drift's own law, where it has one
-    pdf, ks, thr = drift.law(args.x0, grid.t_start), None, None
-    if pdf is not None and args.paths >= 100 and grid.t_final < drift.validity_horizon:
-        pad = 8 * drift.diffusion_scale * math.sqrt(grid.t_final - grid.t_start)
-        ref = cdf_from_pdf(lambda v: pdf(v, grid.t_final),
-                           terminal.min() - pad, terminal.max() + pad)
-        ks, thr = ks_statistic(terminal, ref), ks_threshold(args.paths)
-    summary = {"law": None if pdf is None else drift.kind, "terminal_ks": ks,
+    law, ks, thr = drift.law(args.x0, grid.t_start), None, None
+    if law is not None and args.paths >= 100 and grid.t_final < drift.validity_horizon:
+        ks, thr = ks_statistic(terminal, law.cdf(grid.t_final)), ks_threshold(args.paths)
+    summary = {"law": None if law is None else drift.kind, "terminal_ks": ks,
                "threshold": thr, "terminal_mean": float(terminal.mean()),
                "terminal_variance": float(terminal.var(ddof=1)),
                "terminal_skewness": float(
@@ -247,23 +238,23 @@ def cmd_density(args, outdir: Path):
     if args.drift_json or args.kind not in DENSITY_KINDS:
         # a drift's own law; --kind beside --drift-json is refused here
         drift = _drift_from_args(args)
-        pdf, horizon = drift.law(args.x0), drift.validity_horizon
-        if pdf is None:
+        law, horizon = drift.law(args.x0), drift.validity_horizon
+        if law is None:
             raise SchemaError(f"the {drift.kind} drift has no closed-form law "
                               f"from x0={args.x0}")
     else:
-        tpd, flags = DENSITY_KINDS[args.kind]
+        esn, flags = DENSITY_KINDS[args.kind]
         params = _params(args, flags, f"kind={args.kind}")
         if args.rho is not None and not abs(args.rho) < 1:
             raise SchemaError(f"--rho must lie in (-1, 1), got {args.rho}")
         if args.lam is not None and not args.lam > 0:
             raise SchemaError(f"--lam must be positive, got {args.lam}")
-        pdf = lambda x, t: tpd(x, t, *params)
+        law = Law(lambda t: esn(t, *params))
         # the kinds here that read --T hold their law below it
         horizon = math.inf if args.T is None else args.T
     if max(ts) >= horizon:
         raise SchemaError(f"--t times must stay below the horizon {horizon:g}, got {args.t!r}")
-    grid = density_grid(pdf, xs, ts)
+    grid = density_grid(law.pdf, xs, ts)
     csv_path = outdir / "density.csv"
     density_grid_to_csv(grid, csv_path)
     sp = outdir / "density_summary.json"
@@ -319,9 +310,7 @@ def cmd_censor(args, outdir: Path):
         xg, dens, frac, n_surv = posterior_from_censored_sim(
             ens_x, ens_y, j, bandwidth=args.bandwidth)
         surv = ens_x.values[:, j][ens_y.values[:, j] >= 0.0]
-        ref = cdf_from_pdf(lambda v: censored_posterior(v, t_j, r_eff),
-                           xg[0] - 2.0, xg[-1] + 2.0)
-        ks = ks_statistic(surv, ref)
+        ks = ks_statistic(surv, Law(lambda t: censored_esn(t, r_eff)).cdf(t_j))
         results.append({"t": t_j, "survivor_fraction": frac, "ks": ks,
                         "threshold": ks_threshold(n_surv),
                         "n_effective": n_surv, "correlation": r_eff})
@@ -338,7 +327,7 @@ def cmd_mixture(args, outdir: Path):
     (dplus, dminus), (p_minus, p_plus), target, target_name = _make(MIXTURE_KINDS, args)
     grid = _grid(args, dplus.family, args.steps)
     ens = simulate_mixture(dplus, dminus, p_plus, args.x0, grid, _sim_config(args))
-    ks = ks_statistic(ens.values[:, -1], target(grid.t_final))
+    ks = ks_statistic(ens.values[:, -1], target.cdf(grid.t_final))
     thr = ks_threshold(args.paths)
     artifacts = [_emit_ensemble(ens, outdir, "mixture", args.format)]
     rp = outdir / "mixture_results.json"
@@ -361,17 +350,13 @@ def cmd_ou(args, outdir: Path):
         _params(args, ("lam",), "mode=htransform")
         drift = _ou_drift(args.lam, 1 if args.chirality is None else args.chirality)
         ens = simulate(drift, args.x0, grid, cfg)
-        pdf = drift.law(args.x0)
-        ref = cdf_from_pdf(lambda v: pdf(v, term), -10 - abs(args.x0),
-                           10 + abs(args.x0) + 3 * math.exp(args.lam * term))
-        ks = ks_statistic(ens.values[:, -1], ref)
+        ks = ks_statistic(ens.values[:, -1], drift.law(args.x0).cdf(term))
         artifacts = [_emit_ensemble(ens, outdir, "ou_htransform", args.format)]
     else:
         _, T = _params(args, ("lam", "T"), "mode=sknoise")
         ens_x, ens_z = simulate_ou_skew_noise(args.lam, args.x0, T, grid, cfg)
-        ref = cdf_from_pdf(lambda v: ou_skew_driven_marginal(v, term, args.lam, args.x0, T),
-                           -12, 12)
-        ks = ks_statistic(ens_x.values[:, -1], ref)
+        law = Law(lambda t: ou_skew_driven_esn(t, args.lam, args.x0, T))
+        ks = ks_statistic(ens_x.values[:, -1], law.cdf(term))
         artifacts = [_emit_ensemble(ens_x, outdir, "ou_system", args.format),
                      _emit_ensemble(ens_z, outdir, "ou_driver", args.format)]
     thr = ks_threshold(args.paths)

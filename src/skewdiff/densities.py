@@ -1,8 +1,10 @@
 """Closed-form transition and marginal densities, evaluated in log space.
 
-Every normalized law here is one extended skew-normal (ESN) law, given by
-its (location, scale, shape, truncation) and evaluated by `dists.esn_pdf`;
-only the two ratio forms kept as independent references are written out.
+Every normalized law here is one extended skew-normal (ESN) law: a map
+`*_esn(t, ...)` gives its (location, scale, shape, truncation) at time t,
+the `*_tpd` of the same law is `dists.esn_pdf` at those parameters, and a
+`Law` carries the map with the affine image Y = shift + sigma X.  Only the
+two ratio forms kept as independent references are written out.
 Grids record their trapezoid mass per time slice rather than assuming
 normalization: the unshifted general-family kernel genuinely loses mass for
 a nonzero start, and that deviation is itself a tested signature.
@@ -11,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .dists import (ExtendedSkewNormalParams, LOG_SQRT_2PI, esn_pdf,
+from .dists import (ExtendedSkewNormalParams, LOG_SQRT_2PI, esn_moments, esn_pdf,
                     std_normal_logcdf)
 from .errors import HorizonError
 from .families import SkewFamily
@@ -48,6 +51,29 @@ class DensityGrid:
         return out
 
 
+@dataclass(frozen=True)
+class Law:
+    """The law of Y = shift + sigma X at each time t, where X has the ESN law
+    `unit(t)`: the closed-form law of a drift, or of a density kind."""
+
+    unit: Callable[[float], ExtendedSkewNormalParams]
+    shift: float = 0.0
+    sigma: float = 1.0
+
+    def pdf(self, y, t: float):
+        """Density of Y at y (scalar or array) and time t."""
+        return esn_pdf((y - self.shift) / self.sigma, self.unit(t)) / self.sigma
+
+    def cdf(self, t: float):
+        """Trapezoid cdf of the time-t law over its mean +- 12 sd, a window
+        that holds the law's mass wherever its parameters put it."""
+        from .validation import cdf_from_pdf
+        mean, var = esn_moments(self.unit(t))
+        center = self.shift + self.sigma * mean
+        half = 12.0 * self.sigma * math.sqrt(var)
+        return cdf_from_pdf(lambda y: self.pdf(y, t), center - half, center + half)
+
+
 def density_grid(fn, x_nodes, t_nodes) -> DensityGrid:
     """Tabulate fn(x_array, t) over the grid."""
     x_nodes = np.asarray(x_nodes, dtype=float)
@@ -75,7 +101,12 @@ def horizon_tpd(x, t: float, x0: float, T: float, chirality: int = 1):
 
 def horizon_tpd_two_time(x, t: float, x_prev: float, t_prev: float, T: float,
                          chirality: int = 1):
-    """General two-time kernel of the finite-horizon diffusion.
+    """General two-time kernel of the finite-horizon diffusion."""
+    return esn_pdf(x, horizon_esn(t, x_prev, t_prev, T, chirality))
+
+
+def horizon_esn(t: float, x_prev: float, t_prev: float, T: float, chirality: int = 1):
+    """ESN parameters of the finite-horizon kernel from (x_prev, t_prev).
 
     Gaussian(x_prev, t - t_prev) times Phi(alpha_t x)/Phi(alpha_prev x_prev),
     with the skewness alpha_u = chirality/sqrt(T - u) at the absolute times,
@@ -88,16 +119,20 @@ def horizon_tpd_two_time(x, t: float, x_prev: float, t_prev: float, T: float,
         raise HorizonError(f"need 0 <= t_prev < t < T, got ({t_prev}, {t}, {T})")
     s = math.sqrt(t - t_prev)
     a_t = chirality / math.sqrt(T - t)
-    return esn_pdf(x, ExtendedSkewNormalParams(x_prev, s, a_t * s, a_t * x_prev))
+    return ExtendedSkewNormalParams(x_prev, s, a_t * s, a_t * x_prev)
 
 
 def constant_skew_tpd(x, t: float, alpha: float, chirality: int = 1):
-    """Marginal law of the constant-skew diffusion started at zero: a
-    skew-normal with scale sqrt(t) and shape chirality*alpha*sqrt(t)."""
+    """Marginal law of the constant-skew diffusion started at zero."""
+    return esn_pdf(x, constant_skew_esn(t, alpha, chirality))
+
+
+def constant_skew_esn(t: float, alpha: float, chirality: int = 1):
+    """A skew-normal with scale sqrt(t) and shape chirality*alpha*sqrt(t)."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     s = math.sqrt(t)
-    return esn_pdf(x, ExtendedSkewNormalParams(0.0, s, chirality * alpha * s, 0.0))
+    return ExtendedSkewNormalParams(0.0, s, chirality * alpha * s, 0.0)
 
 
 def family_tpd(x, t: float, family: SkewFamily, x0: float = 0.0):
@@ -105,14 +140,19 @@ def family_tpd(x, t: float, family: SkewFamily, x0: float = 0.0):
 
     The cdf factor is evaluated at alpha_t * (x - x0): the drift of a
     nonzero-start process must carry the same shift, and this is the density
-    that stays normalized for every x0.  It is the skew-normal law with
-    location x0, scale sqrt(t) and shape alpha_t * sqrt(t).
+    that stays normalized for every x0.
     """
+    return esn_pdf(x, family_esn(t, family, x0))
+
+
+def family_esn(t: float, family: SkewFamily, x0: float = 0.0):
+    """The skew-normal law with location x0, scale sqrt(t) and shape
+    alpha_t * sqrt(t)."""
     family.check_time(t)
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     s = math.sqrt(t)
-    return esn_pdf(x, ExtendedSkewNormalParams(x0, s, float(family.alpha(t)) * s, 0.0))
+    return ExtendedSkewNormalParams(x0, s, float(family.alpha(t)) * s, 0.0)
 
 
 def family_tpd_unshifted(x, t: float, family: SkewFamily, x0: float,
@@ -144,14 +184,18 @@ def restart_tpd(x, t: float, x_prev: float, t_prev: float, family: SkewFamily):
 
 def censored_posterior(x, t: float, rho_t: float):
     """Density of X_t given Y_t >= 0 for a centered bivariate-Gaussian pair
-    with common variance t and correlation rho_t: the skew-normal law with
-    scale sqrt(t) and shape rho_t / sqrt(1 - rho_t^2)."""
+    with common variance t and correlation rho_t."""
+    return esn_pdf(x, censored_esn(t, rho_t))
+
+
+def censored_esn(t: float, rho_t: float):
+    """The skew-normal law with scale sqrt(t) and shape rho_t / sqrt(1 - rho_t^2)."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     if not abs(rho_t) < 1:
         raise ValueError("|rho_t| must be < 1 (degenerate limit is half-normal)")
     shape = rho_t / math.sqrt(1.0 - rho_t * rho_t)
-    return esn_pdf(x, ExtendedSkewNormalParams(0.0, math.sqrt(t), shape, 0.0))
+    return ExtendedSkewNormalParams(0.0, math.sqrt(t), shape, 0.0)
 
 
 def _ou_moments(t: float, rate: float, x0: float):
@@ -162,23 +206,33 @@ def _ou_moments(t: float, rate: float, x0: float):
     return mean, var
 
 
+def ou_gaussian_esn(t: float, rate: float, x0: float):
+    """The Gaussian law at time t of dX = rate * X dt + dW from x0."""
+    m, v = _ou_moments(t, rate, x0)
+    return ExtendedSkewNormalParams(m, math.sqrt(v), 0.0, 0.0)
+
+
 def ou_htransform_tpd(x, t: float, lam: float, x0: float, chirality: int = 1):
-    """Transition density of the OU-reversal skew diffusion, as an extended
-    skew-normal law.
+    """Transition density of the OU-reversal skew diffusion; matches the raw
+    integral-ratio form pointwise."""
+    return esn_pdf(x, ou_htransform_esn(t, lam, x0, chirality))
+
+
+def ou_htransform_esn(t: float, lam: float, x0: float, chirality: int = 1):
+    """ESN parameters of the OU-reversal law.
 
     Location/scale are the growing-OU moments x0*exp(lam t) and
     sqrt((exp(2 lam t) - 1)/(2 lam)); the shape is chirality *
     sqrt(exp(2 lam t) - 1) and the truncation chirality * sqrt(2 lam) * x0 *
-    exp(lam t).  Matches the raw integral-ratio form pointwise.
+    exp(lam t).
     """
     if not (t > 0 and lam > 0):
         raise ValueError("t and lam must be positive")
     m_plus, s2_plus = _ou_moments(t, lam, x0)
     k_t = math.sqrt(math.expm1(2.0 * lam * t))
-    p = ExtendedSkewNormalParams(location=m_plus, scale=math.sqrt(s2_plus),
-                                 shape=chirality * k_t,
-                                 truncation=chirality * math.sqrt(2.0 * lam) * m_plus)
-    return esn_pdf(x, p)
+    return ExtendedSkewNormalParams(location=m_plus, scale=math.sqrt(s2_plus),
+                                    shape=chirality * k_t,
+                                    truncation=chirality * math.sqrt(2.0 * lam) * m_plus)
 
 
 def ou_htransform_tpd_raw(x, t: float, lam: float, x0: float, chirality: int = 1):
@@ -194,7 +248,12 @@ def ou_htransform_tpd_raw(x, t: float, lam: float, x0: float, chirality: int = 1
 
 def ou_skew_driven_marginal(x, t: float, lam: float, x0: float, T: float):
     """Marginal law of a mean-reverting system driven by the finite-horizon
-    skew noise (shared increments, right chirality).
+    skew noise (shared increments, right chirality)."""
+    return esn_pdf(x, ou_skew_driven_esn(t, lam, x0, T))
+
+
+def ou_skew_driven_esn(t: float, lam: float, x0: float, T: float):
+    """ESN parameters of the skew-driven OU marginal.
 
     The pair (system, noise) is the harmonic reweighting of a degenerate
     Gaussian pair, so the marginal is the decaying-OU Gaussian N(m, s^2)
@@ -210,7 +269,7 @@ def ou_skew_driven_marginal(x, t: float, lam: float, x0: float, T: float):
     s = math.sqrt(s2_minus)
     u = math.exp(-lam * t)
     k = (2.0 / (1.0 + u)) / math.sqrt(T - (2.0 / lam) * math.tanh(0.5 * lam * t))
-    return esn_pdf(x, ExtendedSkewNormalParams(m_minus, s, k * s, 0.0))
+    return ExtendedSkewNormalParams(m_minus, s, k * s, 0.0)
 
 
 def chapman_kolmogorov_residual(tpd, x0: float, t0: float, t1: float, t2: float,

@@ -82,22 +82,6 @@ def std_normal_logcdf(x):
     return _ret(log_ndtr(x), scalar)
 
 
-def log_mills(x):
-    """log of the inverse Mills ratio phi(x)/Phi(x).
-
-    Uses the scaled complementary error function, Phi(x) =
-    exp(-x^2/2) * erfcx(-x/sqrt(2)) / 2, so the x^2/2 terms cancel
-    analytically and the result stays accurate for x as negative as -40
-    and beyond.  For large positive x the direct log-difference is used
-    (erfcx would overflow past ~38).
-    """
-    x, scalar = _as_array(x)
-    safe = np.minimum(x, 8.0)
-    via_erfcx = math.log(2.0) - LOG_SQRT_2PI - np.log(erfcx(-safe / math.sqrt(2.0)))
-    direct = -0.5 * x * x - LOG_SQRT_2PI - log_ndtr(x)
-    return _ret(np.where(x > 8.0, direct, via_erfcx), scalar)
-
-
 def mills(x):
     """Inverse Mills ratio phi(x)/Phi(x); behaves like -x for x -> -inf.
 
@@ -136,10 +120,6 @@ def mills(x):
     return q
 
 
-def sn_logpdf(x, p: SkewNormalParams):
-    return esn_logpdf(x, ExtendedSkewNormalParams(p.location, p.scale, p.shape, 0.0))
-
-
 def sn_pdf(x, p: SkewNormalParams):
     """Skew-normal density 2/scale * phi(z) * Phi(shape*z), z standardized:
     the extended law at truncation 0."""
@@ -148,12 +128,23 @@ def sn_pdf(x, p: SkewNormalParams):
 
 def sn_moments(p: SkewNormalParams):
     """Return (mean, variance, skewness coefficient) of the skew-normal law."""
-    delta = p.shape / math.sqrt(1.0 + p.shape * p.shape)
-    mu_z = delta * math.sqrt(2.0 / math.pi)
-    mean = p.location + p.scale * mu_z
-    variance = p.scale * p.scale * (1.0 - mu_z * mu_z)
+    mean, variance = esn_moments(
+        ExtendedSkewNormalParams(p.location, p.scale, p.shape, 0.0))
+    mu_z = p.shape / math.sqrt(1.0 + p.shape * p.shape) * _SQRT_2_OVER_PI
     skew = (4.0 - math.pi) / 2.0 * mu_z**3 / (1.0 - mu_z * mu_z) ** 1.5
     return mean, variance, skew
+
+
+def esn_moments(p: ExtendedSkewNormalParams):
+    """Return (mean, variance) of the extended skew-normal law: with
+    delta = shape/sqrt(1 + shape^2), tau = truncation/sqrt(1 + shape^2) and
+    m = mills(tau), the mean is location + scale * delta * m and the
+    variance scale^2 * (1 - delta^2 * m * (tau + m))."""
+    r = math.sqrt(1.0 + p.shape * p.shape)
+    delta, tau = p.shape / r, p.truncation / r
+    m = mills(tau)
+    return (p.location + p.scale * delta * m,
+            p.scale * p.scale * (1.0 - delta * delta * m * (tau + m)))
 
 
 def esn_logpdf(x, p: ExtendedSkewNormalParams):

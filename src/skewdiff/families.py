@@ -404,24 +404,23 @@ class DriftSpec:
         return drift_value(self, x, t)
 
     def law(self, x0: float, t0: float = 0.0):
-        """Closed-form pdf(y, t) of Y started at (x0, t0), or None.
+        """Closed-form `densities.Law` of Y started at (x0, t0), or None.
 
-        It is base((y - shift)/sigma, t)/sigma, with base the law of X from
-        (x0 - shift)/sigma: the horizon and (time-free) OU h-transform
-        kernels from any start, a family's marginal only from (shift, 0)."""
-        from .densities import family_tpd, horizon_tpd_two_time, ou_htransform_tpd
+        Its unit law is that of X from (x0 - shift)/sigma: the horizon and
+        (time-free) OU h-transform kernels from any start, a family's
+        marginal only from (shift, 0)."""
+        from .densities import Law, family_esn, horizon_esn, ou_htransform_esn
         shift, sigma, fam, p = self.shift, self.diffusion_scale, self.family, self.params
         u0 = (x0 - shift) / sigma
         if self.kind == "horizon":
-            base = lambda u, t: horizon_tpd_two_time(u, t, u0, t0, fam.params["T"],
-                                                     fam.chirality)
+            unit = lambda t: horizon_esn(t, u0, t0, fam.params["T"], fam.chirality)
         elif self.kind == "ou_htransform":
-            base = lambda u, t: ou_htransform_tpd(u, t - t0, p["lam"], u0, p["chirality"])
+            unit = lambda t: ou_htransform_esn(t - t0, p["lam"], u0, p["chirality"])
         elif fam is not None and t0 == 0 and x0 == shift:
-            base = lambda u, t: family_tpd(u, t, fam)
+            unit = lambda t: family_esn(t, fam)
         else:
             return None
-        return lambda y, t: base((y - shift) / sigma, t) / sigma
+        return Law(unit, shift, sigma)
 
     def descriptor(self) -> dict:
         d = {"kind": self.kind, "shift": self.shift, "sigma": self.diffusion_scale}

@@ -2,9 +2,8 @@
 
 Covers the harmonic reweighting that turns a mean-reverting process into a
 skew diffusion (drift lam*x + a Mills term), the mixture that reassembles
-the repulsive OU law from the two chiralities, the mean-reverting system
-driven by finite-horizon skew noise, and the state transform that maps a
-state-dependent diffusion coefficient to unit scale.
+the repulsive OU law from the two chiralities, and the mean-reverting
+system driven by finite-horizon skew noise.
 """
 from __future__ import annotations
 
@@ -14,9 +13,8 @@ from functools import partial
 
 import numpy as np
 
-from .densities import _ou_moments, ou_htransform_tpd_raw
-from .dists import (ExtendedSkewNormalParams, esn_pdf, mills, std_normal_cdf,
-                    std_normal_logcdf)
+from .densities import ou_gaussian_esn, ou_htransform_tpd_raw
+from .dists import esn_pdf, mills, std_normal_cdf, std_normal_logcdf
 from .errors import SchemaError, SkewDiffError
 from .families import DriftSpec, horizon_family
 from .sde import PathEnsemble, SimConfig, TimeGrid, _clamp, _integrate
@@ -83,14 +81,12 @@ def ou_mixture_probability(lam: float, x: float):
 
 def stationary_ou_tpd(x, t: float, lam: float, x0: float):
     """Gaussian transition law of dX = -lam X dt + dW from x0."""
-    m, v = _ou_moments(t, -lam, x0)
-    return esn_pdf(x, ExtendedSkewNormalParams(m, math.sqrt(v), 0.0, 0.0))
+    return esn_pdf(x, ou_gaussian_esn(t, -lam, x0))
 
 
 def repulsive_ou_tpd(x, t: float, lam: float, x0: float):
     """Gaussian transition law of the unstable counterpart dX = +lam X dt + dW."""
-    m, v = _ou_moments(t, lam, x0)
-    return esn_pdf(x, ExtendedSkewNormalParams(m, math.sqrt(v), 0.0, 0.0))
+    return esn_pdf(x, ou_gaussian_esn(t, lam, x0))
 
 
 def ou_identity_residual(lam: float, x0: float, x_grid, t_values) -> float:
@@ -158,28 +154,3 @@ def simulate_ou_skew_noise(lam: float, x0: float, T: float, grid: TimeGrid,
     ens_z = PathEnsemble(grid=grid, values=zv, seed=cfg.seed,
                          record_stride=cfg.record_stride, clamp_events=clamps)
     return ens_x, ens_z
-
-
-def lamperti_map(sigma_fn, z: float, t: float, anchor: float = 0.0) -> float:
-    """State transform int_anchor^z du / sigma(u, t) by adaptive quadrature.
-
-    Maps a diffusion with state-dependent coefficient sigma to unit
-    diffusion scale.  sigma_fn must stay positive on the integration range.
-    """
-    from scipy.integrate import quad
-    lo, hi = (anchor, z) if z >= anchor else (z, anchor)
-    probe = np.linspace(lo, hi, 33)
-    vals = np.array([float(sigma_fn(u, t)) for u in probe])
-    if np.any(vals <= 0):
-        raise ValueError("sigma must be positive on the integration range")
-    val, _ = quad(lambda u: 1.0 / float(sigma_fn(u, t)), anchor, z,
-                  epsabs=1e-12, epsrel=1e-10, limit=200)
-    return float(val)
-
-
-def lamperti_skew_factor(sigma_fn, z: float, t: float, alpha_t: float,
-                         anchor: float = 0.0) -> float:
-    """Reweighting factor Phi(alpha_t * Psi(z, t)) carried by a process
-    whose driver is a skew diffusion rather than Brownian motion, with Psi
-    the state transform above (normalized-cdf reading)."""
-    return float(std_normal_cdf(alpha_t * lamperti_map(sigma_fn, z, t, anchor)))

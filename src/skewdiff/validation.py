@@ -15,7 +15,7 @@ from typing import Callable, List, Optional
 import numpy as np
 from scipy.special import kolmogi
 
-from .densities import DensityGrid, density_mass, family_tpd, family_tpd_unshifted
+from .densities import density_mass, family_tpd, family_tpd_unshifted
 from .dists import std_normal_logcdf
 from .families import DriftSpec, SkewFamily, drift_value
 from .sde import PathEnsemble
@@ -110,24 +110,6 @@ def martingale_mean(h: Callable, ensemble: PathEnsemble, x0: float,
         out.append((float(times[j]), float(vals.mean()),
                     float(vals.std(ddof=1) / math.sqrt(len(vals)))))
     return out
-
-
-def kl_grid(p: DensityGrid, q: DensityGrid, t_index: int = -1,
-            floor: float = 1e-300, joint_cut: float = 1e-12) -> float:
-    """Trapezoid KL divergence int p log(p/q) dx between two grid slices.
-
-    Grids must share x nodes.  Densities are floored at `floor` before the
-    log; points where both densities sit below `joint_cut` are excluded so
-    tail noise cannot dominate the estimate.
-    """
-    if p.values.shape[1] != q.values.shape[1] or \
-            not np.allclose(p.x_nodes, q.x_nodes):
-        raise ValueError("grids must share x nodes")
-    pv = np.maximum(p.values[t_index], floor)
-    qv = np.maximum(q.values[t_index], floor)
-    keep = (p.values[t_index] > joint_cut) | (q.values[t_index] > joint_cut)
-    integrand = np.where(keep, pv * (np.log(pv) - np.log(qv)), 0.0)
-    return float(np.trapezoid(integrand, p.x_nodes))
 
 
 def _energy_paths(family: SkewFamily, paths: PathEnsemble) -> np.ndarray:

@@ -13,7 +13,6 @@ from skewdiff import (SimConfig, TimeGrid, TruncatedNormalSpec,
                       posterior_from_censored_sim, simulate_bivariate_censoring,
                       truncated_normal_mean, verify_ou_selection,
                       verify_selection_representation)
-from skewdiff.censoring import ou_selection_discrepancy
 from skewdiff.validation import cdf_from_pdf, ks_statistic, ks_threshold
 
 
@@ -115,7 +114,12 @@ class TestOuSelection:
 
     def test_unweighted_reading_fails(self):
         # the single censored mean with variance 2/lam does not match the drift
-        gaps = [ou_selection_discrepancy(1.0, x, +1) for x in (-2.0, -0.5, 0.7)]
+        gaps = []
+        for x in (-2.0, -0.5, 0.7):
+            direct, _, _ = verify_ou_selection(1.0, x, +1)
+            censored = truncated_normal_mean(TruncatedNormalSpec(
+                mean=-x, std=math.sqrt(2.0), threshold=0.0, side="below"))
+            gaps.append(abs(direct + censored))
         assert max(gaps) > 1e-2
 
 

@@ -117,7 +117,7 @@ class TestDensityCommand:
                    "--t", "0.5,1", "--x", "-6:9:0.25") == 0
         x, t, q = np.loadtxt(tmp_path / "density.csv", delimiter=",", skiprows=1).T
         law = drift.law(1.5)
-        np.testing.assert_allclose(q, [law(np.asarray(u), s) for u, s in zip(x, t)],
+        np.testing.assert_allclose(q, [law.pdf(np.asarray(u), s) for u, s in zip(x, t)],
                                    rtol=1e-14, atol=0)
 
     def test_general_descriptor_away_from_its_shift_exits_2(self, tmp_path):
@@ -549,6 +549,19 @@ class TestOtherCommands:
                    "--t-end", "0.5", "--steps", "250", "--paths", "20000",
                    "--record-stride", "250", "--seed", "4")
         assert code == 0
+        res = json.loads((tmp_path / "ou_results.json").read_text())
+        assert res["terminal_ks"] <= res["threshold"]
+
+    @pytest.mark.parametrize("argv", [
+        ("--mode", "htransform", "--lam", "1", "--x0", "12"),
+        ("--mode", "sknoise", "--lam", "1", "--T", "2", "--x0", "30")],
+        ids=["htransform", "sknoise"])
+    def test_ou_reference_holds_the_law_far_from_the_origin(self, tmp_path, argv):
+        # the law's mass lies past a window of fixed width: these runs read
+        # KS 0.917 and 0.131 against 0.0180 when the reference cdf was cut
+        # off at 10 + |x0| + 3e^{lam t} and at +-12
+        assert run(tmp_path, "ou", *argv, "--t-end", "1", "--steps", "1000",
+                   "--paths", "8192", "--seed", "3") == 0
         res = json.loads((tmp_path / "ou_results.json").read_text())
         assert res["terminal_ks"] <= res["threshold"]
 

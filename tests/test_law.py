@@ -10,7 +10,9 @@ from numpy.testing import assert_allclose
 from skewdiff import (DriftSpec, SimConfig, TimeGrid, constant_correlation_family,
                       constant_skew_family, horizon_family, ks_statistic,
                       ks_threshold, simulate)
-from skewdiff.densities import density_mass
+from skewdiff.densities import (density_mass, family_tpd_unshifted,
+                                ou_htransform_tpd_raw)
+from skewdiff.dists import esn_moments
 from skewdiff.validation import cdf_from_pdf
 
 
@@ -71,9 +73,9 @@ class TestLawKs:
         ens = simulate(drift, x0, TimeGrid(0.0, t, 1000),
                        SimConfig(n_paths=n, seed=1, record_stride=1000))
         term = ens.values[:, -1]
-        pdf = drift.law(x0)
+        law = drift.law(x0)
         pad = 8 * drift.diffusion_scale * math.sqrt(t)
-        ref = cdf_from_pdf(lambda v: pdf(v, t), term.min() - pad, term.max() + pad)
+        ref = cdf_from_pdf(lambda v: law.pdf(v, t), term.min() - pad, term.max() + pad)
         assert ks_statistic(term, ref) <= ks_threshold(n)
 
 
@@ -89,7 +91,7 @@ class TestLawTable:
     def test_time_free_ou_law_depends_on_elapsed_time(self):
         d = _drift("ou_htransform", sigma=1.5, shift=0.2)
         ys = np.linspace(-4, 6, 41)
-        assert_allclose(d.law(0.6, t0=0.3)(ys, 1.0), d.law(0.6)(ys, 0.7), rtol=1e-14)
+        assert_allclose(d.law(0.6, t0=0.3).pdf(ys, 1.0), d.law(0.6).pdf(ys, 0.7), rtol=1e-14)
 
     def test_constant_correlation_law_is_the_censored_posterior(self):
         from skewdiff.densities import censored_posterior
@@ -97,7 +99,48 @@ class TestLawTable:
         for c in (0.3, 0.6, 0.9):
             law = DriftSpec(family=constant_correlation_family(c)).law(0.0)
             for t in (0.25, 1.0, 3.0):
-                assert_allclose(law(ys, t), censored_posterior(ys, t, c), rtol=1.5e-14)
+                assert_allclose(law.pdf(ys, t), censored_posterior(ys, t, c), rtol=1.5e-14)
+
+
+def _reference_cdf(law, t, raw_pdf, n=2_000_001):
+    """The trapezoid cdf of `raw_pdf` on n nodes over the law's mean +- 30 sd."""
+    mean, var = esn_moments(law.unit(t))
+    center, half = law.shift + law.sigma * mean, 30 * law.sigma * math.sqrt(var)
+    xs = np.linspace(center - half, center + half, n)
+    q = raw_pdf(xs)
+    c = np.concatenate([[0.0], np.cumsum(0.5 * (q[1:] + q[:-1]) * np.diff(xs))])
+    return xs, c / c[-1]
+
+
+class TestLawCdf:
+    # Law.cdf is a 20001-node trapezoid over mean +- 12 sd; the references
+    # integrate the ratio forms, not the ESN maps, on 2e6 nodes over +- 30 sd.
+    # Measured worst gaps: 1.0e-6 for the OU law (lam 2, x0 -5, t 2) and
+    # 4.5e-7 for the horizon kernel (at t = 0.999)
+    @pytest.mark.parametrize("x0", [-10.0, -5.0, -3.0, 0.4, 12.0])
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_ou_htransform(self, lam, x0):
+        # x0 = -10 at lam = 2 and t = 2 puts the normaliser at Phi(-20)
+        for chirality in (1, -1):
+            law = DriftSpec(params={"lam": lam, "chirality": chirality}).law(x0)
+            for t in (0.01, 0.3, 1.0, 2.0):
+                xs, ref = _reference_cdf(
+                    law, t, lambda v: ou_htransform_tpd_raw(v, t, lam, x0, chirality))
+                gap = np.max(np.abs(law.cdf(t)(xs[::40]) - ref[::40]))
+                assert gap <= 2e-6, (chirality, t, gap)
+
+    @pytest.mark.parametrize("x0,t0", [(0.0, 0.0), (0.7, 0.0), (-1.5, 0.5)])
+    def test_horizon(self, x0, t0):
+        # the horizon family has unit amplitude, so its unshifted two-time
+        # kernel is the exact law
+        for chirality in (1, -1):
+            fam = horizon_family(1.0, chirality)
+            law = DriftSpec(family=fam).law(x0, t0)
+            for t in (0.6, 0.9, 0.99, 0.999):
+                xs, ref = _reference_cdf(
+                    law, t, lambda v: family_tpd_unshifted(v, t, fam, x0, t0))
+                gap = np.max(np.abs(law.cdf(t)(xs[::40]) - ref[::40]))
+                assert gap <= 2e-6, (chirality, t, gap)
 
 
 _U_SPAN = 15.0
@@ -126,8 +169,8 @@ class TestLawProperties:
         lo = min(u0, u0 * math.e) - _U_SPAN
         hi = max(u0, u0 * math.e) + _U_SPAN
         ys = shift + sigma * np.linspace(lo, hi, 201)
-        assert_allclose(law(ys, t), unit((ys - shift) / sigma, t) / sigma,
+        assert_allclose(law.pdf(ys, t), unit.pdf((ys - shift) / sigma, t) / sigma,
                         rtol=1e-14, atol=0)
-        mass = density_mass(law, t, lo=shift + sigma * lo, hi=shift + sigma * hi,
+        mass = density_mass(law.pdf, t, lo=shift + sigma * lo, hi=shift + sigma * hi,
                             center=x0)
         assert abs(mass - 1.0) < 1e-8

@@ -1,4 +1,4 @@
-"""Mean-reversion extensions: reversal transform, skew noise, state map."""
+"""Mean-reversion extensions: reversal transform and skew noise."""
 import hashlib
 import math
 
@@ -7,9 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from skewdiff import (OuSkewSpec, SimConfig, SkewDiffError, TimeGrid,
-                      lamperti_map, lamperti_skew_factor, ou_h, ou_h_log,
-                      ou_htransform_drift, ou_identity_residual,
+from skewdiff import (OuSkewSpec, SimConfig, SkewDiffError, TimeGrid, ou_h,
+                      ou_h_log, ou_htransform_drift, ou_identity_residual,
                       ou_mixture_probability, repulsive_ou_tpd,
                       simulate_ou_skew_noise, stationary_ou_tpd,
                       std_normal_cdf)
@@ -211,28 +210,3 @@ class TestSkewNoisePinnedBytes:
             h.update(np.ascontiguousarray(ens.values, dtype="<f8").tobytes())
             h.update(str(ens.clamp_events).encode())
         assert h.hexdigest() == SKEW_NOISE_PINS[seed]
-
-
-class TestStateTransform:
-    def test_constant_coefficient(self):
-        assert_allclose(lamperti_map(lambda u, t: 2.5, 3.0, 0.0), 3.0 / 2.5,
-                        rtol=1e-12)
-
-    def test_linear_coefficient_gives_log(self):
-        for z in (0.3, 1.0, 4.7):
-            assert_allclose(lamperti_map(lambda u, t: u, z, 0.0, anchor=1.0),
-                            math.log(z), rtol=1e-10, atol=1e-12)
-
-    def test_quadratic_coefficient_gives_arctan(self):
-        for z in (-2.0, 0.5, 3.0):
-            assert_allclose(lamperti_map(lambda u, t: 1 + u * u, z, 0.0),
-                            math.atan(z), rtol=1e-10, atol=1e-12)
-
-    def test_nonpositive_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            lamperti_map(lambda u, t: u, 2.0, 0.0, anchor=-1.0)
-
-    def test_skew_factor(self):
-        alpha_t = 1.3
-        val = lamperti_skew_factor(lambda u, t: 2.0, 1.0, 0.0, alpha_t)
-        assert_allclose(val, float(std_normal_cdf(alpha_t * 0.5)), rtol=1e-12)

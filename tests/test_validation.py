@@ -6,10 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from skewdiff import (DriftSpec, SimConfig, TimeGrid, ValidationReport,
-                      cdf_from_pdf, constant_skew_family, constant_skew_tpd,
-                      density_grid, girsanov_energy, girsanov_kl_gap,
-                      horizon_family, kl_grid, ks_statistic, ks_threshold,
-                      martingale_mean, normalization_audit,
+                      cdf_from_pdf, constant_skew_family, girsanov_energy,
+                      girsanov_kl_gap, horizon_family, ks_statistic,
+                      ks_threshold, martingale_mean, normalization_audit,
                       path_kl_telescoped, simulate, std_normal_cdf)
 
 ZERO = DriftSpec(mu_fn=lambda x, t: np.zeros_like(x))
@@ -51,39 +50,6 @@ class TestCdfFromPdf:
         xs = np.linspace(-3, 3, 13)
         assert np.max(np.abs(f(xs) - std_normal_cdf(xs))) < 1e-7
         assert abs(f.total_mass - 1.0) < 1e-8
-
-
-class TestKlGrid:
-    def gaussian_grid(self, mean, var=1.0):
-        xs = np.linspace(-12, 12, 24001)
-        return density_grid(
-            lambda x, t: np.exp(-(x - mean) ** 2 / (2 * var)) / math.sqrt(2 * math.pi * var),
-            xs, [1.0])
-
-    def test_identical_grids(self):
-        p = self.gaussian_grid(0.0)
-        assert kl_grid(p, p) == 0.0
-
-    def test_gaussian_shift(self):
-        # closed form: KL(N(0,1) || N(m,1)) = m^2/2
-        p = self.gaussian_grid(0.0)
-        q = self.gaussian_grid(1.0)
-        assert abs(kl_grid(p, q) - 0.5) < 1e-6
-
-    def test_nonnegative_on_skewed_pairs(self):
-        xs = np.linspace(-10, 11, 8001)
-        p = density_grid(lambda x, t: constant_skew_tpd(x, t, 1.0, +1), xs, [1.0])
-        q = density_grid(lambda x, t: constant_skew_tpd(x, t, 2.0, +1), xs, [1.0])
-        assert kl_grid(p, q) > 0
-        assert kl_grid(q, p) > 0
-
-    def test_grid_mismatch_rejected(self):
-        p = self.gaussian_grid(0.0)
-        xs = np.linspace(-5, 5, 101)
-        q = density_grid(lambda x, t: np.exp(-x * x / 2) / math.sqrt(2 * math.pi),
-                         xs, [1.0])
-        with pytest.raises(ValueError):
-            kl_grid(p, q)
 
 
 class TestMartingaleMean:
