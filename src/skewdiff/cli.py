@@ -100,7 +100,7 @@ FAMILY_KINDS = {kind.replace("_", "-"): (make, (param, "chirality"))
                 for kind, (make, param) in CLOSED_FORM_FAMILIES.items()}
 # simulate, fokker-planck and density also take the OU h-transform drift
 DRIFT_KINDS = {**FAMILY_KINDS, "ou-htransform": (_ou_drift, ("lam", "chirality"))}
-# laws that are not the law of a drift, as ESN maps called as f(t, *flags)
+# plain densities, not the law of a drift: ESN maps called as f(t, *flags)
 DENSITY_KINDS = {
     "censored": (censored_esn, ("rho",)),
     "ou-noise-marginal": (ou_skew_driven_esn, ("lam", "x0", "T")),
