@@ -22,6 +22,11 @@ MILLS_CUTOFF = -5.0
 _MILLS_ZERO_ABOVE = 40.0
 
 
+def is_scalar(x) -> bool:
+    """One number: a float, an int, a NumPy scalar or a 0-d array."""
+    return isinstance(x, float) or np.ndim(x) == 0
+
+
 def _as_array(x):
     a = np.asarray(x, dtype=float)
     return a, (a.ndim == 0)
@@ -99,7 +104,7 @@ def mills(x):
     Python float, from the same operations as an array element.  This sits
     on the hot path of every drift evaluation.
     """
-    if isinstance(x, float) or np.ndim(x) == 0:    # no 0-d array round trip
+    if is_scalar(x):    # no 0-d array round trip
         v = float(x)
         if v < MILLS_CUTOFF:
             return float(_SQRT_2_OVER_PI / erfcx(-v / _SQRT_2))
@@ -113,9 +118,10 @@ def mills(x):
     q *= -0.5
     q -= LOG_SQRT_2PI
     np.exp(q, out=q)
-    q /= ndtr(u)
-    tail = x < MILLS_CUTOFF
-    if tail.any():
+    q /= ndtr(u, out=u)
+    # one min finds a tail; a NaN minimum falls back to the mask
+    if x.size and not x.min() >= MILLS_CUTOFF:
+        tail = x < MILLS_CUTOFF
         q[tail] = _SQRT_2_OVER_PI / erfcx(-x[tail] / _SQRT_2)
     return q
 

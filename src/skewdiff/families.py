@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dists import mills
+from .dists import is_scalar, mills
 from .errors import HorizonError, SchemaError
 
 
@@ -29,7 +29,9 @@ class SkewFamily:
 
     `psi` and `alpha` accept scalars or arrays.  `alpha_dot` is the exact
     time derivative when a closed form exists (None for numeric families,
-    where finite differences apply).
+    where finite differences apply).  The closed forms take one number as
+    a Python float, with the array path's operations in the same order, so
+    a scalar call skips the 0-d array round trip and gives the same bits.
     """
 
     psi: Callable
@@ -48,7 +50,7 @@ class SkewFamily:
             raise SchemaError("family constant must be nonnegative")
 
     def check_time(self, t):
-        tmax = float(np.max(t))
+        tmax = float(t) if is_scalar(t) else float(np.max(t))
         if tmax >= self.validity_horizon:
             raise HorizonError(
                 f"t={tmax} is at or beyond the validity horizon {self.validity_horizon}")
@@ -129,13 +131,21 @@ def horizon_family(T: float, chirality: int = 1) -> SkewFamily:
     chirality = int(chirality)
 
     def psi(t):
+        if is_scalar(t):
+            return 1.0
         return np.ones_like(np.asarray(t, dtype=float))
 
     def alpha(t):
+        # from T on, math raises where NumPy gives inf or nan
+        if is_scalar(t) and float(t) < T:
+            return chirality / math.sqrt(T - float(t))
         t = np.asarray(t, dtype=float)
         return chirality / np.sqrt(T - t)
 
     def alpha_dot(t):
+        if is_scalar(t):
+            # the array's ufunc: a scalar's ** can round pow differently by an ulp
+            return chirality * 0.5 * float(np.power(T - float(t), -1.5))
         t = np.asarray(t, dtype=float)
         return chirality * 0.5 * (T - t) ** -1.5
 
@@ -152,14 +162,19 @@ def constant_skew_family(alpha_const: float, chirality: int = 1) -> SkewFamily:
     a2 = alpha_const * alpha_const
 
     def psi(t):
-        t = np.asarray(t, dtype=float)
+        # a float divides by at least one for t >= 0; elsewhere NumPy's rules apply
+        t = float(t) if is_scalar(t) and t >= 0 else np.asarray(t, dtype=float)
         return 0.5 * (2.0 + a2 * t) / (1.0 + a2 * t)
 
     def alpha(t):
+        if is_scalar(t):
+            return chirality * alpha_const
         t = np.asarray(t, dtype=float)
         return np.full_like(t, chirality * alpha_const)
 
     def alpha_dot(t):
+        if is_scalar(t):
+            return 0.0
         return np.zeros_like(np.asarray(t, dtype=float))
 
     return SkewFamily(psi=psi, alpha=alpha, chirality=chirality,
@@ -180,15 +195,21 @@ def constant_correlation_family(C: float, chirality: int = 1) -> SkewFamily:
     coef = C / math.sqrt(1.0 - C * C)
 
     def psi(t):
+        if is_scalar(t):
+            return 0.5
         return np.full_like(np.asarray(t, dtype=float), 0.5)
 
     def alpha(t):
+        if is_scalar(t) and t > 0:
+            return chirality * coef / math.sqrt(float(t))
         # diverges like 1/sqrt(t) at the origin; inf is the correct limit
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
             return chirality * coef / np.sqrt(t)
 
     def alpha_dot(t):
+        if is_scalar(t):
+            return -0.5 * chirality * coef * float(np.power(float(t), -1.5))
         t = np.asarray(t, dtype=float)
         return -0.5 * chirality * coef * t**-1.5
 

@@ -4,8 +4,11 @@ Noise is drawn from counter-based Philox streams keyed by
 (master seed, component tag, path block), so an ensemble is bitwise
 reproducible for a fixed (seed, n_paths, grid) no matter how many worker
 threads process the blocks.  Blocks have a fixed size independent of the
-thread count; the path loop is embarrassingly parallel and each block
-writes a disjoint slice of the output.
+thread count.  Each worker thread steps one contiguous run of blocks as a
+single array of paths, so a step costs a few wide array operations per
+worker rather than per block; every operation is elementwise, so the
+split does not change a value, and each run writes a disjoint slice of
+the output.
 """
 from __future__ import annotations
 
@@ -185,6 +188,20 @@ def _clamp(inc: np.ndarray, limit: float, k: int, path_offset: int):
     return np.clip(inc, -limit, limit), int((np.abs(inc) > limit).sum())
 
 
+def _runs(n_paths: int, workers: int):
+    """Split the blocks into `workers` contiguous runs (b0, b1) of about
+    equal path counts: run i starts at the block boundary nearest to path
+    i * n_paths / workers, and no run is empty."""
+    n_blocks = len(_blocks(n_paths))
+    cuts = [0]
+    for i in range(1, workers):
+        # round half up of i * n_paths / (workers * _BLOCK_SIZE), in integers
+        near = (2 * i * n_paths + workers * _BLOCK_SIZE) // (2 * workers * _BLOCK_SIZE)
+        cuts.append(min(max(near, cuts[-1] + 1), n_blocks - (workers - i)))
+    cuts.append(n_blocks)
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
 def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
                scales=(1.0,)):
     """The one Euler-Maruyama engine behind every simulator.
@@ -192,14 +209,24 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
     `step_for(lo, hi)` builds the step for paths lo:hi; the step maps
     (states, zs, k) to (new states, clamp events), where states holds one
     array per component and zs one noise row per stream for the step from
-    grid time k to k + 1; a step may overwrite its zs rows.  Stream i's row
-    is a standard normal draw times scales[i], a number or an array of one
-    value per step.  Stream tag i (0 = primary, 1 = secondary) is keyed by
-    (seed, i, block), so the ensemble does not depend on the thread count.
-    Each stream fills one reused buffer of _STEP_CHUNK rows and scales it
-    in one call; the generator writes its draws in order, so the chunk size
-    does not change them.  Returns one n_paths x n_recorded array per
-    component (started at x0s) and the total clamp events.
+    grid time k to k + 1; a step may update its states and overwrite its
+    zs rows in place.  Stream i's row is a standard normal draw times
+    scales[i], a number or an array of one value per step.  Stream tag i
+    (0 = primary, 1 = secondary) is keyed by (seed, i, block), so the
+    ensemble does not depend on the thread count.
+
+    Each worker thread takes one contiguous run of blocks (see _runs) and
+    steps all its paths at once, so a step is a few wide array operations
+    rather than a few per block.  Each block's stream fills that block's
+    columns of the run's noise rows, at most _STEP_CHUNK * _BLOCK_SIZE
+    doubles per stream (a wider run draws fewer rows per call); the
+    generator writes its draws in order, so the row count does not change
+    them.  States are checked for finiteness every _STEP_CHUNK steps.  A
+    SimulationError names the lowest failing block at that block's first
+    detection, whatever the thread count: a failure in a run reruns the
+    run's blocks below the failing one, which may fail first.  Returns one
+    n_paths x n_recorded array per component (started at x0s) and the
+    total clamp events.
     """
     if grid.n_steps % cfg.record_stride:
         raise SchemaError("record_stride must divide n_steps")
@@ -210,49 +237,66 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
                for s in scales]
     n_rec = grid.n_steps // cfg.record_stride + 1
     outs = tuple(np.empty((cfg.n_paths, n_rec)) for _ in x0s)
-    blocks = _blocks(cfg.n_paths)
-    clamp_total = np.zeros(len(blocks), dtype=np.int64)
 
-    def worker(blk):
-        lo, hi = blk
+    def run_blocks(b0, b1):
+        """Integrate blocks b0..b1-1 as one array of paths; returns the clamp events."""
+        lo, hi = b0 * _BLOCK_SIZE, min(cfg.n_paths, b1 * _BLOCK_SIZE)
         m = hi - lo
-        block = lo // _BLOCK_SIZE
-        rngs = [_stream(cfg.seed, tag, block) for tag in range(len(columns))]
-        bufs = [np.empty((min(_STEP_CHUNK, grid.n_steps), m)) for _ in rngs]
+        streams = [[_stream(cfg.seed, tag, b) for b in range(b0, b1)]
+                   for tag in range(len(columns))]
+        rows = max(1, min(grid.n_steps, _STEP_CHUNK * _BLOCK_SIZE // m))
+        bufs = [np.empty((rows, m)) for _ in columns]
+        draws = np.empty(rows * min(m, _BLOCK_SIZE))   # one block's rows, before scaling
         step = step_for(lo, hi)
         states = tuple(np.full(m, float(v)) for v in x0s)
         for out, x in zip(outs, states):
             out[lo:hi, 0] = x
         clamps = 0
-        k0 = 0
-        while k0 < grid.n_steps:
-            chunk = min(_STEP_CHUNK, grid.n_steps - k0)
-            zs = [buf[:chunk] for buf in bufs]
-            for rng, z, col in zip(rngs, zs, columns):
-                rng.standard_normal(out=z)
-                if cfg.antithetic:
-                    np.negative(z[:, 0::2], out=z[:, 1::2])
-                z *= col[k0:k0 + chunk]
-            for j in range(chunk):
-                k = k0 + j
-                states, n = step(states, [z[j] for z in zs], k)
-                clamps += n
-                if (k + 1) % cfg.record_stride == 0:
-                    for out, x in zip(outs, states):
-                        out[lo:hi, (k + 1) // cfg.record_stride] = x
-            k0 += chunk
-            for x in states:
-                _check_finite(~np.isfinite(x), k0, lo)
-        clamp_total[block] = clamps
+        for k in range(grid.n_steps):
+            j = k % rows
+            if j == 0:
+                n = min(rows, grid.n_steps - k)
+                for rngs, buf, col in zip(streams, bufs, columns):
+                    for i, rng in enumerate(rngs):
+                        c0, c1 = i * _BLOCK_SIZE, min(m, (i + 1) * _BLOCK_SIZE)
+                        z = draws[:n * (c1 - c0)].reshape(n, c1 - c0)
+                        rng.standard_normal(out=z)
+                        np.multiply(z, col[k:k + n], out=buf[:n, c0:c1])
+                    if cfg.antithetic:
+                        np.negative(buf[:n, 0::2], out=buf[:n, 1::2])
+            states, c = step(states, [buf[j] for buf in bufs], k)
+            clamps += c
+            if (k + 1) % cfg.record_stride == 0:
+                for out, x in zip(outs, states):
+                    out[lo:hi, (k + 1) // cfg.record_stride] = x
+            if (k + 1) % _STEP_CHUNK == 0 or k + 1 == grid.n_steps:
+                for x in states:
+                    _check_finite(~np.isfinite(x), k + 1, lo)
+        return clamps
 
-    workers = min(thread_count(cfg.n_threads), len(blocks))
+    def worker(run):
+        b0, b1 = run
+        failure = None
+        while b1 > b0:
+            try:
+                clamps = run_blocks(b0, b1)
+                break
+            except SimulationError as err:
+                # the lowest failing block at this detection; a block below
+                # it may still fail later, and its error would come first
+                failure, b1 = err, err.path_index // _BLOCK_SIZE
+        if failure is not None:
+            raise failure
+        return clamps
+
+    workers = min(thread_count(cfg.n_threads), len(_blocks(cfg.n_paths)))
+    runs = _runs(cfg.n_paths, workers)
     if workers == 1:
-        for blk in blocks:
-            worker(blk)
+        events = [worker(run) for run in runs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(worker, blocks))
-    return outs, int(clamp_total.sum())
+            events = list(pool.map(worker, runs))
+    return outs, sum(events)
 
 
 def _check_horizon(grid: TimeGrid, *drifts: Optional["DriftSpec"]):
@@ -300,11 +344,14 @@ def simulate(drift: "DriftSpec", x0: float, grid: TimeGrid, cfg: SimConfig,
                     mu[im] = _drift_minus.mu(x[im], t)
                 return mu
 
+        scaled = np.empty(hi - lo)   # mu * dt
+
         def step(states, zs, k):
             x, = states
-            inc, n = _clamp(mu_at(x, times[k]) * dt, limit, k, lo)
+            np.multiply(mu_at(x, times[k]), dt, out=scaled)
+            inc, n = _clamp(scaled, limit, k, lo)
             # x + inc + sigma * sqdt * z, summed in that order
-            x = x + inc
+            x += inc
             x += zs[0]
             return (x,), n
         return step

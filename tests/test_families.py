@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from skewdiff import (DriftSpec, HorizonError, SchemaError, amplitude_from_family,
@@ -236,6 +238,62 @@ class TestDriftValue:
         spec = DriftSpec(mu_fn=lambda x, t: -2.0 * x)
         assert_allclose(drift_value(spec, np.array([1.0, -3.0]), 0.1),
                         np.array([-2.0, 6.0]))
+
+
+# each closed-form family with the times it is evaluated at: the horizon
+# family below its horizon, the constant-correlation family from 1e-6 on,
+# since its skewness diverges at the origin
+SCALAR_CASES = {
+    "horizon+": (horizon_family(1.5, +1), st.floats(0.0, 1.5, exclude_max=True)),
+    "horizon-": (horizon_family(0.8, -1), st.floats(0.0, 0.8, exclude_max=True)),
+    "constant_skew+": (constant_skew_family(1.3, +1), st.floats(0.0, 100.0)),
+    "constant_skew-": (constant_skew_family(0.4, -1), st.floats(0.0, 100.0)),
+    "constant_correlation+": (constant_correlation_family(0.6, +1),
+                              st.floats(1e-6, 100.0)),
+    "constant_correlation-": (constant_correlation_family(0.3, -1),
+                              st.floats(1e-6, 100.0)),
+}
+# one number as a Python float, a NumPy float, a 0-d and a 1-element array
+SCALAR_FORMS = (float, np.float64, np.array, lambda v: np.array([v]))
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).reshape(-1).view(np.int64)
+
+
+class TestScalarCalls:
+    """A scalar takes the float path, an array the NumPy one: same bits."""
+
+    @pytest.mark.parametrize("case", sorted(SCALAR_CASES))
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_closed_forms_match_array_elements(self, case, data):
+        fam, times = SCALAR_CASES[case]
+        ts = data.draw(st.lists(times, min_size=1, max_size=6))
+        for name in ("psi", "alpha", "alpha_dot"):
+            fn = getattr(fam, name)
+            whole = np.broadcast_to(fn(np.array(ts)), (len(ts),))
+            for i, t in enumerate(ts):
+                for form in SCALAR_FORMS:
+                    assert np.array_equal(_bits(fn(form(t))), _bits(whole[i])), (name, form, t)
+
+    @pytest.mark.parametrize("case", sorted(SCALAR_CASES))
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_drift_value_matches_array_elements(self, case, data):
+        fam, times = SCALAR_CASES[case]
+        t = data.draw(times)
+        xs = data.draw(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=6))
+        specs = [DriftSpec(family=fam)]
+        if fam.kind != "horizon":
+            specs.append(DriftSpec(family=fam, shift=0.3, diffusion_scale=1.7))
+        for spec in specs:
+            whole = drift_value(spec, np.array(xs), t)
+            for i, x in enumerate(xs):
+                for x_form in SCALAR_FORMS:
+                    for t_form in SCALAR_FORMS[:3]:
+                        got = drift_value(spec, x_form(x), t_form(t))
+                        assert np.array_equal(_bits(got), _bits(whole[i])), (x_form, t_form, x)
 
 
 class TestConstructorErrors:

@@ -50,6 +50,40 @@ class TestReproducibility:
                      SimConfig(n_paths=20000, seed=3, record_stride=25, n_threads=4))
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("kind", ["plain", "antithetic", "mixture"])
+    def test_partial_last_block_across_thread_counts(self, kind, monkeypatch):
+        # 50000 paths: six full blocks and a partial one, split into runs of
+        # uneven block counts on 2, 3 and 4 threads
+        monkeypatch.delenv("SKEWDIFF_THREADS", raising=False)
+        grid = TimeGrid(0.0, 0.5, 20)
+
+        def run(n_threads):
+            cfg = SimConfig(n_paths=50000, seed=7, record_stride=10, n_threads=n_threads,
+                            antithetic=kind == "antithetic")
+            if kind == "mixture":
+                return simulate_mixture(skew_drift(1.0, +1), skew_drift(1.0, -1), 0.4,
+                                        0.1, grid, cfg)
+            return simulate(skew_drift(1.0, +1), 0.1, grid, cfg)
+
+        ref = run(1)
+        for n_threads in (2, 3, 4):
+            ens = run(n_threads)
+            assert np.array_equal(ens.values, ref.values)
+            assert ens.clamp_events == ref.clamp_events
+
+    def test_runs_balance_paths(self):
+        from skewdiff.sde import _BLOCK_SIZE, _runs
+        assert _runs(50000, 2) == [(0, 3), (3, 7)]
+        assert _runs(8200, 2) == [(0, 1), (1, 2)]
+        for n_paths in (1, 8192, 8193, 50000, 100000):
+            n_blocks = -(-n_paths // _BLOCK_SIZE)
+            for workers in range(1, n_blocks + 1):
+                runs = _runs(n_paths, workers)
+                assert len(runs) == workers
+                assert runs[0][0] == 0 and runs[-1][1] == n_blocks
+                assert all(b0 < b1 for b0, b1 in runs)
+                assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
+
     def test_seed_changes_output(self):
         grid = TimeGrid(0.0, 0.5, 50)
         a = simulate(ZERO_DRIFT, 0.0, grid, SimConfig(n_paths=100, seed=1))
@@ -152,6 +186,34 @@ class TestSafeguards:
             _integrate(lambda lo, hi: step, (0.0, 0.0), TimeGrid(0.0, 1.0, 10),
                        SimConfig(n_paths=3, seed=1))
         assert err.value.path_index == 0
+
+    @pytest.mark.parametrize("n_threads", [1, 2, 3])
+    @pytest.mark.parametrize("detect", ["state", "drift"])
+    def test_lowest_failing_block_is_reported(self, detect, n_threads, monkeypatch):
+        # path 8195 (block 1) turns NaN on step 10, path 3 (block 0) on step
+        # 60: block 0's error comes first, at its own first detection (the
+        # state check at 64, or the clamp check of that step's increment),
+        # however the two blocks share threads
+        from skewdiff.sde import _clamp, _integrate
+        monkeypatch.delenv("SKEWDIFF_THREADS", raising=False)
+
+        def step_for(lo, hi):
+            paths = np.arange(lo, hi)
+
+            def step(states, zs, k):
+                x, = states
+                poison = np.where(((paths == 3) & (k == 59)) | ((paths == 8195) & (k == 9)),
+                                  np.nan, 0.0)
+                if detect == "drift":
+                    poison, _ = _clamp(poison, 10.0, k, lo)
+                return (x + poison + zs[0],), 0
+            return step
+
+        with pytest.raises(SimulationError) as err:
+            _integrate(step_for, (0.0,), TimeGrid(0.0, 1.0, 100),
+                       SimConfig(n_paths=16384, seed=1, n_threads=n_threads))
+        expect = {"state": (3, 64), "drift": (3, 60)}[detect]
+        assert (err.value.path_index, err.value.step_index) == expect
 
     def test_record_stride_must_divide_steps(self):
         with pytest.raises(SchemaError):
