@@ -1,8 +1,7 @@
 """Skew-normal diffusions: densities, drift families, simulation, validation."""
 
-from .dists import (ExtendedSkewNormalParams, SkewNormalParams, esn_moments,
-                    esn_pdf, half_normal_pdf, mills, sn_moments, sn_pdf,
-                    std_normal_cdf)
+from .dists import (ExtendedSkewNormalParams, esn_moments, esn_pdf,
+                    half_normal_pdf, mills, sn_moments, std_normal_cdf)
 from .errors import (HorizonError, PdeInstabilityError, SchemaError,
                      SimulationError, SkewDiffError)
 from .families import (DriftSpec, SkewFamily, amplitude_from_family,

@@ -105,12 +105,12 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
 
 
 def posterior_from_censored_sim(ensemble_x: PathEnsemble, ensemble_y: PathEnsemble,
-                                t_index: int, bandwidth: Optional[float] = None,
-                                x_grid: Optional[np.ndarray] = None):
+                                t_index: int, bandwidth: Optional[float] = None):
     """Kernel-density estimate of X at a recorded time, keeping only paths
     whose Y value is nonnegative there.
 
-    Gaussian kernel; bandwidth defaults to the Silverman rule.  Returns
+    Gaussian kernel; bandwidth defaults to the Silverman rule.  The estimate
+    is taken on 801 points spanning the survivors plus 4 bandwidths.  Returns
     (x_grid, density, survivor_fraction, n_survivors).  Raises when fewer
     than 1000 paths survive, since the estimate is meaningless below that.
     """
@@ -125,10 +125,8 @@ def posterior_from_censored_sim(ensemble_x: PathEnsemble, ensemble_y: PathEnsemb
     sel = xs[keep]
     frac = n_surv / len(xs)
     bw = bandwidth if bandwidth is not None else silverman_bandwidth(sel)
-    if x_grid is None:
-        pad = 4.0 * bw
-        x_grid = np.linspace(sel.min() - pad, sel.max() + pad, 801)
-    x_grid = np.asarray(x_grid, dtype=float)
+    pad = 4.0 * bw
+    x_grid = np.linspace(sel.min() - pad, sel.max() + pad, 801)
     # smooth a 4096-bin histogram, so the smoothing cost does not grow with the survivors
     edges = np.linspace(sel.min() - 6 * bw, sel.max() + 6 * bw, 4097)
     counts, _ = np.histogram(sel, bins=edges)

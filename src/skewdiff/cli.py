@@ -190,14 +190,21 @@ def _emit_ensemble(ens, outdir: Path, stem: str, fmt: str):
 
 def cmd_family(args, outdir: Path):
     fam = _make(FAMILY_KINDS, args)
-    ts = np.asarray(_parse_floats(args.table_t)) if args.table_t else None
+    table = None
+    if args.table_t:
+        ts = _parse_floats(args.table_t)
+        if not all(0 < t < fam.validity_horizon for t in ts):
+            raise SchemaError(f"--table-t times must be positive, finite and below the "
+                              f"horizon {fam.validity_horizon:g}, got {args.table_t!r}")
+        table = (ts, [fam.psi(t) for t in ts], [fam.alpha(t) for t in ts])
+        # psi's a2 * t can overflow for a finite time and parameter
+        if not np.isfinite(table).all():
+            raise FloatingPointError(f"psi or alpha is not finite at --table-t {args.table_t!r}")
     artifacts = [outdir / "family.json"]
     write_json(artifacts[0], fam.descriptor())
-    if ts is not None:
-        tab = outdir / "family_table.csv"
-        columns_to_csv(tab, ("t", "psi", "alpha"), ts,
-                       [fam.psi(t) for t in ts], [fam.alpha(t) for t in ts])
-        artifacts.append(tab)
+    if table is not None:
+        artifacts.append(outdir / "family_table.csv")
+        columns_to_csv(artifacts[-1], ("t", "psi", "alpha"), *table)
     return 0, artifacts
 
 
@@ -249,6 +256,8 @@ def cmd_density(args, outdir: Path):
             raise SchemaError(f"--rho must lie in (-1, 1), got {args.rho}")
         if args.lam is not None and not args.lam > 0:
             raise SchemaError(f"--lam must be positive, got {args.lam}")
+        if args.T is not None and not args.T < math.inf:
+            raise SchemaError(f"--T must be finite, got {args.T}")
         law = Law(lambda t: esn(t, *params))
         # the kinds here that read --T hold their law below it
         horizon = math.inf if args.T is None else args.T
@@ -554,7 +563,7 @@ def main(argv=None) -> int:
     except SchemaError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (SkewDiffError, FloatingPointError, ValueError) as e:
+    except (SkewDiffError, ArithmeticError, ValueError) as e:
         # vars(e) holds the fields an exception carries, such as the
         # PDE step diagnostics or the failing path and step index
         write_json(outdir / "diagnostics.json",

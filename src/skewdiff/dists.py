@@ -37,25 +37,13 @@ def _ret(a, scalar):
 
 
 @dataclass(frozen=True)
-class SkewNormalParams:
-    """Location/scale/shape parametrization of the skew-normal law.
+class ExtendedSkewNormalParams:
+    """Location/scale/shape parametrization of the skew-normal law, extended
+    by a truncation shift in the cdf factor (0 gives the skew-normal law).
 
     `scale` is in standard-deviation units; `shape` is the dimensionless
     asymmetry parameter (0 recovers the Gaussian).
     """
-
-    location: float
-    scale: float
-    shape: float
-
-    def __post_init__(self):
-        # the extended law at truncation 0, so its checks are the same
-        ExtendedSkewNormalParams(self.location, self.scale, self.shape, 0.0)
-
-
-@dataclass(frozen=True)
-class ExtendedSkewNormalParams:
-    """Four-parameter extension adding a truncation shift to the cdf factor."""
 
     location: float
     scale: float
@@ -126,16 +114,12 @@ def mills(x):
     return q
 
 
-def sn_pdf(x, p: SkewNormalParams):
-    """Skew-normal density 2/scale * phi(z) * Phi(shape*z), z standardized:
-    the extended law at truncation 0."""
-    return esn_pdf(x, ExtendedSkewNormalParams(p.location, p.scale, p.shape, 0.0))
-
-
-def sn_moments(p: SkewNormalParams):
-    """Return (mean, variance, skewness coefficient) of the skew-normal law."""
-    mean, variance = esn_moments(
-        ExtendedSkewNormalParams(p.location, p.scale, p.shape, 0.0))
+def sn_moments(p: ExtendedSkewNormalParams):
+    """Return (mean, variance, skewness coefficient) of the skew-normal law,
+    the extended law at truncation 0; any other truncation is a ValueError."""
+    if p.truncation != 0:
+        raise ValueError(f"sn_moments needs truncation 0, got {p.truncation}")
+    mean, variance = esn_moments(p)
     mu_z = p.shape / math.sqrt(1.0 + p.shape * p.shape) * _SQRT_2_OVER_PI
     skew = (4.0 - math.pi) / 2.0 * mu_z**3 / (1.0 - mu_z * mu_z) ** 1.5
     return mean, variance, skew
@@ -167,7 +151,8 @@ def esn_logpdf(x, p: ExtendedSkewNormalParams):
 
 
 def esn_pdf(x, p: ExtendedSkewNormalParams):
-    """Extended skew-normal density; reduces to sn_pdf at truncation = 0."""
+    """Extended skew-normal density; at truncation 0 it is the skew-normal
+    density 2/scale * phi(z) * Phi(shape*z), z standardized."""
     x, scalar = _as_array(x)
     return _ret(np.exp(esn_logpdf(x, p)), scalar)
 

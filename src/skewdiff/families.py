@@ -29,15 +29,15 @@ class SkewFamily:
 
     `psi` and `alpha` accept scalars or arrays.  `alpha_dot` is the exact
     time derivative when a closed form exists (None for numeric families,
-    where finite differences apply).  The closed forms take one number as
-    a Python float, with the array path's operations in the same order, so
-    a scalar call skips the 0-d array round trip and gives the same bits.
+    where finite differences apply).  The closed-form psi and alpha take one
+    number as a Python float, with the array path's operations in the same
+    order, so a scalar call skips the 0-d array round trip and gives the
+    same bits.
     """
 
     psi: Callable
     alpha: Callable
     chirality: int
-    family_constant: float
     validity_horizon: float
     kind: str
     params: dict = field(default_factory=dict)
@@ -46,8 +46,6 @@ class SkewFamily:
     def __post_init__(self):
         if self.chirality not in (-1, 1):
             raise SchemaError("chirality must be +1 or -1")
-        if self.family_constant < 0:
-            raise SchemaError("family constant must be nonnegative")
 
     def check_time(self, t):
         tmax = float(t) if is_scalar(t) else float(np.max(t))
@@ -112,8 +110,7 @@ def _family_from_gamma_table(C, chirality, t_nodes, psi_vals, gamma, horizon):
         return np.clip(psi_interp(np.asarray(t, dtype=float)), 0.0, 1.0)
 
     return SkewFamily(psi=psi, alpha=alpha, chirality=chirality,
-                      family_constant=float(C), validity_horizon=horizon,
-                      kind="general",
+                      validity_horizon=horizon, kind="general",
                       params={"C": float(C), "t": np.asarray(t_nodes).tolist(),
                               "psi": np.asarray(psi_vals).tolist(),
                               "gamma": np.asarray(gamma).tolist()})
@@ -126,8 +123,8 @@ def horizon_family(T: float, chirality: int = 1) -> SkewFamily:
     that pins the terminal law at time T to a half-normal; the skewness
     blows up as t -> T, which is the validity horizon.
     """
-    if not T > 0:
-        raise SchemaError(f"horizon T must be positive, got {T}")
+    if not 0 < T < math.inf:
+        raise SchemaError(f"horizon T must be positive and finite, got {T}")
     chirality = int(chirality)
 
     def psi(t):
@@ -143,21 +140,17 @@ def horizon_family(T: float, chirality: int = 1) -> SkewFamily:
         return chirality / np.sqrt(T - t)
 
     def alpha_dot(t):
-        if is_scalar(t):
-            # the array's ufunc: a scalar's ** can round pow differently by an ulp
-            return chirality * 0.5 * float(np.power(T - float(t), -1.5))
-        t = np.asarray(t, dtype=float)
-        return chirality * 0.5 * (T - t) ** -1.5
+        return chirality * 0.5 * np.power(T - t, -1.5)
 
     return SkewFamily(psi=psi, alpha=alpha, chirality=chirality,
-                      family_constant=1.0 / math.sqrt(T), validity_horizon=float(T),
-                      kind="horizon", params={"T": float(T)}, alpha_dot=alpha_dot)
+                      validity_horizon=float(T), kind="horizon", params={"T": float(T)},
+                      alpha_dot=alpha_dot)
 
 
 def constant_skew_family(alpha_const: float, chirality: int = 1) -> SkewFamily:
     """Constant-skewness family; the amplitude decays from 1 toward 1/2."""
-    if not alpha_const > 0:
-        raise SchemaError(f"alpha_const must be positive, got {alpha_const}")
+    if not 0 < alpha_const < math.inf:
+        raise SchemaError(f"alpha_const must be positive and finite, got {alpha_const}")
     chirality = int(chirality)
     a2 = alpha_const * alpha_const
 
@@ -173,14 +166,11 @@ def constant_skew_family(alpha_const: float, chirality: int = 1) -> SkewFamily:
         return np.full_like(t, chirality * alpha_const)
 
     def alpha_dot(t):
-        if is_scalar(t):
-            return 0.0
-        return np.zeros_like(np.asarray(t, dtype=float))
+        return np.zeros_like(t, dtype=float)
 
     return SkewFamily(psi=psi, alpha=alpha, chirality=chirality,
-                      family_constant=float(alpha_const), validity_horizon=math.inf,
-                      kind="constant_skew", params={"alpha": float(alpha_const)},
-                      alpha_dot=alpha_dot)
+                      validity_horizon=math.inf, kind="constant_skew",
+                      params={"alpha": float(alpha_const)}, alpha_dot=alpha_dot)
 
 
 def constant_correlation_family(C: float, chirality: int = 1) -> SkewFamily:
@@ -208,15 +198,11 @@ def constant_correlation_family(C: float, chirality: int = 1) -> SkewFamily:
             return chirality * coef / np.sqrt(t)
 
     def alpha_dot(t):
-        if is_scalar(t):
-            return -0.5 * chirality * coef * float(np.power(float(t), -1.5))
-        t = np.asarray(t, dtype=float)
-        return -0.5 * chirality * coef * t**-1.5
+        return -0.5 * chirality * coef * np.power(t, -1.5)
 
     return SkewFamily(psi=psi, alpha=alpha, chirality=chirality,
-                      family_constant=float(C), validity_horizon=math.inf,
-                      kind="constant_correlation", params={"C": float(C)},
-                      alpha_dot=alpha_dot)
+                      validity_horizon=math.inf, kind="constant_correlation",
+                      params={"C": float(C)}, alpha_dot=alpha_dot)
 
 
 # closed-form family kind -> (constructor, the name of its one parameter)
@@ -332,18 +318,18 @@ def family_from_amplitude(psi: Callable, C: float, chirality: int,
     step = max(1, len(nodes) // 240)
     idx = np.unique(np.r_[np.arange(0, len(nodes), step), len(nodes) - 1])
     return SkewFamily(psi=psi_vec, alpha=alpha, chirality=chirality,
-                      family_constant=float(C), validity_horizon=horizon,
-                      kind="general",
+                      validity_horizon=horizon, kind="general",
                       params={"C": float(C), "t": nodes[idx].tolist(),
                               "psi": [float(psi(t)) for t in nodes[idx]],
                               "gamma": gam[idx].tolist()})
 
 
-def amplitude_from_family(family: SkewFamily, t, rel_step: float = 1e-6):
+def amplitude_from_family(family: SkewFamily, t):
     """Recover psi(t) from alpha(t) through the inverse relation.
 
     Lambda = |alpha| / sqrt(1 + t alpha^2) and psi = 1 + t * dlogLambda/dt;
-    the log-derivative is taken by centered differences.
+    the log-derivative is taken by centered differences with step
+    1e-6 * max(t, 1e-3).
     """
     t = np.asarray(t, dtype=float)
 
@@ -351,12 +337,12 @@ def amplitude_from_family(family: SkewFamily, t, rel_step: float = 1e-6):
         a = np.abs(family.alpha(s))
         return np.log(a) - 0.5 * np.log1p(s * a * a)
 
-    h = rel_step * np.maximum(t, 1e-3)
+    h = 1e-6 * np.maximum(t, 1e-3)
     dlog = (log_lam(t + h) - log_lam(t - h)) / (2.0 * h)
     return 1.0 + t * dlog
 
 
-def ode_residual(family: SkewFamily, t, fd_step: float = 1e-4):
+def ode_residual(family: SkewFamily, t):
     """Residual of the skewness evolution equation at times t.
 
     The governing ODE (equivalent to the Gamma/Lambda system) is
@@ -365,7 +351,7 @@ def ode_residual(family: SkewFamily, t, fd_step: float = 1e-4):
 
     so the residual alpha' - psi*alpha*(alpha^2 + 1/t) + alpha/t + alpha^3/2
     vanishes identically on valid families.  alpha' uses the closed form
-    when available, otherwise centered differences with step fd_step*t.
+    when available, otherwise centered differences with step 1e-4 * t.
     """
     t = np.asarray(t, dtype=float)
     a = family.alpha(t)
@@ -373,7 +359,7 @@ def ode_residual(family: SkewFamily, t, fd_step: float = 1e-4):
     if family.alpha_dot is not None:
         da = family.alpha_dot(t)
     else:
-        h = fd_step * t
+        h = 1e-4 * t
         da = (family.alpha(t + h) - family.alpha(t - h)) / (2.0 * h)
     return da - p * a * (a * a + 1.0 / t) + a / t + 0.5 * a**3
 
@@ -382,9 +368,7 @@ def ode_residual(family: SkewFamily, t, fd_step: float = 1e-4):
 class DriftSpec:
     """Drift of Y = shift + sigma * X (sigma = diffusion_scale), where
     dX = mu(X, t) dt + dW and mu is
-      - a family's psi_t * alpha_t * mills(alpha_t * x).  The horizon drift
-        is shift-free (the initial condition only rescales the density
-        normalization), so a nonzero shift is rejected for a horizon family;
+      - a family's psi_t * alpha_t * mills(alpha_t * x);
       - for params {"lam", "chirality"}, the OU h-transform lam*x +
         chirality * sqrt(2 lam) * mills(chirality * sqrt(2 lam) * x);
       - or mu_fn(y, t), the drift of Y itself, used as given.
@@ -411,8 +395,6 @@ class DriftSpec:
             OuSkewSpec(lam=self.params["lam"], chirality=self.params["chirality"])
         if kind not in (None, derived):
             raise SchemaError(f"drift kind {kind!r} does not match its {derived!r} definition")
-        if derived == "horizon" and self.shift != 0.0:
-            raise SchemaError("the horizon drift is shift-free; shift must be 0")
         object.__setattr__(self, "kind", derived)
 
     @property

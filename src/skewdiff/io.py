@@ -31,6 +31,7 @@ from .sde import PathEnsemble, TimeGrid
 
 MAGIC = b"SKDF"
 VERSION = 1
+_HEADER = struct.Struct("<4sHHQQqdddII")
 
 
 def _fmt(v: float) -> str:
@@ -97,8 +98,8 @@ def ensemble_to_binary(ens: PathEnsemble, path) -> None:
     times = np.ascontiguousarray(ens.times, dtype="<f8")
     values = np.ascontiguousarray(ens.values, dtype="<f8")
     flags = 1 if ens.labels is not None else 0
-    header = struct.pack(
-        "<4sHHQQqdddII", MAGIC, VERSION, flags, ens.n_paths, len(times),
+    header = _HEADER.pack(
+        MAGIC, VERSION, flags, ens.n_paths, len(times),
         ens.seed, ens.grid.t_start, ens.grid.t_end,
         ens.grid.terminal_cutoff_epsilon, ens.record_stride, ens.grid.n_steps)
     with path.open("wb") as fh:
@@ -112,14 +113,20 @@ def ensemble_to_binary(ens: PathEnsemble, path) -> None:
 def ensemble_from_binary(path) -> PathEnsemble:
     path = Path(path)
     raw = path.read_bytes()
-    head = struct.calcsize("<4sHHQQqdddII")
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the "
+                         f"{_HEADER.size}-byte ensemble header")
     magic, version, flags, n_paths, n_times, seed, t_start, t_end, eps, stride, n_steps = \
-        struct.unpack("<4sHHQQqdddII", raw[:head])
+        _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise ValueError(f"not a skewdiff ensemble file: magic={magic!r}")
     if version != VERSION:
         raise ValueError(f"unsupported ensemble version {version}")
-    off = head
+    size = _HEADER.size + 8 * (n_times + n_paths * n_times) + (n_paths if flags & 1 else 0)
+    if len(raw) < size:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the {size} "
+                         f"bytes its header declares")
+    off = _HEADER.size
     times = np.frombuffer(raw, dtype="<f8", count=n_times, offset=off)
     off += 8 * n_times
     values = np.frombuffer(raw, dtype="<f8", count=n_paths * n_times, offset=off)

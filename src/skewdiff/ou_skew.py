@@ -22,11 +22,10 @@ from .sde import PathEnsemble, SimConfig, TimeGrid, _clamp, _integrate
 
 @dataclass(frozen=True)
 class OuSkewSpec:
-    """Mean-reversion rate, skew side, and starting point."""
+    """Mean-reversion rate and skew side."""
 
     lam: float
     chirality: int = 1
-    x0: float = 0.0
 
     def __post_init__(self):
         if not self.lam > 0:

@@ -107,7 +107,6 @@ class SimConfig:
     antithetic: bool = False
     record_stride: int = 1
     n_threads: Optional[int] = None
-    flip_noise: bool = False     # negate every Gaussian draw (mirror-law tests)
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -230,10 +229,8 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
     """
     if grid.n_steps % cfg.record_stride:
         raise SchemaError("record_stride must divide n_steps")
-    # one column per stream: row k scales step k's draws (negated for
-    # flip_noise; -(z * s) and z * -s are the same double)
-    sign = -1.0 if cfg.flip_noise else 1.0
-    columns = [np.broadcast_to(sign * np.asarray(s, dtype=float), (grid.n_steps,))[:, None]
+    # one column per stream: row k scales step k's draws
+    columns = [np.broadcast_to(np.asarray(s, dtype=float), (grid.n_steps,))[:, None]
                for s in scales]
     n_rec = grid.n_steps // cfg.record_stride + 1
     outs = tuple(np.empty((cfg.n_paths, n_rec)) for _ in x0s)

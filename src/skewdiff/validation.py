@@ -2,8 +2,8 @@
 
 Checks produce CheckResult records that aggregate into a machine-diffable
 ValidationReport.  KS thresholds always come from the asymptotic KS
-distribution at the requested confidence and the effective sample size,
-never from per-test constants.
+distribution at 99% confidence and the effective sample size, never from
+per-test constants.
 """
 from __future__ import annotations
 
@@ -53,8 +53,8 @@ class ValidationReport:
                 "seed": self.seed,
                 "all_passed": self.all_passed}
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def ks_statistic(samples, cdf: Callable) -> float:
@@ -71,14 +71,16 @@ def ks_statistic(samples, cdf: Callable) -> float:
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
 
 
-def ks_threshold(n: int, confidence: float = 0.99) -> float:
-    """Asymptotic KS acceptance threshold at the given confidence."""
-    return float(kolmogi(1.0 - confidence)) / math.sqrt(n)
+def ks_threshold(n: int) -> float:
+    """Asymptotic KS acceptance threshold at 99% confidence."""
+    # 1.0 - 0.99, not 0.01: the two differ in the last bits
+    return float(kolmogi(1.0 - 0.99)) / math.sqrt(n)
 
 
-def cdf_from_pdf(pdf: Callable, lo: float, hi: float, n: int = 20001) -> Callable:
-    """Numerically integrated cdf of a vectorized pdf, as an interpolant."""
-    x = np.linspace(lo, hi, n)
+def cdf_from_pdf(pdf: Callable, lo: float, hi: float) -> Callable:
+    """Numerically integrated cdf of a vectorized pdf on 20001 nodes, as an
+    interpolant."""
+    x = np.linspace(lo, hi, 20001)
     p = np.asarray(pdf(x), dtype=float)
     c = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(x))])
     total = c[-1]

@@ -3,13 +3,14 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewdiff import (DriftSpec, SimulationError, constant_correlation_family,
@@ -180,7 +181,8 @@ class TestSimulateCommand:
         (("--kind", "horizon", "--T", "1", "--x0", "0.3"), "horizon"),
         (("--kind", "ou-htransform", "--lam", "1", "--t-start", "0.2", "--x0", "-0.5"),
          "ou_htransform"),
-        (("--kind", "constant-skew", "--alpha", "1", "--t-start", "0.2"), None)])
+        (("--kind", "constant-skew", "--alpha", "1", "--t-start", "0.2"), None),
+        (("--kind", "horizon", "--T", "1", "--shift", "0.5", "--x0", "0.3"), "horizon")])
     def test_summary_reports_the_law(self, tmp_path, argv, law):
         n = 4000
         assert run(tmp_path, "simulate", *argv, "--t-end", "0.8", "--steps", "400",
@@ -237,11 +239,6 @@ class TestConfigurationErrors:
                    "--t-end", "0.5", "--steps", "10", "--paths", "0") == 2
         assert not (tmp_path / "diagnostics.json").exists()
 
-    def test_horizon_shift_exits_2(self, tmp_path):
-        args = ("simulate", "--kind", "horizon", "--T", "1.0", *self.SIM)
-        assert run(tmp_path, *args) == 0
-        assert run(tmp_path, *args, "--shift", "1") == 2
-
     @pytest.mark.parametrize("command", [
         ("simulate", "--kind", "constant-skew", "--alpha", "1.0", *SIM),
         ("family", "--kind", "horizon", "--T", "1.0")])
@@ -286,13 +283,18 @@ class TestConfigurationErrors:
          "--x=-1:1:0.5"),
         ("density", "--kind", "censored", "--rho", "1.5", "--t", "1", "--x=-1:1:0.5"),
         ("density", "--kind", "ou-htransform", "--lam", "-1", "--t", "1", "--x=-1:1:0.5"),
+        # an infinite noise horizon made a Gaussian whose far-off start
+        # wrote nan cells and exited 0
+        ("density", "--kind", "ou-noise-marginal", "--lam", "1", "--T", "inf",
+         "--x0", "1e308", "--t", "0.125", "--x=-5:1:0.5"),
     ], ids=["check_t_between", "check_t_past_end", "check_t_zero", "rho_above_one",
             "negative_bandwidth", "rho_one", "rho_minus_one", "density_t_zero",
             "density_t_negative", "zero_threads",
             "rho_without_constant_kind", "constant_kind_without_rho", "check_t_empty",
             "density_t_empty", "density_t_past_horizon", "density_t_at_horizon",
             "density_t_at_noise_horizon", "density_negative_noise_rate",
-            "density_rho_above_one", "density_negative_ou_rate"])
+            "density_rho_above_one", "density_negative_ou_rate",
+            "density_infinite_noise_horizon"])
     def test_setting_out_of_range_exits_2(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 2
         assert "Traceback" not in capsys.readouterr().err
@@ -411,22 +413,31 @@ class TestHorizonAndModeFlags:
 
 
 class TestFamilyParameterErrors:
-    @pytest.mark.parametrize("params", [("--kind", "horizon", "--T", "-1"),
-                                        ("--kind", "constant-skew", "--alpha", "0")])
+    @pytest.mark.parametrize("params", [
+        ("--kind", "horizon", "--T", "-1"),
+        ("--kind", "constant-skew", "--alpha", "0"),
+        # an infinite parameter or a table time off (0, horizon) wrote
+        # inf or nan cells and exited 0
+        ("--kind", "constant-skew", "--alpha", "inf"),
+        ("--kind", "horizon", "--T", "inf"),
+        ("--kind", "constant-skew", "--alpha", "1", "--table-t=-1"),
+        ("--kind", "constant-skew", "--alpha", "1", "--table-t", "0,1"),
+        ("--kind", "constant-skew", "--alpha", "1", "--table-t", "1,inf"),
+        ("--kind", "constant-correlation", "--C", "0.5", "--table-t", "nan"),
+        ("--kind", "horizon", "--T", "1", "--table-t", "0.5,1")])
     def test_bad_family_parameter_exits_2(self, tmp_path, params):
         assert run(tmp_path, "family", *params) == 2
-        assert not (tmp_path / "diagnostics.json").exists()
-        assert not (tmp_path / "manifest.json").exists()
+        assert not list(tmp_path.iterdir())
 
     def test_horizon_family_under_general_kind(self, tmp_path):
-        # a horizon family keeps its shift rule and its cutoff default under
+        # a horizon family keeps its cutoff default, and takes a shift, under
         # any drift kind
         fam = horizon_family(1.0).descriptor()
         desc = tmp_path / "drift.json"
         sim = ("--t-end", "1.0", "--steps", "20", "--paths", "16", "--seed", "4")
         desc.write_text(json.dumps({"kind": "general", "family": fam, "shift": 1.5}))
         assert main(["simulate", "--drift-json", str(desc), *sim,
-                     "--output-dir", str(tmp_path / "shifted")]) == 2
+                     "--output-dir", str(tmp_path / "shifted")]) == 0
         desc.write_text(json.dumps({"kind": "general", "family": fam}))
         assert main(["simulate", "--drift-json", str(desc), *sim,
                      "--output-dir", str(tmp_path / "general")]) == 0
@@ -457,6 +468,20 @@ class TestDiagnostics:
         assert run(tmp_path, "family", "--kind", "horizon", "--T", "1.0") == 3
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
         assert (diag["path_index"], diag["step_index"]) == (3, 7)
+
+    @pytest.mark.parametrize("argv,error", [
+        (("density", "--kind", "ou-htransform", "--lam", "1", "--t", "1e308",
+          "--x=-5:1:0.5"), "OverflowError"),
+        (("density", "--kind", "ou-htransform", "--lam", "1e308", "--t", "0.5",
+          "--x=-5:1:0.5"), "OverflowError"),
+        # 4 * 1e308 overflows in psi = (2 + a2 t) / (2 (1 + a2 t))
+        (("family", "--kind", "constant-skew", "--alpha", "2", "--table-t", "1e308"),
+         "FloatingPointError")])
+    def test_overflow_is_numerical_failure(self, tmp_path, argv, error):
+        assert run(tmp_path, *argv) == 3
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["type"] == error
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["diagnostics.json"]
 
 
 class TestConfigOverlay:
@@ -680,3 +705,62 @@ class TestConfigFuzz:
             assert code in (0, 1, 2, 3)
 
         check()
+
+
+# finite floats plus the edges a flag can reach: zero, the largest finite
+# magnitudes, infinities and nan
+FLAG_VALUES = st.one_of(
+    st.sampled_from([0.0, 1e308, -1e308, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _flag(name, value):
+    # --name=value, so a negative value is not read as an option
+    return f"--{name}={value!r}"
+
+
+def _times(draw):
+    return ",".join(repr(t) for t in draw(st.lists(FLAG_VALUES, min_size=1, max_size=3)))
+
+
+@st.composite
+def _family_argv(draw):
+    kind = draw(st.sampled_from(sorted(cli.FAMILY_KINDS)))
+    param = cli.FAMILY_KINDS[kind][1][0]
+    return ["family", "--kind", kind, _flag(param, draw(FLAG_VALUES)),
+            f"--table-t={_times(draw)}"]
+
+
+@st.composite
+def _density_argv(draw):
+    kinds = {**cli.DRIFT_KINDS, **cli.DENSITY_KINDS}
+    kind = draw(st.sampled_from(sorted(kinds)))
+    params = [f for f in kinds[kind][1] if f not in ("chirality", "x0")]
+    return ["density", "--kind", kind, *(_flag(f, draw(FLAG_VALUES)) for f in params),
+            _flag("x0", draw(FLAG_VALUES)), f"--t={_times(draw)}", "--x=-5:1:0.5"]
+
+
+class TestFlagFuzz:
+    """Any number in a family or density flag gets a documented exit code."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(argv=st.one_of(_family_argv(), _density_argv()))
+    # inputs that once overflowed or wrote non-finite cells
+    @example(argv=["density", "--kind", "ou-htransform", "--lam=1.0", "--t=1e308",
+                   "--x=-5:1:0.5"])
+    @example(argv=["family", "--kind", "constant-skew", "--alpha=1.0", "--table-t=-1.0"])
+    @example(argv=["density", "--kind", "ou-noise-marginal", "--lam=1.0", "--T=inf",
+                   "--x0=1e+308", "--t=0.125", "--x=-5:1:0.5"])
+    def test_flags_get_their_exit_code(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([*argv, "--output-dir", str(out)])
+            assert code in (0, 2, 3)
+            if code == 2:
+                assert not (out / "diagnostics.json").exists()
+            if code == 0:
+                table = {"family": ("family_table.csv", "t,psi,alpha"),
+                         "density": ("density.csv", "x,t,q")}[argv[0]]
+                assert np.all(np.isfinite(_float_cells(out / table[0], table[1])))

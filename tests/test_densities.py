@@ -6,17 +6,22 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from skewdiff import (DriftSpec, HorizonError, SkewNormalParams,
+from skewdiff import (DriftSpec, ExtendedSkewNormalParams, HorizonError,
                       censored_posterior, chapman_kolmogorov_residual,
                       constant_skew_family, constant_skew_tpd, density_grid,
-                      drift_value, family_tpd, family_tpd_unshifted,
+                      drift_value, esn_pdf, family_tpd, family_tpd_unshifted,
                       half_normal_pdf, horizon_family, horizon_tpd,
                       horizon_tpd_two_time, ou_htransform_tpd,
                       ou_htransform_tpd_raw, ou_skew_driven_marginal,
-                      restart_tpd, sn_moments, sn_pdf)
+                      restart_tpd, sn_moments)
 from skewdiff.densities import _ou_moments, density_mass
 
 SQRT_2PI = math.sqrt(2 * math.pi)
+
+
+def sn_params(location, scale, shape):
+    """The skew-normal law: the extended law at truncation 0."""
+    return ExtendedSkewNormalParams(location, scale, shape, 0.0)
 
 
 def gauss(x, mean, var):
@@ -28,7 +33,7 @@ class TestHorizonTpd:
         T, t = 1.0, 0.37
         xs = np.linspace(-5, 5, 81)
         shape = math.sqrt(t / (T - t))
-        target = sn_pdf(xs, SkewNormalParams(0.0, math.sqrt(t), shape))
+        target = esn_pdf(xs, sn_params(0.0, math.sqrt(t), shape))
         assert_allclose(horizon_tpd(xs, t, 0.0, T, +1), target, rtol=1e-13)
 
     def test_terminal_half_normal_limit(self):
@@ -84,7 +89,7 @@ class TestConstantSkewTpd:
         grid = density_grid(lambda x, s: constant_skew_tpd(x, s, alpha, +1),
                             np.linspace(-10, 11, 40001), [t])
         mass, mean, var, skew = grid.moments()[0]
-        m_ref, v_ref, s_ref = sn_moments(SkewNormalParams(0.0, math.sqrt(t),
+        m_ref, v_ref, s_ref = sn_moments(sn_params(0.0, math.sqrt(t),
                                                           alpha * math.sqrt(t)))
         assert abs(mass - 1.0) < 1e-9
         assert abs(mean - m_ref) < 1e-7
@@ -179,7 +184,7 @@ class TestOuReversalTpd:
         xs = np.linspace(-6, 6, 61)
         s2 = (math.exp(2 * lam * t) - 1) / (2 * lam)
         shape = math.sqrt(math.exp(2 * lam * t) - 1)
-        target = sn_pdf(xs, SkewNormalParams(0.0, math.sqrt(s2), shape))
+        target = esn_pdf(xs, sn_params(0.0, math.sqrt(s2), shape))
         assert_allclose(ou_htransform_tpd(xs, t, lam, 0.0, +1), target, rtol=1e-12)
 
     def test_small_rate_approaches_brownian(self):

@@ -11,12 +11,16 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.stats import skewnorm
 
-from skewdiff import (ExtendedSkewNormalParams, SkewNormalParams, esn_moments,
-                      esn_pdf, half_normal_pdf, mills, sn_moments, sn_pdf,
-                      std_normal_cdf)
+from skewdiff import (ExtendedSkewNormalParams, esn_moments, esn_pdf,
+                      half_normal_pdf, mills, sn_moments, std_normal_cdf)
 from skewdiff.dists import MILLS_CUTOFF
 
 SQRT_2PI = math.sqrt(2 * math.pi)
+
+
+def sn_params(location, scale, shape):
+    """The skew-normal law: the extended law at truncation 0."""
+    return ExtendedSkewNormalParams(location, scale, shape, 0.0)
 
 
 def cdf_oracle(x):
@@ -145,26 +149,26 @@ class TestMills:
 
 class TestSkewNormalPdf:
     def test_zero_shape_is_gaussian(self):
-        p = SkewNormalParams(0.0, 1.0, 0.0)
+        p = sn_params(0.0, 1.0, 0.0)
         xs = np.linspace(-5, 5, 41)
-        assert_allclose(sn_pdf(xs, p), np.exp(-xs**2 / 2) / SQRT_2PI, rtol=1e-14)
+        assert_allclose(esn_pdf(xs, p), np.exp(-xs**2 / 2) / SQRT_2PI, rtol=1e-14)
 
     def test_value_at_origin_any_shape(self):
         for shape in (-7.0, -1.0, 0.5, 4.0):
-            p = SkewNormalParams(0.0, 1.0, shape)
-            assert_allclose(sn_pdf(0.0, p), 1.0 / SQRT_2PI, rtol=1e-14)
+            p = sn_params(0.0, 1.0, shape)
+            assert_allclose(esn_pdf(0.0, p), 1.0 / SQRT_2PI, rtol=1e-14)
 
     @pytest.mark.parametrize("shape", [-5.0, -1.0, 0.0, 1.0, 5.0])
     def test_unit_mass(self, shape):
-        p = SkewNormalParams(0.3, 1.7, shape)
-        mass, _ = quad(lambda x: sn_pdf(x, p), 0.3 - 12 * 1.7, 0.3 + 12 * 1.7,
+        p = sn_params(0.3, 1.7, shape)
+        mass, _ = quad(lambda x: esn_pdf(x, p), 0.3 - 12 * 1.7, 0.3 + 12 * 1.7,
                        epsabs=1e-12, limit=200)
         assert abs(mass - 1.0) < 1e-10
 
     def test_chirality_mirror(self):
         xs = np.linspace(-4, 4, 31)
-        a = sn_pdf(xs, SkewNormalParams(0.0, 1.3, 2.0))
-        b = sn_pdf(-xs, SkewNormalParams(0.0, 1.3, -2.0))
+        a = esn_pdf(xs, sn_params(0.0, 1.3, 2.0))
+        b = esn_pdf(-xs, sn_params(0.0, 1.3, -2.0))
         assert_allclose(a, b, rtol=1e-14)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -175,39 +179,42 @@ class TestSkewNormalPdf:
         xs = np.linspace(-8, 10, 1801)
         ref = skewnorm.pdf(xs, sign * shape, loc=loc, scale=scale)
         keep = ref > 1e-250
-        for q in (sn_pdf(xs, SkewNormalParams(loc, scale, sign * shape)),
-                  esn_pdf(xs, ExtendedSkewNormalParams(loc, scale, sign * shape, 0.0))):
-            assert_allclose(q[keep], ref[keep], rtol=1e-12, atol=0)
+        q = esn_pdf(xs, sn_params(loc, scale, sign * shape))
+        assert_allclose(q[keep], ref[keep], rtol=1e-12, atol=0)
 
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
-            SkewNormalParams(0.0, 0.0, 1.0)
+            sn_params(0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            SkewNormalParams(0.0, -1.0, 1.0)
+            sn_params(0.0, -1.0, 1.0)
 
 
 class TestSkewNormalMoments:
     def test_zero_shape(self):
-        assert sn_moments(SkewNormalParams(0.7, 2.0, 0.0)) == (0.7, 4.0, 0.0)
+        assert sn_moments(sn_params(0.7, 2.0, 0.0)) == (0.7, 4.0, 0.0)
+
+    def test_rejects_nonzero_truncation(self):
+        with pytest.raises(ValueError):
+            sn_moments(ExtendedSkewNormalParams(0.0, 1.0, 1.0, 0.5))
 
     def test_half_normal_limit(self):
-        mean, _, _ = sn_moments(SkewNormalParams(0.0, 1.0, 1e9))
+        mean, _, _ = sn_moments(sn_params(0.0, 1.0, 1e9))
         assert_allclose(mean, math.sqrt(2 / math.pi), rtol=1e-9)
 
     def test_unit_shape_mean_vs_quadrature(self):
-        p = SkewNormalParams(0.0, 1.0, 1.0)
-        oracle, _ = quad(lambda x: x * sn_pdf(x, p), -12, 12, epsabs=1e-14, limit=200)
+        p = sn_params(0.0, 1.0, 1.0)
+        oracle, _ = quad(lambda x: x * esn_pdf(x, p), -12, 12, epsabs=1e-14, limit=200)
         assert_allclose(oracle, 0.5641895835477566, rtol=1e-12)
         assert_allclose(sn_moments(p)[0], oracle, atol=1e-12)
 
     @pytest.mark.parametrize("shape", [-5.0, -1.0, 0.0, 1.0, 5.0])
     def test_all_moments_vs_quadrature(self, shape):
-        p = SkewNormalParams(0.4, 1.2, shape)
+        p = sn_params(0.4, 1.2, shape)
         lo, hi = 0.4 - 15 * 1.2, 0.4 + 15 * 1.2
-        m0 = quad(lambda x: sn_pdf(x, p), lo, hi, epsabs=1e-13, limit=300)[0]
-        m1 = quad(lambda x: x * sn_pdf(x, p), lo, hi, epsabs=1e-13, limit=300)[0] / m0
-        m2 = quad(lambda x: (x - m1) ** 2 * sn_pdf(x, p), lo, hi, epsabs=1e-13, limit=300)[0] / m0
-        m3 = quad(lambda x: (x - m1) ** 3 * sn_pdf(x, p), lo, hi, epsabs=1e-13, limit=300)[0] / m0
+        m0 = quad(lambda x: esn_pdf(x, p), lo, hi, epsabs=1e-13, limit=300)[0]
+        m1 = quad(lambda x: x * esn_pdf(x, p), lo, hi, epsabs=1e-13, limit=300)[0] / m0
+        m2 = quad(lambda x: (x - m1) ** 2 * esn_pdf(x, p), lo, hi, epsabs=1e-13, limit=300)[0] / m0
+        m3 = quad(lambda x: (x - m1) ** 3 * esn_pdf(x, p), lo, hi, epsabs=1e-13, limit=300)[0] / m0
         mean, var, skew = sn_moments(p)
         assert abs(mean - m1) < 1e-8
         assert abs(var - m2) < 1e-8
@@ -218,7 +225,8 @@ class TestExtendedSkewNormal:
     def test_zero_truncation_reduces_to_sn(self):
         xs = np.linspace(-6, 6, 61)
         esn = esn_pdf(xs, ExtendedSkewNormalParams(0.2, 1.1, 1.5, 0.0))
-        sn = sn_pdf(xs, SkewNormalParams(0.2, 1.1, 1.5))
+        z = (xs - 0.2) / 1.1
+        sn = 2.0 / 1.1 * np.exp(-z * z / 2) / SQRT_2PI * std_normal_cdf(1.5 * z)
         assert_allclose(esn, sn, rtol=1e-14)
 
     def test_zero_shape_is_gaussian(self):

@@ -185,17 +185,20 @@ class TestDriftValue:
         with pytest.raises(HorizonError):
             drift_value(spec, 0.0, 1.0)
 
-    def test_shift_rejected_for_horizon_kind(self):
+    def test_shift_applied_for_horizon_kind(self):
+        # the h-transform by Phi(alpha_t (x - shift)) is still space-time
+        # harmonic for Brownian motion, so the horizon drift takes a shift
         fam = horizon_family(1.0, +1)
-        DriftSpec(family=fam, shift=0.0)
-        with pytest.raises(SchemaError):
-            DriftSpec(family=fam, shift=2.0)
+        spec = DriftSpec(family=fam, shift=2.0)
+        xs = np.linspace(-3, 3, 13)
+        assert_allclose(drift_value(spec, xs + 2.0, 0.8),
+                        drift_value(DriftSpec(family=fam), xs, 0.8), rtol=1e-14)
 
-    def test_shift_rejected_for_horizon_family_of_any_kind(self):
+    def test_shift_applied_for_horizon_family_of_any_kind(self):
         # a descriptor's "general" kind names the drift of whatever family it holds
-        with pytest.raises(SchemaError):
-            drift_spec_from_descriptor({"kind": "general", "shift": 1.5,
-                                        "family": horizon_family(1.0).descriptor()})
+        spec = drift_spec_from_descriptor({"kind": "general", "shift": 1.5,
+                                           "family": horizon_family(1.0).descriptor()})
+        assert (spec.kind, spec.shift) == ("horizon", 1.5)
 
     def test_shift_applied_for_general_kind(self):
         fam = constant_skew_family(1.0, +1)
@@ -284,10 +287,8 @@ class TestScalarCalls:
         fam, times = SCALAR_CASES[case]
         t = data.draw(times)
         xs = data.draw(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=6))
-        specs = [DriftSpec(family=fam)]
-        if fam.kind != "horizon":
-            specs.append(DriftSpec(family=fam, shift=0.3, diffusion_scale=1.7))
-        for spec in specs:
+        for spec in (DriftSpec(family=fam),
+                     DriftSpec(family=fam, shift=0.3, diffusion_scale=1.7)):
             whole = drift_value(spec, np.array(xs), t)
             for i, x in enumerate(xs):
                 for x_form in SCALAR_FORMS:

@@ -58,6 +58,19 @@ class TestBinaryRoundTrip:
         with pytest.raises(ValueError):
             ensemble_from_binary(p)
 
+    @pytest.mark.parametrize("labels", [False, True])
+    def test_truncated_file_names_itself(self, small_ensemble, labeled_ensemble,
+                                         tmp_path, labels):
+        # shorter than the header, then shorter than the payload it declares
+        p = tmp_path / "ens.skdf"
+        ensemble_to_binary(labeled_ensemble if labels else small_ensemble, p)
+        raw = p.read_bytes()
+        for size, what in ((10, "header"), (len(raw) - 8, "declares"), (len(raw) - 1, "declares")):
+            p.write_bytes(raw[:size])
+            with pytest.raises(ValueError, match=what) as err:
+                ensemble_from_binary(p)
+            assert str(p) in str(err.value)
+
     def test_byte_identical_rewrites(self, small_ensemble, tmp_path):
         p1, p2 = tmp_path / "a.skdf", tmp_path / "b.skdf"
         ensemble_to_binary(small_ensemble, p1)

@@ -67,7 +67,10 @@ class TestLawKs:
         (DriftSpec(family=constant_skew_family(1.0), shift=0.7, diffusion_scale=1.5), 0.7),
         (DriftSpec(family=horizon_family(1.0), diffusion_scale=3.0), 0.4),
         (DriftSpec(params={"lam": 1.0, "chirality": 1}, diffusion_scale=2.0), 0.0),
-    ], ids=["constant_skew", "horizon", "ou_htransform"])
+        (DriftSpec(family=horizon_family(1.0), shift=0.5), 0.3),
+        (DriftSpec(family=horizon_family(1.0), shift=0.5), -0.4),
+    ], ids=["constant_skew", "horizon", "ou_htransform", "horizon_shift_x0=0.3",
+            "horizon_shift_x0=-0.4"])
     def test_terminal_ks(self, drift, x0):
         n, t = 100_000, 0.5
         ens = simulate(drift, x0, TimeGrid(0.0, t, 1000),

@@ -1,4 +1,5 @@
 """Simulation engine: reproducibility, laws, mixtures, censoring driver."""
+import dataclasses
 import hashlib
 import math
 import os
@@ -7,12 +8,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from skewdiff import (DriftSpec, HorizonError, SchemaError, SimConfig,
-                      SimulationError,
+from skewdiff import (DriftSpec, ExtendedSkewNormalParams, HorizonError,
+                      SchemaError, SimConfig, SimulationError,
                       TimeGrid, constant_skew_family, horizon_family,
                       mixture_probability, simulate,
                       simulate_bivariate_censoring, simulate_mixture,
-                      sn_moments, SkewNormalParams)
+                      sn_moments)
 
 ZERO_DRIFT = DriftSpec(mu_fn=lambda x, t: np.zeros_like(x))
 
@@ -123,7 +124,7 @@ class TestSkewLaw:
         n = 50000
         ens = simulate(skew_drift(1.0), 0.0, TimeGrid(0.0, 1.0, 500),
                        SimConfig(n_paths=n, seed=13, record_stride=500))
-        mean, var, _ = sn_moments(SkewNormalParams(0.0, 1.0, 1.0))
+        mean, var, _ = sn_moments(ExtendedSkewNormalParams(0.0, 1.0, 1.0, 0.0))
         se = math.sqrt(var / n)
         assert abs(ens.values[:, -1].mean() - mean) < 3 * se
 
@@ -223,13 +224,14 @@ class TestSafeguards:
 
 class TestMirrorAndAntithetic:
     def test_mirror_law_exact_negation(self):
+        # an antithetic pair's second path is driven by the first one's
+        # negated noise, so the mirrored drift carries it onto the negation
         grid = TimeGrid(0.0, 1.0, 200)
-        plus = simulate(skew_drift(1.0, +1), 0.0, grid,
-                        SimConfig(n_paths=500, seed=23, record_stride=40))
-        minus = simulate(skew_drift(1.0, -1), 0.0, grid,
-                         SimConfig(n_paths=500, seed=23, record_stride=40,
-                                   flip_noise=True))
-        assert np.array_equal(plus.values, -minus.values)
+        cfg = SimConfig(n_paths=500, seed=23, record_stride=40, antithetic=True)
+        plus = simulate(skew_drift(1.0, +1), 0.0, grid, cfg)
+        minus = simulate(skew_drift(1.0, -1), 0.0, grid, cfg)
+        assert np.array_equal(plus.values[0::2], -minus.values[1::2])
+        assert np.array_equal(plus.values[1::2], -minus.values[0::2])
 
     def test_antithetic_pairs_negate_for_zero_drift(self):
         ens = simulate(ZERO_DRIFT, 0.0, TimeGrid(0.0, 1.0, 50),
@@ -272,16 +274,16 @@ class TestBivariateCensoring:
             assert abs(y.values[:, j].var(ddof=1) - t) < 4 * math.sqrt(2.0 / n) * t
 
     def test_antithetic_and_flip_negate_the_pair(self):
+        # an antithetic run keeps the even paths' noise and flips it for the
+        # odd ones, which are then the negated even paths of a plain run
         grid = TimeGrid(0.0, 1.0, 40)
         rho = lambda t: math.sqrt(t)
         base = simulate_bivariate_censoring(rho, grid, SimConfig(n_paths=200, seed=43))
-        flip = simulate_bivariate_censoring(rho, grid, SimConfig(n_paths=200, seed=43,
-                                                                 flip_noise=True))
         anti = simulate_bivariate_censoring(rho, grid, SimConfig(n_paths=200, seed=43,
                                                                  antithetic=True))
-        for b, f, a in zip(base, flip, anti):
-            assert np.array_equal(f.values, -b.values)
-            assert np.array_equal(a.values[1::2], -a.values[0::2])
+        for b, a in zip(base, anti):
+            assert np.array_equal(a.values[0::2], b.values[0::2])
+            assert np.array_equal(a.values[1::2], -b.values[0::2])
 
     def test_rejects_bad_correlation(self):
         with pytest.raises(ValueError):
@@ -330,13 +332,18 @@ def _pinned_mixture(case: str, n_threads: int):
             plus, minus, 0.5, 0.0, TimeGrid(0.0, 1.0, 40, terminal_cutoff_epsilon=1e-4),
             SimConfig(n_paths=8200, seed=29, record_stride=8, drift_clamp=0.2,
                       n_threads=n_threads))
-    p_plus, extra = {"p0": (0.0, {}), "p05": (0.5, {}), "p1": (1.0, {}),
-                     "antithetic": (0.5, {"antithetic": True}),
-                     "flip_noise": (0.3, {"flip_noise": True})}[case]
+    grid = TimeGrid(0.0, 0.5, 10)
+    cfg = SimConfig(n_paths=8200, seed=23, record_stride=5, n_threads=n_threads,
+                    antithetic=case == "antithetic")
+    if case == "flip_noise":
+        # the mixture from 0.2 under negated noise: the negation of the one
+        # from -0.2 with the two drifts swapped, bit for bit
+        ens = simulate_mixture(skew_drift(1.0, -1), skew_drift(1.0, +1), 0.3, -0.2,
+                               grid, cfg)
+        return dataclasses.replace(ens, values=-ens.values)
+    p_plus = {"p0": 0.0, "p05": 0.5, "p1": 1.0, "antithetic": 0.5}[case]
     return simulate_mixture(skew_drift(1.0, +1), skew_drift(1.0, -1), p_plus, 0.2,
-                            TimeGrid(0.0, 0.5, 10),
-                            SimConfig(n_paths=8200, seed=23, record_stride=5,
-                                      n_threads=n_threads, **extra))
+                            grid, cfg)
 
 
 # sha256 of (values, labels, clamp_events); first recorded when the mixture
@@ -390,11 +397,14 @@ def _pinned_simulation(case: str, seed: int, n_threads: int):
         return (simulate(skew_drift(1.0, +1), 0.2, TimeGrid(0.0, 1.0, 100),
                          SimConfig(n_paths=8200, seed=seed, record_stride=10,
                                    n_threads=n_threads)),)
-    extra = {"constant_skew": {},
-             "antithetic_flip": {"antithetic": True, "flip_noise": True}}[case]
-    return (simulate(skew_drift(1.0, +1), 0.2, TimeGrid(0.0, 0.5, 10),
-                     SimConfig(n_paths=8200, seed=seed, record_stride=5,
-                               n_threads=n_threads, **extra)),)
+    ens = simulate(skew_drift(1.0, +1), 0.2, TimeGrid(0.0, 0.5, 10),
+                   SimConfig(n_paths=8200, seed=seed, record_stride=5,
+                             n_threads=n_threads, antithetic=case == "antithetic_flip"))
+    if case == "antithetic_flip":
+        # antithetic pairs under negated noise: each pair's two paths swapped
+        swapped = ens.values.reshape(-1, 2, ens.values.shape[1])[:, ::-1]
+        ens = dataclasses.replace(ens, values=swapped.reshape(ens.values.shape))
+    return (ens,)
 
 
 # sha256 of each ensemble's (values, clamp_events); first recorded while each
