@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 validation failure, 2 configuration/schema error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -519,13 +520,18 @@ def _fuse_range_values(argv):
     return out
 
 
+# parse_args leaves a parser as it found it, so one serves every main()
+# call in a process; build_parser() itself still returns a fresh one
+_shared_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def _parse(argv):
     """Parse the command line, then parse it again with the --config keys
     appended as flags: each value meets its flag's type and choices, and
     argparse keeps the last value it reads, so the config overrides the
     command line.  A switch (a store_true flag, the only kind that parses to
     a bool) takes a JSON true/false instead."""
-    parser = build_parser()
+    parser = _shared_parser()
     argv = _fuse_range_values(argv)
     args = parser.parse_args(argv)
     if not args.config:

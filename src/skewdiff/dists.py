@@ -145,8 +145,10 @@ def esn_logpdf(x, p: ExtendedSkewNormalParams):
     if scalar:
         z = z[()]   # a NumPy scalar: its arithmetic is cheaper than a 0-d array's
     norm = log_ndtr(p.truncation / math.sqrt(1.0 + p.shape * p.shape))
-    out = (-math.log(p.scale) + (-0.5 * z * z - LOG_SQRT_2PI)
-           + log_ndtr(p.truncation + p.shape * z) - norm)
+    # at shape 0 the truncation itself: truncation + 0 * z has its bits at
+    # every finite z and is nan where z overflows
+    skew = log_ndtr(p.truncation + p.shape * z if p.shape else p.truncation)
+    out = -math.log(p.scale) + (-0.5 * z * z - LOG_SQRT_2PI) + skew - norm
     return _ret(out, scalar)
 
 

@@ -403,7 +403,7 @@ class DriftSpec:
             return self.family.validity_horizon
         return math.inf
 
-    def mu(self, x, t: float):
+    def mu(self, x, t):
         return drift_value(self, x, t)
 
     def law(self, x0: float, t0: float = 0.0):
@@ -449,12 +449,23 @@ def drift_spec_from_descriptor(desc: dict) -> DriftSpec:
                      params=desc.get("parameters", {}))
 
 
-def drift_value(spec: DriftSpec, x, t: float):
+def drift_value(spec: DriftSpec, x, t):
     """Evaluate the drift of Y at (x, t); vectorized over x.  A family or
-    OU drift is sigma * mu((x - shift)/sigma, t), the image of X's drift."""
+    OU drift is sigma * mu((x - shift)/sigma, t), the image of X's drift.
+
+    A 1-D array t gives one row per time, shape (len(t), *x.shape), and row
+    j has the bits of drift_value(spec, x, t[j]): a family's psi and alpha
+    take the whole array, and times with equal alpha(t) share one mills
+    row.  A custom mu_fn is still called with one float time at a time."""
     x = np.asarray(x, dtype=float)
+    rows = not is_scalar(t)
     if spec.kind == "custom":
-        return spec.mu_fn(x, t)
+        if not rows:
+            return spec.mu_fn(x, t)
+        out = np.empty((len(t), *x.shape))
+        for j, tj in enumerate(t):
+            out[j] = spec.mu_fn(x, float(tj))
+        return out
     if spec.shift == 0.0 and spec.diffusion_scale == 1.0:
         u = x   # the identity map: (x - 0)/1 is x, bit for bit
     else:
@@ -462,12 +473,19 @@ def drift_value(spec: DriftSpec, x, t: float):
     if spec.kind == "ou_htransform":
         from .ou_skew import OuSkewSpec, ou_htransform_drift
         p = spec.params
-        return spec.diffusion_scale * ou_htransform_drift(
+        mu = spec.diffusion_scale * ou_htransform_drift(
             u, OuSkewSpec(lam=p["lam"], chirality=p["chirality"]))
+        return np.repeat(mu[None], len(t), axis=0) if rows else mu
     fam = spec.family
     fam.check_time(t)
     a = fam.alpha(t)
-    m = mills(a * u)
     # sigma * psi * alpha * m, with the coefficient's product formed first
-    m *= float(spec.diffusion_scale * fam.psi(t) * a)
+    if not rows:
+        m = mills(a * u)
+        m *= float(spec.diffusion_scale * fam.psi(t) * a)
+        return m
+    coef = spec.diffusion_scale * fam.psi(t) * a
+    a_rows, row_of = np.unique(a, return_inverse=True)
+    m = mills(np.multiply.outer(a_rows, u))[row_of]
+    m *= coef.reshape(coef.shape + (1,) * u.ndim)
     return m

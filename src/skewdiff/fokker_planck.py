@@ -6,10 +6,15 @@ optional upwinding above cell Peclet 2, boundaries are zero-flux, and each
 step is one tridiagonal solve.  Column sums of the operator vanish, so mass
 is conserved to roundoff and any drift flags instability.
 
-The time loop assembles the bands of up to _STEP_CHUNK steps in one batch of
-array operations; each step then forms its explicit right-hand side and calls
-LAPACK's dgtsv.  The batch only moves interpreter overhead: every value is
-computed by the same operations in the same order as one step at a time.
+The time loop evaluates the drift at the midpoints of up to _STEP_CHUNK
+steps with one call (one row per time) and assembles their bands in one batch
+of array operations; each step then forms its explicit right-hand side and
+calls LAPACK's dgtsv.  The time-free OU h-transform drift gives one matrix,
+factored once with dgttrf and solved with dgttrs at every step.  The batch
+only moves interpreter overhead: every value is computed by the same
+operations in the same order as one step at a time, and a batch whose drift
+call raises is evaluated again step by step, so the first failure in step
+order is the one raised.
 """
 from __future__ import annotations
 
@@ -69,17 +74,27 @@ def _operator_bands(mu_face, dx, diff):
     one band matrix per row of mu_face (shape (..., n - 1))."""
     n = mu_face.shape[-1] + 1
     pe = np.abs(mu_face) * dx / (2.0 * diff) if diff > 0 else np.full_like(mu_face, np.inf)
-    w_left = np.where(pe > 2.0, np.where(mu_face > 0, 1.0, 0.0), 0.5)
-    w_right = 1.0 - w_left
+    upwind = pe > 2.0
+    if upwind.any():
+        w_left = np.where(upwind, np.where(mu_face > 0, 1.0, 0.0), 0.5)
+        left = mu_face * w_left
+        left /= dx
+        right = mu_face * (1.0 - w_left)
+        right /= dx
+    else:
+        # centered at every face: both weights are 1/2
+        left = mu_face * 0.5
+        left /= dx
+        right = left
 
     dcoef = diff / dx**2
     # rows: upper, main and lower diagonal; face j sits between nodes j and
     # j+1, with zero flux outside the domain
     ab = np.zeros((*mu_face.shape[:-1], 3, n))
-    ab[..., 1, :-1] += -(mu_face * w_left) / dx - dcoef
-    ab[..., 0, 1:] += -(mu_face * w_right) / dx + dcoef
-    ab[..., 1, 1:] += (mu_face * w_right) / dx - dcoef
-    ab[..., 2, :-1] += (mu_face * w_left) / dx + dcoef
+    ab[..., 1, :-1] += -left - dcoef
+    ab[..., 0, 1:] += -right + dcoef
+    ab[..., 1, 1:] += right - dcoef
+    ab[..., 2, :-1] += left + dcoef
     return ab
 
 
@@ -113,38 +128,56 @@ def solve_kfe(drift: DriftSpec, x0: float, grid: TimeGrid, cfg: FpConfig) -> Den
 
     identity = np.zeros((3, cfg.n_x))
     identity[1, :] = 1.0
-    gtsv, = get_lapack_funcs(("gtsv",), (identity, q))
+    gtsv, gttrf, gttrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), (identity, q))
+    t_mid = t_start + (np.arange(cfg.n_t) + 0.5) * dt
+    explicit = (1.0 - cfg.theta) * dt
 
     # the time-free drift is evaluated once, at the first midpoint; its one
-    # band matrix serves every step
+    # band matrix, factored once, serves every step
     mu_is_time_free = drift.kind == "ou_htransform"
     mu_face = np.empty((_STEP_CHUNK, cfg.n_x - 1))
     lhs = failure = None
     for k0 in range(0, cfg.n_t, _STEP_CHUNK):
         m = min(_STEP_CHUNK, cfg.n_t - k0)
         if lhs is None or not mu_is_time_free:
-            # a failure at batch step j, a raising drift or a non-finite
-            # matrix, is raised once steps 0..j-1 have run their checks
             n_mu = 1 if mu_is_time_free else m
-            for j in range(n_mu):
-                try:
-                    mu_face[j] = drift.mu(x_face, t_start + (k0 + j + 0.5) * dt)
-                except Exception as e:
-                    failure, n_mu, m = e, j, j
-                    break
+            ts = t_mid[k0:k0 + n_mu]
+            try:
+                mu_face[:n_mu] = drift.mu(x_face, ts)
+            except Exception:
+                # a failure at batch step j, a raising drift or a non-finite
+                # matrix, is raised once steps 0..j-1 have run their checks;
+                # step by step, the first drift failure in step order is found
+                for j in range(n_mu):
+                    try:
+                        mu_face[j] = drift.mu(x_face, float(ts[j]))
+                    except Exception as e:
+                        failure, n_mu, m = e, j, j
+                        break
             ab = _operator_bands(mu_face[:n_mu], dx, diff)
-            lhs = identity - cfg.theta * dt * ab
+            lhs = ab * (cfg.theta * dt)
+            np.subtract(identity, lhs, out=lhs)
             finite = np.isfinite(lhs).all(axis=(1, 2))
             if not finite.all():
                 failure, m = ValueError(_NON_FINITE), int(np.argmin(finite))
+            elif mu_is_time_free:
+                *factor, info = gttrf(lhs[0, 2, :-1], lhs[0, 1], lhs[0, 0, 1:])
         for j in range(m):
             k = k0 + j
             i = 0 if mu_is_time_free else j
-            rhs = q + (1.0 - cfg.theta) * dt * _banded_matvec(ab[i], q)
-            if not np.isfinite(rhs).all():
+            rhs = _banded_matvec(ab[i], q)
+            rhs *= explicit
+            rhs += q
+            # a finite sum has only finite terms; only a non-finite one is scanned
+            if not math.isfinite(rhs.sum()) and not np.isfinite(rhs).all():
                 raise ValueError(_NON_FINITE)
-            q, info = gtsv(lhs[i, 2, :-1], lhs[i, 1], lhs[i, 0, 1:], rhs,
-                           overwrite_b=True)[3:]
+            if not mu_is_time_free:
+                # each step's bands serve once, so LAPACK may overwrite them
+                q, info = gtsv(lhs[j, 2, :-1], lhs[j, 1], lhs[j, 0, 1:], rhs,
+                               overwrite_dl=True, overwrite_d=True, overwrite_du=True,
+                               overwrite_b=True)[3:]
+            elif not info:
+                q = gttrs(*factor, rhs, overwrite_b=True)[0]
             if info > 0:
                 raise np.linalg.LinAlgError("singular matrix")
 

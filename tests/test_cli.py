@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -549,6 +551,31 @@ class TestConfigOverlay:
         assert run(tmp_path, "family", "--kind", "horizon", "--T", "1.0",
                    "--bogus", "3") == 2
 
+    def test_runs_in_one_process_match_fresh_processes(self, tmp_path):
+        # main() reuses one parser: a run after a --config run must not see
+        # the config's values
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 2.0, "chirality": -1}))
+        base = ("density", "--kind", "constant-skew", "--alpha", "1.0", "--t", "0.5,1.0",
+                "--x=-2:2:0.25")
+        runs = {"config": (*base, "--config", str(cfg)), "plain": base}
+        src = Path(cli.__file__).resolve().parents[1]
+        for name, argv in runs.items():
+            assert main([*argv, "--output-dir", str(tmp_path / "same" / name)]) == 0
+            subprocess.run([sys.executable, "-m", "skewdiff.cli", *argv,
+                            "--output-dir", str(tmp_path / "fresh" / name)],
+                           env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+                           capture_output=True, timeout=120)
+        for name in runs:
+            same, fresh = tmp_path / "same" / name, tmp_path / "fresh" / name
+            names = sorted(f.name for f in same.iterdir() if f.name != "manifest.json")
+            assert names == ["density.csv", "density_summary.json"]
+            assert names == sorted(f.name for f in fresh.iterdir() if f.name != "manifest.json")
+            for f in names:
+                assert (same / f).read_bytes() == (fresh / f).read_bytes(), (name, f)
+        assert (tmp_path / "same" / "config" / "density.csv").read_bytes() != \
+            (tmp_path / "same" / "plain" / "density.csv").read_bytes()
+
 
 class TestOtherCommands:
     def test_censor_quick(self, tmp_path):
@@ -667,7 +694,12 @@ FUZZ_BASE = {
                  "--t-end", "0.5", "--steps", "8", "--paths", "8"),
     "density": ("density", "--kind", "constant-skew", "--alpha", "1.0",
                 "--t", "1.0", "--x", "0:1:0.5"),
+    "fokker-planck": ("fokker-planck", "--kind", "constant-skew", "--alpha", "1.0",
+                      "--t-end", "0.5", "--x-min", "-6", "--x-max", "6",
+                      "--n-x", "64", "--n-t", "64"),
 }
+# a command that runs no check never exits 1
+FUZZ_CHECKS_NOTHING = {"fokker-planck"}
 FUZZ_STRINGS = ("", "abc", "1.0", "-1", "0.5,1.0", "1.0,x", "-1:1:0.5", "0:1:0",
                 "1:0:0.5", "a:b:c", "0:1", "nan:1:0.5", "horizon", "constant-skew",
                 "ou-htransform", "censored", "binary", "json")
@@ -702,7 +734,7 @@ class TestConfigFuzz:
                         contextlib.redirect_stderr(io.StringIO()):
                     code = main([*FUZZ_BASE[command], "--config", str(cfg),
                                  "--output-dir", str(Path(tmp) / "out")])
-            assert code in (0, 1, 2, 3)
+            assert code in ((0, 2, 3) if command in FUZZ_CHECKS_NOTHING else (0, 1, 2, 3))
 
         check()
 

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import log_ndtr
 from scipy.stats import skewnorm
 
 from skewdiff import (ExtendedSkewNormalParams, esn_moments, esn_pdf,
                       half_normal_pdf, mills, sn_moments, std_normal_cdf)
-from skewdiff.dists import MILLS_CUTOFF
+from skewdiff.dists import LOG_SQRT_2PI, MILLS_CUTOFF, esn_logpdf
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -233,6 +234,27 @@ class TestExtendedSkewNormal:
         xs = np.linspace(-5, 5, 41)
         p = ExtendedSkewNormalParams(0.0, 1.0, 0.0, 2.7)
         assert_allclose(esn_pdf(xs, p), np.exp(-xs**2 / 2) / SQRT_2PI, rtol=1e-13)
+
+    def test_zero_shape_far_from_its_location_is_zero(self):
+        # z = (x - location)/scale overflows to -inf, where 0 * z would be nan
+        p = ExtendedSkewNormalParams(8.8e307, 0.33, 0.0, 0.0)
+        with np.errstate(over="ignore"):
+            assert esn_pdf(-5.0, p) == 0.0
+            assert np.array_equal(esn_pdf(np.array([-5.0, -6.0]), p), [0.0, 0.0])
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(xs=st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=4),
+           loc=st.floats(-1e150, 1e150), scale=st.floats(1e-3, 1e3),
+           trunc=st.floats(-50.0, 50.0))
+    def test_zero_shape_keeps_its_bits_at_finite_z(self, xs, loc, scale, trunc):
+        # the form before shape 0 took the truncation itself
+        p = ExtendedSkewNormalParams(loc, scale, 0.0, trunc)
+        z = (np.array(xs) - loc) / scale
+        old = (-math.log(scale) + (-0.5 * z * z - LOG_SQRT_2PI)
+               + log_ndtr(trunc + 0.0 * z) - log_ndtr(trunc / math.sqrt(1.0 + 0.0 * 0.0)))
+        assert esn_logpdf(np.array(xs), p).tobytes() == old.tobytes()
+        for x, want in zip(xs, old):
+            assert np.float64(esn_logpdf(x, p)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("trunc", [-2.0, 0.5, 3.0])
     def test_unit_mass(self, trunc):

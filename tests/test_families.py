@@ -1,4 +1,5 @@
 """Drift-family system: closed forms, the quadrature solver, drift values."""
+import functools
 import math
 
 import numpy as np
@@ -295,6 +296,72 @@ class TestScalarCalls:
                     for t_form in SCALAR_FORMS[:3]:
                         got = drift_value(spec, x_form(x), t_form(t))
                         assert np.array_equal(_bits(got), _bits(whole[i])), (x_form, t_form, x)
+
+
+@functools.cache
+def _general_family(chirality):
+    # psi = 1/2 gives Lambda = 0.6/sqrt(t): no horizon, evaluable on [1e-4, 1.2]
+    return family_from_amplitude(lambda t: 0.5, 0.6, chirality, np.linspace(0.01, 1.2, 40))
+
+
+# drift kind -> (spec for a chirality and sigma, the times it is evaluated at)
+ROW_CASES = {
+    "horizon": (lambda c, sigma: DriftSpec(family=horizon_family(1.5, c), shift=0.4,
+                                           diffusion_scale=sigma),
+                st.floats(0.0, 1.5, exclude_max=True)),
+    "constant_skew": (lambda c, sigma: DriftSpec(family=constant_skew_family(1.3, c),
+                                                 diffusion_scale=sigma),
+                      st.floats(0.0, 100.0)),
+    "constant_correlation": (
+        lambda c, sigma: DriftSpec(family=constant_correlation_family(0.6, c),
+                                   diffusion_scale=sigma),
+        st.floats(1e-6, 100.0)),
+    "general": (lambda c, sigma: DriftSpec(family=_general_family(c), diffusion_scale=sigma),
+                st.floats(1e-4, 1.2)),
+    "ou_htransform": (lambda c, sigma: DriftSpec(params={"lam": 1.3, "chirality": c},
+                                                 diffusion_scale=sigma),
+                      st.floats(0.0, 100.0)),
+}
+
+
+class TestTimeRows:
+    """An array of times gives one row per time, each with the bits of the
+    call at that one time."""
+
+    @pytest.mark.parametrize("chirality", [1, -1])
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_rows_match_scalar_calls(self, case, chirality, data):
+        make, times = ROW_CASES[case]
+        spec = make(chirality, data.draw(st.sampled_from([0.7, 1.0, 2.0])))
+        ts = data.draw(st.lists(times, min_size=1, max_size=8))
+        # a repeated time shares its mills row with the first
+        ts = np.array(ts + ts[:data.draw(st.integers(0, 2))])
+        xs = np.array(data.draw(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=6)))
+        rows = drift_value(spec, xs, ts)
+        assert rows.shape == (len(ts), len(xs))
+        for j, t in enumerate(ts):
+            assert np.array_equal(_bits(rows[j]), _bits(drift_value(spec, xs, t))), (j, t)
+
+    def test_custom_drift_sees_one_float_time(self):
+        seen = []
+
+        def mu(x, t):
+            seen.append(type(t))
+            return np.sin(3.0 * t) - 0.5 * x
+
+        xs = np.linspace(-2.0, 2.0, 5)
+        ts = np.array([0.1, 0.2, 0.7])
+        rows = drift_value(DriftSpec(mu_fn=mu), xs, ts)
+        assert seen == [float] * 3
+        for j, t in enumerate(ts):
+            assert np.array_equal(_bits(rows[j]), _bits(mu(xs, float(t))))
+
+    def test_a_time_past_the_horizon_raises(self):
+        spec = DriftSpec(family=horizon_family(1.0, +1))
+        with pytest.raises(HorizonError):
+            drift_value(spec, np.zeros(3), np.array([0.5, 1.0]))
 
 
 class TestConstructorErrors:

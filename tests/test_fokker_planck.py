@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from skewdiff import (DriftSpec, FpConfig, PdeInstabilityError, TimeGrid,
+from skewdiff import (DriftSpec, FpConfig, HorizonError, PdeInstabilityError, TimeGrid,
                       brownian_h_residual, constant_skew_family,
                       constant_skew_tpd, family_from_amplitude, horizon_family,
                       horizon_tpd, ou_h_residual, solve_kfe)
-from skewdiff import cli
+from skewdiff import cli, families, fokker_planck
 
 ZERO = DriftSpec(mu_fn=lambda x, t: np.zeros_like(x))
 
@@ -137,6 +137,12 @@ def _pinned_solve(case: str):
         lo, hi = -14.0, 18.0
     elif case == "custom":
         drift, x0 = DriftSpec(mu_fn=lambda x, t: np.sin(3.0 * t) - 0.5 * x), 0.5
+    elif case == "upwind":
+        # cell Peclet above 2 beyond |x| = 5, below 1 inside: half the faces
+        # are upwinded
+        drift = DriftSpec(mu_fn=lambda x, t: np.where(np.abs(x) > 5.0, -20.0 * np.sign(x),
+                                                      -0.5 * x) + np.sin(3.0 * t))
+        x0, lo, hi, n_x = 0.5, -10.0, 10.0, 81
     else:
         drift, n_x = skew, 121
         theta = {"theta0": 0.0, "theta05": 0.5, "theta1": 1.0}[case]
@@ -162,6 +168,8 @@ KFE_PINS = {
     "general": "d1717d6eb3bace610f7efe7e41a4b10b213419bd7d58e09900391c80a44bf4a3",
     "sigma2": "52117cf7485cc9f2e031b0ff98351c736e83bde0cf5a183463372b6b2de27f6c",
     "custom": "7b63cc3a2eca74c479b2a5e61295603a6bbd7b8a9fd3b0c5064c6c53d719139a",
+    # recorded before the bands took a shortcut where no face is upwinded
+    "upwind": "5258413cfa9e5aed956336deb696b7c3b29d9895b3aad379f862e1782223a769",
     "theta0": "46d3670dd5f4d8d7781a5145256a22f075d17aa8552d306cad68aa6f120e1a08",
     "theta05": "14bc913104b3dae2ff8c095a8b5f3441e522fbe2a0e2bde2ebc9f57cf0f11e23",
     "theta1": "517dc4406d8466a98cc37034881063dbe62dfd18a936385f37ea3d389a14f6c9",
@@ -235,6 +243,76 @@ class TestPinnedBytes:
         assert diag["type"] == error
         if error == "PdeInstabilityError":
             assert diag["diagnostics"]["step"] == 43
+
+
+class TestBatchedDrift:
+    """One drift call per batch of steps, failures as if step by step."""
+
+    @pytest.mark.parametrize("case,calls", [("constant_skew", 4), ("horizon_eps", 4),
+                                            ("general", 4), ("custom", 4),
+                                            ("ou_htransform", 1)])
+    def test_drift_calls_per_solve(self, monkeypatch, case, calls):
+        # 100 steps make ceil(100 / 32) = 4 batches; the time-free drift is
+        # evaluated once
+        seen = []
+        drift_value = families.drift_value
+
+        def counting(spec, x, t):
+            seen.append(np.size(t))
+            return drift_value(spec, x, t)
+
+        monkeypatch.setattr(families, "drift_value", counting)
+        sol = _pinned_solve(case)
+        assert len(seen) == calls
+        if case != "ou_htransform":
+            assert seen == [32, 32, 32, 4]
+        assert _sha256(sol.values, sol.t_nodes) == KFE_PINS[case]
+
+    @pytest.mark.parametrize("kind,t_bad,step", [("custom", 0.64, 32), ("custom", 0.9, 45),
+                                                 ("horizon", 1.28, 64), ("horizon", 1.0, 50)])
+    def test_raising_drift_fails_at_its_step(self, tmp_path, monkeypatch, kind, t_bad, step):
+        # the drift raises from t_bad on, first at the midpoint of `step`
+        # (dt = 0.02): steps 32 and 64 open a batch, 45 and 50 sit inside
+        # one; one step per batch is the step-by-step reference.  A horizon
+        # family checks the latest time of a batch, the custom drift each
+        # time in turn.
+        argv = ["fokker-planck", "--t-end", "2", "--x-min", "-6", "--x-max", "6",
+                "--n-x", "101", "--n-t", "100", "--theta", "1"]
+        if kind == "horizon":
+            argv += ["--kind", "horizon", "--T", str(t_bad), "--epsilon", "0"]
+        else:
+            def mu(x, t):
+                if t >= t_bad:
+                    raise HorizonError(f"no drift at t={t!r}")
+                return np.sin(3.0 * t) - 0.5 * x
+            monkeypatch.setattr(cli, "_drift_from_args", lambda args: DriftSpec(mu_fn=mu))
+        diags = []
+        for chunk in (fokker_planck._STEP_CHUNK, 1):
+            monkeypatch.setattr(fokker_planck, "_STEP_CHUNK", chunk)
+            out = tmp_path / str(chunk)
+            assert cli.main([*argv, "--output-dir", str(out)]) == 3
+            diags.append((out / "diagnostics.json").read_bytes())
+        assert diags[0] == diags[1]
+        diag = json.loads(diags[0])
+        assert diag["type"] == "HorizonError"
+        assert f"t={(step + 0.5) * 0.02!r}" in diag["error"]
+
+    @pytest.mark.parametrize("drift", [ZERO, DriftSpec(params={"lam": 1.0, "chirality": 1})],
+                             ids=["time_dependent", "time_free"])
+    @pytest.mark.parametrize("band,error", [(64.0, np.linalg.LinAlgError),
+                                            (np.inf, ValueError)])
+    def test_bad_matrix_raises(self, monkeypatch, drift, band, error):
+        def bands(mu_face, dx, diff):
+            ab = np.zeros((*mu_face.shape[:-1], 3, mu_face.shape[-1] + 1))
+            ab[..., 1, :] = band
+            return ab
+
+        # at theta 1 and dt = 1/64, a main band of 64 zeroes every lhs entry
+        monkeypatch.setattr(fokker_planck, "_operator_bands", bands)
+        cfg = FpConfig(x_min=-6, x_max=6, n_x=101, n_t=64, theta=1.0)
+        match = "singular matrix" if band == 64.0 else "infs or NaNs"
+        with pytest.raises(error, match=match):
+            solve_kfe(drift, 0.0, TimeGrid(0.0, 1.0, 64), cfg)
 
 
 class TestBrownianBackwardResidual:
