@@ -74,18 +74,11 @@ def _operator_bands(mu_face, dx, diff):
     one band matrix per row of mu_face (shape (..., n - 1))."""
     n = mu_face.shape[-1] + 1
     pe = np.abs(mu_face) * dx / (2.0 * diff) if diff > 0 else np.full_like(mu_face, np.inf)
-    upwind = pe > 2.0
-    if upwind.any():
-        w_left = np.where(upwind, np.where(mu_face > 0, 1.0, 0.0), 0.5)
-        left = mu_face * w_left
-        left /= dx
-        right = mu_face * (1.0 - w_left)
-        right /= dx
-    else:
-        # centered at every face: both weights are 1/2
-        left = mu_face * 0.5
-        left /= dx
-        right = left
+    w_left = np.where(pe > 2.0, np.where(mu_face > 0, 1.0, 0.0), 0.5)
+    left = mu_face * w_left
+    left /= dx
+    right = mu_face * (1.0 - w_left)
+    right /= dx
 
     dcoef = diff / dx**2
     # rows: upper, main and lower diagonal; face j sits between nodes j and
@@ -160,7 +153,7 @@ def solve_kfe(drift: DriftSpec, x0: float, grid: TimeGrid, cfg: FpConfig) -> Den
             finite = np.isfinite(lhs).all(axis=(1, 2))
             if not finite.all():
                 failure, m = ValueError(_NON_FINITE), int(np.argmin(finite))
-            elif mu_is_time_free:
+            elif mu_is_time_free and n_mu:
                 *factor, info = gttrf(lhs[0, 2, :-1], lhs[0, 1], lhs[0, 0, 1:])
         for j in range(m):
             k = k0 + j

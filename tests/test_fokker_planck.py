@@ -314,6 +314,25 @@ class TestBatchedDrift:
         with pytest.raises(error, match=match):
             solve_kfe(drift, 0.0, TimeGrid(0.0, 1.0, 64), cfg)
 
+    def test_raising_time_free_drift_is_reported(self, tmp_path, monkeypatch):
+        # the OU h-transform drift is evaluated once; when that call raises,
+        # its own exception reaches the caller and the CLI's diagnostics
+        from skewdiff import ou_skew
+
+        def raising(x, spec):
+            raise FloatingPointError("overflow in the h-transform drift")
+
+        monkeypatch.setattr(ou_skew, "ou_htransform_drift", raising)
+        cfg = FpConfig(x_min=-6, x_max=6, n_x=101, n_t=64)
+        with pytest.raises(FloatingPointError, match="h-transform drift"):
+            solve_kfe(DriftSpec(params={"lam": 1.0, "chirality": 1}), 0.0,
+                      TimeGrid(0.0, 1.0, 64), cfg)
+        out = tmp_path / "out"
+        assert cli.main(["fokker-planck", "--kind", "ou-htransform", "--lam", "1",
+                         "--t-end", "1", "--x-min", "-6", "--x-max", "6", "--n-x", "101",
+                         "--n-t", "64", "--output-dir", str(out)]) == 3
+        assert json.loads((out / "diagnostics.json").read_bytes())["type"] == "FloatingPointError"
+
 
 class TestBrownianBackwardResidual:
     def test_exact_family(self):
