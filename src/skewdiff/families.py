@@ -371,9 +371,10 @@ class DriftSpec:
       - a family's psi_t * alpha_t * mills(alpha_t * x);
       - for params {"lam", "chirality"}, the OU h-transform lam*x +
         chirality * sqrt(2 lam) * mills(chirality * sqrt(2 lam) * x);
-      - or mu_fn(y, t), the drift of Y itself, used as given.
-    `kind` is derived (the family's kind, "ou_htransform" or "custom"); an
-    init-only `kind` argument must name it."""
+      - or mu_fn(y, t), the drift of Y itself, used as given (no shift).
+    Exactly one of family, params and mu_fn is given.  `kind` is derived
+    (the family's kind, "ou_htransform" or "custom"); an init-only `kind`
+    argument must name it."""
 
     family: Optional[SkewFamily] = None
     shift: float = 0.0
@@ -385,11 +386,16 @@ class DriftSpec:
     def __post_init__(self, kind):
         if not self.diffusion_scale > 0:
             raise SchemaError("diffusion_scale must be positive")
+        if (self.family is not None) + (self.mu_fn is not None) + bool(self.params) != 1:
+            raise SchemaError("a drift needs exactly one of a family, a mu_fn "
+                              "or params {'lam', 'chirality'}")
+        if self.mu_fn is not None and self.shift != 0.0:
+            raise SchemaError("a mu_fn is the drift of Y itself and takes no shift")
         derived = (self.family.kind if self.family is not None
                    else "custom" if self.mu_fn is not None else "ou_htransform")
         if derived == "ou_htransform":
             if not {"lam", "chirality"} <= self.params.keys():
-                raise SchemaError("a drift needs a family, a mu_fn or params {'lam', 'chirality'}")
+                raise SchemaError("OU h-transform params need 'lam' and 'chirality'")
             from .ou_skew import OuSkewSpec
             # a SchemaError for a bad rate or chirality, before any evaluation
             OuSkewSpec(lam=self.params["lam"], chirality=self.params["chirality"])

@@ -12,9 +12,11 @@ of array operations; each step then forms its explicit right-hand side and
 calls LAPACK's dgtsv.  The time-free OU h-transform drift gives one matrix,
 factored once with dgttrf and solved with dgttrs at every step.  The batch
 only moves interpreter overhead: every value is computed by the same
-operations in the same order as one step at a time, and a batch whose drift
-call raises is evaluated again step by step, so the first failure in step
-order is the one raised.
+operations in the same order as one step at a time.  A batch whose drift
+call, bands or matrix fail (a raising drift, a non-finite matrix) is redone,
+with the rest of the solve, one step at a time, so the steps before the
+failing one run their checks first and the first failure in step order is
+the one raised.
 """
 from __future__ import annotations
 
@@ -92,8 +94,9 @@ def _operator_bands(mu_face, dx, diff):
 
 
 def solve_kfe(drift: DriftSpec, x0: float, grid: TimeGrid, cfg: FpConfig) -> DensityGrid:
-    """Solve the forward equation (sigma = drift.diffusion_scale) to grid.t_final;
-    returns the stored time slices as a DensityGrid (first is the mollified start).
+    """Solve the forward equation (sigma = drift.diffusion_scale) to grid.t_final
+    in grid.n_steps steps, which must equal cfg.n_t; returns the stored time
+    slices as a DensityGrid (first is the mollified start).
 
     Raises PdeInstabilityError when negative values below -1e-10 or a
     midpoint-mass drift above 1e-6 appear, with step diagnostics attached.
@@ -101,6 +104,8 @@ def solve_kfe(drift: DriftSpec, x0: float, grid: TimeGrid, cfg: FpConfig) -> Den
     from scipy.linalg import get_lapack_funcs
     if not (cfg.x_min < x0 < cfg.x_max):
         raise SchemaError("x0 must lie inside the spatial domain")
+    if grid.n_steps != cfg.n_t:
+        raise SchemaError(f"the grid has {grid.n_steps} steps but cfg.n_t is {cfg.n_t}")
     dx = cfg.dx
     x = cfg.x_min + dx * np.arange(cfg.n_x)
     w = cfg.mollifier_width()
@@ -128,37 +133,29 @@ def solve_kfe(drift: DriftSpec, x0: float, grid: TimeGrid, cfg: FpConfig) -> Den
     # the time-free drift is evaluated once, at the first midpoint; its one
     # band matrix, factored once, serves every step
     mu_is_time_free = drift.kind == "ou_htransform"
-    mu_face = np.empty((_STEP_CHUNK, cfg.n_x - 1))
-    lhs = failure = None
-    for k0 in range(0, cfg.n_t, _STEP_CHUNK):
-        m = min(_STEP_CHUNK, cfg.n_t - k0)
-        if lhs is None or not mu_is_time_free:
-            n_mu = 1 if mu_is_time_free else m
-            ts = t_mid[k0:k0 + n_mu]
+    k0, chunk = 0, _STEP_CHUNK
+    while k0 < cfg.n_t:
+        m = min(chunk, cfg.n_t - k0)
+        if k0 == 0 or not mu_is_time_free:
+            ts = t_mid[k0:k0 + (1 if mu_is_time_free else m)]
             try:
-                mu_face[:n_mu] = drift.mu(x_face, ts)
+                ab = _operator_bands(drift.mu(x_face, ts), dx, diff)
+                lhs = ab * (cfg.theta * dt)
+                np.subtract(identity, lhs, out=lhs)
+                if not np.isfinite(lhs).all():
+                    raise ValueError(_NON_FINITE)
             except Exception:
-                # a failure at batch step j, a raising drift or a non-finite
-                # matrix, is raised once steps 0..j-1 have run their checks;
-                # step by step, the first drift failure in step order is found
-                for j in range(n_mu):
-                    try:
-                        mu_face[j] = drift.mu(x_face, float(ts[j]))
-                    except Exception as e:
-                        failure, n_mu, m = e, j, j
-                        break
-            ab = _operator_bands(mu_face[:n_mu], dx, diff)
-            lhs = ab * (cfg.theta * dt)
-            np.subtract(identity, lhs, out=lhs)
-            finite = np.isfinite(lhs).all(axis=(1, 2))
-            if not finite.all():
-                failure, m = ValueError(_NON_FINITE), int(np.argmin(finite))
-            elif mu_is_time_free and n_mu:
+                # redone one step at a time, so that the steps before the
+                # failing one run their own checks first
+                if m == 1:
+                    raise
+                chunk = 1
+                continue
+            if mu_is_time_free:
                 *factor, info = gttrf(lhs[0, 2, :-1], lhs[0, 1], lhs[0, 0, 1:])
-        for j in range(m):
-            k = k0 + j
-            i = 0 if mu_is_time_free else j
-            rhs = _banded_matvec(ab[i], q)
+        for k in range(k0, k0 + m):
+            j = 0 if mu_is_time_free else k - k0
+            rhs = _banded_matvec(ab[j], q)
             rhs *= explicit
             rhs += q
             # a finite sum has only finite terms; only a non-finite one is scanned
@@ -177,17 +174,14 @@ def solve_kfe(drift: DriftSpec, x0: float, grid: TimeGrid, cfg: FpConfig) -> Den
             if (k + 1) % store_every == 0 or k == cfg.n_t - 1:
                 neg = float(q.min())
                 mass = float(q.sum() * dx)
+                tk = t_start + (k + 1) * dt
                 if neg < -1e-10 or abs(mass - 1.0) > 1e-6:
                     raise PdeInstabilityError(
                         f"instability at step {k + 1}: min={neg:.3e}, mass={mass:.12f}",
-                        diagnostics={"step": k + 1, "t": t_start + (k + 1) * dt,
-                                     "min_value": neg, "mass": mass})
-                tk = t_start + (k + 1) * dt
-                if tk > stored_t[-1] + 0.5 * dt:
-                    stored_t.append(tk)
-                    stored_q.append(q.copy())
-        if failure is not None:
-            raise failure
+                        diagnostics={"step": k + 1, "t": tk, "min_value": neg, "mass": mass})
+                stored_t.append(tk)
+                stored_q.append(q.copy())
+        k0 += m
 
     return DensityGrid(x_nodes=x, t_nodes=np.array(stored_t), values=np.array(stored_q))
 

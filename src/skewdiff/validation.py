@@ -92,18 +92,14 @@ def cdf_from_pdf(pdf: Callable, lo: float, hi: float) -> Callable:
     return cdf
 
 
-def martingale_mean(h: Callable, ensemble: PathEnsemble, x0: float,
-                    checkpoints=None):
+def martingale_mean(h: Callable, ensemble: PathEnsemble, x0: float, checkpoints):
     """Sample mean and standard error of h(X_t, t) / h(x0, t_start) at the
-    requested recorded times (defaults to the interior quartile times).
+    recorded times nearest the checkpoints.
 
     The ensemble must be simulated under the base measure that makes h a
     martingale; that contract is the caller's (it cannot be detected here).
     """
     times = ensemble.times
-    if checkpoints is None:
-        horizon = times[-1] - times[0]
-        checkpoints = [times[0] + f * horizon for f in (0.25, 0.5, 0.75)]
     h0 = float(np.asarray(h(np.asarray([x0]), float(times[0])))[0])
     out = []
     for tc in checkpoints:

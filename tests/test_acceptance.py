@@ -141,7 +141,7 @@ def test_criterion_2_backward_equation_residuals():
 # ------------------------------------------------------------- criterion 3
 def test_criterion_3_forward_equation_oracle():
     t0 = time.perf_counter()
-    grid = TimeGrid(0.0, 1.0, 1000)
+    grid = TimeGrid(0.0, 1.0, 10_000)
 
     zero = DriftSpec(mu_fn=lambda x, t: np.zeros_like(x))
     cfg = FpConfig(x_min=-10, x_max=10, n_x=2001, n_t=10_000)

@@ -368,6 +368,8 @@ class TestRunSettingsReadOnce:
         (*FP, "--x0", "9"),
         ("ou", "--lam", "-1", *SIM),
         ("simulate", "--drift-json", "{tmp}/list_params.json", *SIM),
+        # a family and OU parameters: two drift sources
+        ("simulate", "--drift-json", "{tmp}/two_sources.json", *SIM),
         # removed flags: each was parsed and then ignored, or restated sigma
         (*FP, "--sigma", "2"),
         ("mixture", "--T", "1", *SIM, "--t-start", "0.3"),
@@ -381,6 +383,9 @@ class TestRunSettingsReadOnce:
     def test_configuration_error_exits_2(self, tmp_path, capsys, argv):
         (tmp_path / "list_params.json").write_text(
             json.dumps({"kind": "horizon", "parameters": []}))
+        (tmp_path / "two_sources.json").write_text(json.dumps(
+            {"kind": "constant_skew", "family": constant_skew_family(1.0).descriptor(),
+             "parameters": {"lam": 1, "chirality": 1}}))
         assert run(tmp_path, *(a.format(tmp=tmp_path) for a in argv)) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "diagnostics.json").exists()

@@ -238,6 +238,17 @@ class TestDriftValue:
             drift_spec_from_descriptor({"kind": "horizon",
                                         "family": constant_skew_family(1.0).descriptor()})
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(family=constant_skew_family(1.0), mu_fn=lambda x, t: x),
+        dict(family=constant_skew_family(1.0), params={"lam": 1.0, "chirality": 1}),
+        dict(mu_fn=lambda x, t: x, params={"lam": 1.0, "chirality": 1}),
+        dict(mu_fn=lambda x, t: x, shift=0.5)],
+        ids=["family+mu_fn", "family+params", "mu_fn+params", "mu_fn+shift"])
+    def test_exactly_one_drift_source(self, kwargs):
+        # a second source was dropped without a word
+        with pytest.raises(SchemaError):
+            DriftSpec(**kwargs)
+
     def test_custom_drift(self):
         spec = DriftSpec(mu_fn=lambda x, t: -2.0 * x)
         assert_allclose(drift_value(spec, np.array([1.0, -3.0]), 0.1),

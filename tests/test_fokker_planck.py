@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from skewdiff import (DriftSpec, FpConfig, HorizonError, PdeInstabilityError, TimeGrid,
-                      brownian_h_residual, constant_skew_family,
+from skewdiff import (DriftSpec, FpConfig, HorizonError, PdeInstabilityError, SchemaError,
+                      TimeGrid, brownian_h_residual, constant_skew_family,
                       constant_skew_tpd, family_from_amplitude, horizon_family,
                       horizon_tpd, ou_h_residual, solve_kfe)
 from skewdiff import cli, families, fokker_planck
@@ -111,6 +111,12 @@ class TestForwardSolver:
         cfg = FpConfig(x_min=-1, x_max=1, n_x=101, n_t=64)
         with pytest.raises(ValueError):
             solve_kfe(ZERO, 5.0, TimeGrid(0.0, 1.0, 64), cfg)
+
+    def test_step_count_mismatch_rejected(self):
+        # the grid's step count and cfg.n_t must agree; neither is dropped
+        cfg = FpConfig(x_min=-5, x_max=5, n_x=101, n_t=64)
+        with pytest.raises(SchemaError, match="65 steps"):
+            solve_kfe(ZERO, 0.0, TimeGrid(0.0, 1.0, 65), cfg)
 
 
 def _pinned_solve(case: str):
@@ -296,6 +302,25 @@ class TestBatchedDrift:
         diag = json.loads(diags[0])
         assert diag["type"] == "HorizonError"
         assert f"t={(step + 0.5) * 0.02!r}" in diag["error"]
+
+    @pytest.mark.parametrize("t_bad,steps", [(0.64, 32), (0.9, 45)])
+    def test_nan_drift_fails_at_its_step(self, monkeypatch, t_bad, steps):
+        # the drift turns NaN, without raising, from t_bad on: first at the
+        # midpoint of step 32, which opens a batch, or of step 45 inside one;
+        # every earlier step forms its right-hand side before the non-finite
+        # matrix is reported, in batches or one step at a time
+        drift = DriftSpec(mu_fn=lambda x, t: x * 0.0 + (np.nan if t >= t_bad else 1.0))
+        calls = []
+        matvec = fokker_planck._banded_matvec
+        monkeypatch.setattr(fokker_planck, "_banded_matvec",
+                            lambda ab, v: calls.append(None) or matvec(ab, v))
+        cfg = FpConfig(x_min=-6, x_max=6, n_x=101, n_t=100, theta=1.0)
+        for chunk in (32, 1):
+            monkeypatch.setattr(fokker_planck, "_STEP_CHUNK", chunk)
+            calls.clear()
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve_kfe(drift, 0.0, TimeGrid(0.0, 2.0, 100), cfg)
+            assert len(calls) == steps
 
     @pytest.mark.parametrize("drift", [ZERO, DriftSpec(params={"lam": 1.0, "chirality": 1})],
                              ids=["time_dependent", "time_free"])

@@ -56,7 +56,8 @@ class TestMartingaleMean:
     def test_unit_h(self):
         ens = simulate(ZERO, 0.0, TimeGrid(0.0, 1.0, 100),
                        SimConfig(n_paths=500, seed=107, record_stride=25))
-        rows = martingale_mean(lambda x, t: np.ones_like(x), ens, 0.0)
+        rows = martingale_mean(lambda x, t: np.ones_like(x), ens, 0.0,
+                               checkpoints=[0.25, 0.5, 0.75])
         for _, mean, se in rows:
             assert mean == 1.0 and se == 0.0
 
