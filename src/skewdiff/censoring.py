@@ -15,7 +15,7 @@ import numpy as np
 
 from .dists import mills
 from .errors import SchemaError
-from .families import SkewFamily, DriftSpec, drift_value
+from .families import DriftSpec, OuSkewSpec, SkewFamily, drift_value, ou_htransform_drift
 from .sde import PathEnsemble
 
 _KDE_ROWS = 32      # grid points per block of the kernel matrix
@@ -88,9 +88,6 @@ def verify_ou_selection(lam: float, x: float, chirality: int = 1):
     single censored mean with variance lam/2 (or any other variance) is off
     by that factor.  Returns (drift_direct, drift_via_selection, abs_diff).
     """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    from .ou_skew import OuSkewSpec, ou_htransform_drift
     direct = float(ou_htransform_drift(x, OuSkewSpec(lam=lam, chirality=chirality)))
     side = "below" if chirality > 0 else "above"
     censored = truncated_normal_mean(TruncatedNormalSpec(

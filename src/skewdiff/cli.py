@@ -198,7 +198,7 @@ def cmd_family(args, outdir: Path):
             raise SchemaError(f"--table-t times must be positive, finite and below the "
                               f"horizon {fam.validity_horizon:g}, got {args.table_t!r}")
         table = (ts, [fam.psi(t) for t in ts], [fam.alpha(t) for t in ts])
-        # psi's a2 * t can overflow for a finite time and parameter
+        # a cell that is not finite is a numerical failure, never a table row
         if not np.isfinite(table).all():
             raise FloatingPointError(f"psi or alpha is not finite at --table-t {args.table_t!r}")
     artifacts = [outdir / "family.json"]

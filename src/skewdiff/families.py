@@ -14,11 +14,13 @@ solver for arbitrary amplitude paths.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
+from .densities import Law, family_esn, horizon_esn, ou_htransform_esn
 from .dists import is_scalar, mills
 from .errors import HorizonError, SchemaError
 
@@ -153,11 +155,19 @@ def constant_skew_family(alpha_const: float, chirality: int = 1) -> SkewFamily:
         raise SchemaError(f"alpha_const must be positive and finite, got {alpha_const}")
     chirality = int(chirality)
     a2 = alpha_const * alpha_const
+    big = sys.float_info.max
 
     def psi(t):
-        # a float divides by at least one for t >= 0; elsewhere NumPy's rules apply
-        t = float(t) if is_scalar(t) and t >= 0 else np.asarray(t, dtype=float)
-        return 0.5 * (2.0 + a2 * t) / (1.0 + a2 * t)
+        # a float divides by at least one for t >= 0; elsewhere NumPy's rules
+        # apply.  An overflowing a2 * t is taken as the largest double, where
+        # psi is 0.5 exactly; every finite a2 * t keeps its bits.
+        if is_scalar(t) and t >= 0:
+            a2t = a2 * float(t)
+            a2t = big if a2t > big else a2t
+        else:
+            with np.errstate(over="ignore"):
+                a2t = np.minimum(a2 * np.asarray(t, dtype=float), big)
+        return 0.5 * (2.0 + a2t) / (1.0 + a2t)
 
     def alpha(t):
         if is_scalar(t):
@@ -365,6 +375,34 @@ def ode_residual(family: SkewFamily, t):
 
 
 @dataclass(frozen=True)
+class OuSkewSpec:
+    """Mean-reversion rate and skew side."""
+
+    lam: float
+    chirality: int = 1
+
+    def __post_init__(self):
+        if not self.lam > 0:
+            raise SchemaError(f"lam must be positive, got {self.lam}")
+        if self.chirality not in (-1, 1):
+            raise SchemaError("chirality must be +1 or -1")
+
+
+def ou_htransform_drift(x, spec: OuSkewSpec):
+    """Drift lam*x + chirality * sqrt(2 lam) * mills(chirality sqrt(2 lam) x).
+
+    Equals lam*x + exp(-lam x^2) / (Gaussian mass below chirality*x at rate
+    lam), with the Mills term evaluated in log space so the disfavored tail
+    (where the ratio grows like 2*lam*|x|) stays finite.  The left-chirality
+    Mills term carries a negative sign, which is what the mirror law and
+    integrability require.
+    """
+    x = np.asarray(x, dtype=float)
+    s = math.sqrt(2.0 * spec.lam)
+    return spec.lam * x + spec.chirality * s * mills(spec.chirality * s * x)
+
+
+@dataclass(frozen=True)
 class DriftSpec:
     """Drift of Y = shift + sigma * X (sigma = diffusion_scale), where
     dX = mu(X, t) dt + dW and mu is
@@ -372,9 +410,10 @@ class DriftSpec:
       - for params {"lam", "chirality"}, the OU h-transform lam*x +
         chirality * sqrt(2 lam) * mills(chirality * sqrt(2 lam) * x);
       - or mu_fn(y, t), the drift of Y itself, used as given (no shift).
-    Exactly one of family, params and mu_fn is given.  `kind` is derived
-    (the family's kind, "ou_htransform" or "custom"); an init-only `kind`
-    argument must name it."""
+    Exactly one of family, params and mu_fn is given; params are checked
+    once, here, into the OuSkewSpec that every evaluation uses.  `kind` is
+    a derived label (the family's kind, "ou_htransform" or "custom"); an
+    init-only `kind` argument must name it."""
 
     family: Optional[SkewFamily] = None
     shift: float = 0.0
@@ -382,6 +421,7 @@ class DriftSpec:
     params: dict = field(default_factory=dict)
     mu_fn: Optional[Callable] = None
     kind: InitVar[Optional[str]] = None
+    _ou: Optional[OuSkewSpec] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self, kind):
         if not self.diffusion_scale > 0:
@@ -391,14 +431,14 @@ class DriftSpec:
                               "or params {'lam', 'chirality'}")
         if self.mu_fn is not None and self.shift != 0.0:
             raise SchemaError("a mu_fn is the drift of Y itself and takes no shift")
-        derived = (self.family.kind if self.family is not None
-                   else "custom" if self.mu_fn is not None else "ou_htransform")
-        if derived == "ou_htransform":
+        if self.params:
             if not {"lam", "chirality"} <= self.params.keys():
                 raise SchemaError("OU h-transform params need 'lam' and 'chirality'")
-            from .ou_skew import OuSkewSpec
             # a SchemaError for a bad rate or chirality, before any evaluation
-            OuSkewSpec(lam=self.params["lam"], chirality=self.params["chirality"])
+            object.__setattr__(self, "_ou", OuSkewSpec(lam=self.params["lam"],
+                                                       chirality=self.params["chirality"]))
+        derived = (self.family.kind if self.family is not None
+                   else "custom" if self.mu_fn is not None else "ou_htransform")
         if kind not in (None, derived):
             raise SchemaError(f"drift kind {kind!r} does not match its {derived!r} definition")
         object.__setattr__(self, "kind", derived)
@@ -409,6 +449,11 @@ class DriftSpec:
             return self.family.validity_horizon
         return math.inf
 
+    @property
+    def time_free(self) -> bool:
+        """True when mu does not depend on t: the OU h-transform."""
+        return self._ou is not None
+
     def mu(self, x, t):
         return drift_value(self, x, t)
 
@@ -418,13 +463,12 @@ class DriftSpec:
         Its unit law is that of X from (x0 - shift)/sigma: the horizon and
         (time-free) OU h-transform kernels from any start, a family's
         marginal only from (shift, 0)."""
-        from .densities import Law, family_esn, horizon_esn, ou_htransform_esn
-        shift, sigma, fam, p = self.shift, self.diffusion_scale, self.family, self.params
+        shift, sigma, fam, ou = self.shift, self.diffusion_scale, self.family, self._ou
         u0 = (x0 - shift) / sigma
-        if self.kind == "horizon":
+        if ou is not None:
+            unit = lambda t: ou_htransform_esn(t - t0, ou.lam, u0, ou.chirality)
+        elif fam is not None and fam.kind == "horizon":
             unit = lambda t: horizon_esn(t, u0, t0, fam.params["T"], fam.chirality)
-        elif self.kind == "ou_htransform":
-            unit = lambda t: ou_htransform_esn(t - t0, p["lam"], u0, p["chirality"])
         elif fam is not None and t0 == 0 and x0 == shift:
             unit = lambda t: family_esn(t, fam)
         else:
@@ -465,7 +509,7 @@ def drift_value(spec: DriftSpec, x, t):
     row.  A custom mu_fn is still called with one float time at a time."""
     x = np.asarray(x, dtype=float)
     rows = not is_scalar(t)
-    if spec.kind == "custom":
+    if spec.mu_fn is not None:
         if not rows:
             return spec.mu_fn(x, t)
         out = np.empty((len(t), *x.shape))
@@ -476,11 +520,8 @@ def drift_value(spec: DriftSpec, x, t):
         u = x   # the identity map: (x - 0)/1 is x, bit for bit
     else:
         u = (x - spec.shift) / spec.diffusion_scale
-    if spec.kind == "ou_htransform":
-        from .ou_skew import OuSkewSpec, ou_htransform_drift
-        p = spec.params
-        mu = spec.diffusion_scale * ou_htransform_drift(
-            u, OuSkewSpec(lam=p["lam"], chirality=p["chirality"]))
+    if spec._ou is not None:
+        mu = spec.diffusion_scale * ou_htransform_drift(u, spec._ou)
         return np.repeat(mu[None], len(t), axis=0) if rows else mu
     fam = spec.family
     fam.check_time(t)

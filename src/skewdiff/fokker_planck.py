@@ -9,10 +9,10 @@ is conserved to roundoff and any drift flags instability.
 The time loop evaluates the drift at the midpoints of up to _STEP_CHUNK
 steps with one call (one row per time) and assembles their bands in one batch
 of array operations; each step then forms its explicit right-hand side and
-calls LAPACK's dgtsv.  The time-free OU h-transform drift gives one matrix,
-factored once with dgttrf and solved with dgttrs at every step.  The batch
-only moves interpreter overhead: every value is computed by the same
-operations in the same order as one step at a time.  A batch whose drift
+calls LAPACK's dgtsv.  A time-free drift (DriftSpec.time_free) gives one
+matrix, factored once with dgttrf and solved with dgttrs at every step.
+The batch only moves interpreter overhead: every value is computed by the
+same operations in the same order as one step at a time.  A batch whose drift
 call, bands or matrix fail (a raising drift, a non-finite matrix) is redone,
 with the rest of the solve, one step at a time, so the steps before the
 failing one run their checks first and the first failure in step order is
@@ -29,7 +29,7 @@ import numpy as np
 from .dists import std_normal_cdf
 from .densities import DensityGrid
 from .errors import PdeInstabilityError, SchemaError
-from .families import DriftSpec, SkewFamily
+from .families import DriftSpec, OuSkewSpec, SkewFamily
 from .sde import TimeGrid
 
 _N_STORE = 201              # time slices kept, the start included
@@ -132,7 +132,7 @@ def solve_kfe(drift: DriftSpec, x0: float, grid: TimeGrid, cfg: FpConfig) -> Den
 
     # the time-free drift is evaluated once, at the first midpoint; its one
     # band matrix, factored once, serves every step
-    mu_is_time_free = drift.kind == "ou_htransform"
+    mu_is_time_free = drift.time_free
     k0, chunk = 0, _STEP_CHUNK
     while k0 < cfg.n_t:
         m = min(chunk, cfg.n_t - k0)
@@ -228,8 +228,7 @@ def ou_h_residual(lam: float, chirality: int, x_grid, t_grid,
     noise.  Dropping the exponential time factor (negative control) leaves
     a residual of size lam * e^{lam x^2}.
     """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    OuSkewSpec(lam, chirality)   # a SchemaError (a ValueError) for a bad rate or side
     x = np.asarray(x_grid, dtype=float)[:, None]
     t = np.asarray(t_grid, dtype=float)[None, :]
     s = math.sqrt(2.0 * lam)

@@ -8,44 +8,16 @@ system driven by finite-horizon skew noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .densities import ou_gaussian_esn, ou_htransform_tpd_raw
-from .dists import esn_pdf, mills, std_normal_cdf, std_normal_logcdf
+from .dists import esn_pdf, std_normal_cdf, std_normal_logcdf
 from .errors import SchemaError, SkewDiffError
-from .families import DriftSpec, horizon_family
+# OuSkewSpec and ou_htransform_drift, defined beside the drifts, keep this path
+from .families import DriftSpec, OuSkewSpec, horizon_family, ou_htransform_drift
 from .sde import PathEnsemble, SimConfig, TimeGrid, _clamp, _integrate
-
-
-@dataclass(frozen=True)
-class OuSkewSpec:
-    """Mean-reversion rate and skew side."""
-
-    lam: float
-    chirality: int = 1
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise SchemaError(f"lam must be positive, got {self.lam}")
-        if self.chirality not in (-1, 1):
-            raise SchemaError("chirality must be +1 or -1")
-
-
-def ou_htransform_drift(x, spec: OuSkewSpec):
-    """Drift lam*x + chirality * sqrt(2 lam) * mills(chirality sqrt(2 lam) x).
-
-    Equals lam*x + exp(-lam x^2) / (Gaussian mass below chirality*x at rate
-    lam), with the Mills term evaluated in log space so the disfavored tail
-    (where the ratio grows like 2*lam*|x|) stays finite.  The left-chirality
-    Mills term carries a negative sign, which is what the mirror law and
-    integrability require.
-    """
-    x = np.asarray(x, dtype=float)
-    s = math.sqrt(2.0 * spec.lam)
-    return spec.lam * x + spec.chirality * s * mills(spec.chirality * s * x)
 
 
 def ou_h_log(x, t, spec: OuSkewSpec):
@@ -71,8 +43,7 @@ def ou_h(x, t, spec: OuSkewSpec):
 def ou_mixture_probability(lam: float, x: float):
     """Chirality weights (p_minus, p_plus) = Gaussian masses at rate lam
     below -x and x; they sum to one exactly."""
-    if not lam > 0:
-        raise SchemaError(f"lam must be positive, got {lam}")
+    OuSkewSpec(lam)   # a SchemaError unless the rate is positive
     s = math.sqrt(2.0 * lam)
     p_plus = float(std_normal_cdf(s * x))
     return 1.0 - p_plus, p_plus
@@ -124,8 +95,7 @@ def simulate_ou_skew_noise(lam: float, x0: float, T: float, grid: TimeGrid,
     ensembles.  A grid that reaches T is a SchemaError: the law of Z is
     singular there.
     """
-    if not lam > 0:
-        raise SchemaError(f"lam must be positive, got {lam}")
+    OuSkewSpec(lam)   # a SchemaError unless the rate is positive
     noise = DriftSpec(family=horizon_family(T))
     if not grid.t_final < T:
         raise SchemaError(f"the skew noise needs t_final < T, got t_final="

@@ -296,51 +296,27 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
     return outs, sum(events)
 
 
-def _check_horizon(grid: TimeGrid, *drifts: Optional["DriftSpec"]):
+def _check_horizon(grid: TimeGrid, *drifts: "DriftSpec"):
     """HorizonError when the grid runs past a drift's validity horizon."""
     for d in drifts:
-        if d is not None and grid.t_final > d.validity_horizon + 1e-12:
+        if grid.t_final > d.validity_horizon + 1e-12:
             raise HorizonError(f"grid reaches t={grid.t_final} beyond the drift "
                                f"validity horizon {d.validity_horizon}")
 
 
-def simulate(drift: "DriftSpec", x0: float, grid: TimeGrid, cfg: SimConfig,
-             _labels: Optional[np.ndarray] = None,
-             _drift_minus: Optional["DriftSpec"] = None) -> PathEnsemble:
-    """Euler-Maruyama integration of dX = mu(X, t) dt + sigma dW.
-
-    sigma is drift.diffusion_scale.  Per-step drift increments are clamped
-    at sigma * cfg.drift_clamp in magnitude (events counted on the
-    ensemble), which bounds X's increment in Y = shift + sigma * X at
-    cfg.drift_clamp whatever sigma is.
-    When `_labels`/`_drift_minus` are given (mixture use), paths labeled -1
-    follow the second drift.
-    """
-    _check_horizon(grid, drift, _drift_minus)
-
+def _drift_ensemble(mu_for: Callable, sigma: float, x0: float, grid: TimeGrid,
+                    cfg: SimConfig, labels: Optional[np.ndarray] = None) -> PathEnsemble:
+    """Euler-Maruyama ensemble of dX = mu(X, t) dt + sigma dW, where paths
+    lo:hi take their drift mu(x, t) from `mu_for(lo, hi)`.  A step's drift
+    increment is clamped at sigma * cfg.drift_clamp (events counted), which
+    bounds X's increment in Y = shift + sigma * X at cfg.drift_clamp."""
     dt = grid.dt
     sqdt = math.sqrt(dt)
-    sigma = drift.diffusion_scale
     limit = cfg.drift_clamp * sigma
     times = grid.times()
 
     def step_for(lo, hi):
-        mu_at = drift.mu
-        if _labels is not None:
-            # each drift is evaluated only on its own paths; every drift
-            # operation is elementwise, so the values match a full evaluation
-            lab = _labels[lo:hi]
-            ip = np.flatnonzero(lab > 0)
-            im = np.flatnonzero(lab <= 0)
-            mu = np.empty(hi - lo)
-
-            def mu_at(x, t):
-                if ip.size:
-                    mu[ip] = drift.mu(x[ip], t)
-                if im.size:
-                    mu[im] = _drift_minus.mu(x[im], t)
-                return mu
-
+        mu_at = mu_for(lo, hi)
         scaled = np.empty(hi - lo)   # mu * dt
 
         def step(states, zs, k):
@@ -354,20 +330,47 @@ def simulate(drift: "DriftSpec", x0: float, grid: TimeGrid, cfg: SimConfig,
         return step
 
     (values,), clamps = _integrate(step_for, (x0,), grid, cfg, scales=(sigma * sqdt,))
-    return PathEnsemble(grid=grid, values=values, seed=cfg.seed,
-                        labels=None if _labels is None else _labels.copy(),
+    return PathEnsemble(grid=grid, values=values, seed=cfg.seed, labels=labels,
                         record_stride=cfg.record_stride, clamp_events=clamps)
+
+
+def simulate(drift: "DriftSpec", x0: float, grid: TimeGrid, cfg: SimConfig) -> PathEnsemble:
+    """Euler-Maruyama integration of dX = mu(X, t) dt + sigma dW, where sigma
+    is drift.diffusion_scale (see _drift_ensemble for the clamp)."""
+    _check_horizon(grid, drift)
+    return _drift_ensemble(lambda lo, hi: drift.mu, drift.diffusion_scale, x0, grid, cfg)
 
 
 def simulate_mixture(drift_plus: "DriftSpec", drift_minus: "DriftSpec",
                      p_plus: float, x0: float, grid: TimeGrid,
                      cfg: SimConfig) -> PathEnsemble:
     """Each path draws a +-1 label with P(+1) = p_plus, then follows the
-    corresponding drift; labels are recorded on the ensemble."""
+    corresponding drift; labels are recorded on the ensemble.  Both drifts
+    share the one noise scale, so their diffusion_scale must be equal."""
     if not 0.0 <= p_plus <= 1.0:
         raise ValueError(f"p_plus must be a probability, got {p_plus}")
+    if drift_minus.diffusion_scale != drift_plus.diffusion_scale:
+        raise SchemaError("the mixture's two drifts need one diffusion_scale")
+    _check_horizon(grid, drift_plus, drift_minus)
     labels = _draw_labels(cfg.seed, cfg.n_paths, p_plus)
-    return simulate(drift_plus, x0, grid, cfg, _labels=labels, _drift_minus=drift_minus)
+
+    def mu_for(lo, hi):
+        # each drift is evaluated only on its own paths; every drift
+        # operation is elementwise, so the values match a full evaluation
+        lab = labels[lo:hi]
+        ip = np.flatnonzero(lab > 0)
+        im = np.flatnonzero(lab <= 0)
+        mu = np.empty(hi - lo)
+
+        def mu_at(x, t):
+            if ip.size:
+                mu[ip] = drift_plus.mu(x[ip], t)
+            if im.size:
+                mu[im] = drift_minus.mu(x[im], t)
+            return mu
+        return mu_at
+
+    return _drift_ensemble(mu_for, drift_plus.diffusion_scale, x0, grid, cfg, labels)
 
 
 def simulate_bivariate_censoring(rho, grid: TimeGrid, cfg: SimConfig):

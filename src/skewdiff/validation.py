@@ -15,7 +15,8 @@ from typing import Callable, List, Optional
 import numpy as np
 from scipy.special import kolmogi
 
-from .densities import density_mass, family_tpd, family_tpd_unshifted
+# cdf_from_pdf lives beside densities.Law and is still importable from here
+from .densities import cdf_from_pdf, density_mass, family_tpd, family_tpd_unshifted
 from .dists import std_normal_logcdf
 from .families import DriftSpec, SkewFamily, drift_value
 from .sde import PathEnsemble
@@ -75,21 +76,6 @@ def ks_threshold(n: int) -> float:
     """Asymptotic KS acceptance threshold at 99% confidence."""
     # 1.0 - 0.99, not 0.01: the two differ in the last bits
     return float(kolmogi(1.0 - 0.99)) / math.sqrt(n)
-
-
-def cdf_from_pdf(pdf: Callable, lo: float, hi: float) -> Callable:
-    """Numerically integrated cdf of a vectorized pdf on 20001 nodes, as an
-    interpolant."""
-    x = np.linspace(lo, hi, 20001)
-    p = np.asarray(pdf(x), dtype=float)
-    c = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(x))])
-    total = c[-1]
-
-    def cdf(v):
-        return np.clip(np.interp(v, x, c / total), 0.0, 1.0)
-
-    cdf.total_mass = total
-    return cdf
 
 
 def martingale_mean(h: Callable, ensemble: PathEnsemble, x0: float, checkpoints):

@@ -77,6 +77,12 @@ class TestFamilyCommand:
         assert table[0] == "t,psi,alpha"
         assert len(table) == 3
 
+    def test_psi_where_a2t_overflows_is_its_limit(self, tmp_path):
+        # a2 * t = 4e308 overflows; psi = (2 + a2 t) / (2 (1 + a2 t)) tends to 1/2
+        assert run(tmp_path, "family", "--kind", "constant-skew", "--alpha", "2",
+                   "--table-t", "1e308") == 0
+        assert _float_cells(tmp_path / "family_table.csv", "t,psi,alpha") == [[1e308, 0.5, 2.0]]
+
 
 class TestDensityCommand:
     def test_matches_direct_evaluation(self, tmp_path):
@@ -480,10 +486,7 @@ class TestDiagnostics:
         (("density", "--kind", "ou-htransform", "--lam", "1", "--t", "1e308",
           "--x=-5:1:0.5"), "OverflowError"),
         (("density", "--kind", "ou-htransform", "--lam", "1e308", "--t", "0.5",
-          "--x=-5:1:0.5"), "OverflowError"),
-        # 4 * 1e308 overflows in psi = (2 + a2 t) / (2 (1 + a2 t))
-        (("family", "--kind", "constant-skew", "--alpha", "2", "--table-t", "1e308"),
-         "FloatingPointError")])
+          "--x=-5:1:0.5"), "OverflowError")])
     def test_overflow_is_numerical_failure(self, tmp_path, argv, error):
         assert run(tmp_path, *argv) == 3
         diag = json.loads((tmp_path / "diagnostics.json").read_text())

@@ -13,6 +13,7 @@ from skewdiff import (DriftSpec, HorizonError, SchemaError, amplitude_from_famil
                       drift_value, family_from_amplitude,
                       family_from_descriptor, horizon_family, mills,
                       ode_residual)
+from skewdiff import families
 from skewdiff.families import drift_spec_from_descriptor
 
 SQRT_2_OVER_PI = math.sqrt(2 / math.pi)
@@ -52,6 +53,22 @@ class TestConstantSkewFamily:
     def test_amplitude_late_limit(self):
         fam = constant_skew_family(2.0, +1)
         assert_allclose(float(fam.psi(1e9)), 0.5, atol=1e-8)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_amplitude_where_a2t_overflows(self):
+        # (2 + a2 t) / (2 (1 + a2 t)) is inf / inf there; its limit is 1/2
+        for alpha, t in ((1e200, 1.0), (2.0, 1e308)):
+            fam = constant_skew_family(alpha, +1)
+            assert fam.psi(t) == 0.5
+            assert np.array_equal(fam.psi(np.array([t, 0.5 * t])), [0.5, 0.5])
+
+    def test_amplitude_bits_where_a2t_is_finite(self):
+        a2 = 2.0 * 2.0
+        ts = np.concatenate([[0.0], np.geomspace(1e-300, 4e307, 97)])
+        raw = 0.5 * (2.0 + a2 * ts) / (1.0 + a2 * ts)
+        fam = constant_skew_family(2.0, +1)
+        assert np.array_equal(fam.psi(ts), raw)
+        assert all(fam.psi(float(t)) == r for t, r in zip(ts, raw))
 
     def test_infinite_horizon(self):
         assert constant_skew_family(1.0, +1).validity_horizon == math.inf
@@ -237,6 +254,19 @@ class TestDriftValue:
         with pytest.raises(SchemaError):
             drift_spec_from_descriptor({"kind": "horizon",
                                         "family": constant_skew_family(1.0).descriptor()})
+
+    def test_time_free_is_derived(self, monkeypatch):
+        ou = DriftSpec(params={"lam": 1.0, "chirality": -1})
+        assert ou.time_free
+        assert not DriftSpec(family=constant_skew_family(1.0)).time_free
+        assert not DriftSpec(mu_fn=lambda x, t: x).time_free
+        with pytest.raises(AttributeError):
+            ou.time_free = False
+        with pytest.raises(TypeError):
+            DriftSpec(mu_fn=lambda x, t: x, time_free=True)
+        # the params were checked once, at construction; evaluation builds nothing
+        monkeypatch.setattr(families, "OuSkewSpec", None)
+        assert drift_value(ou, 0.5, 0.1) == drift_value(ou, 0.5, 7.0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(family=constant_skew_family(1.0), mu_fn=lambda x, t: x),

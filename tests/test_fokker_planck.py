@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from skewdiff import (DriftSpec, FpConfig, HorizonError, PdeInstabilityError, SchemaError,
-                      TimeGrid, brownian_h_residual, constant_skew_family,
+from skewdiff import (DriftSpec, FpConfig, HorizonError, OuSkewSpec, PdeInstabilityError,
+                      SchemaError, TimeGrid, brownian_h_residual, constant_skew_family,
                       constant_skew_tpd, family_from_amplitude, horizon_family,
-                      horizon_tpd, ou_h_residual, solve_kfe)
+                      horizon_tpd, ou_h_residual, ou_htransform_drift, solve_kfe)
 from skewdiff import cli, families, fokker_planck
 
 ZERO = DriftSpec(mu_fn=lambda x, t: np.zeros_like(x))
@@ -342,12 +342,10 @@ class TestBatchedDrift:
     def test_raising_time_free_drift_is_reported(self, tmp_path, monkeypatch):
         # the OU h-transform drift is evaluated once; when that call raises,
         # its own exception reaches the caller and the CLI's diagnostics
-        from skewdiff import ou_skew
-
         def raising(x, spec):
             raise FloatingPointError("overflow in the h-transform drift")
 
-        monkeypatch.setattr(ou_skew, "ou_htransform_drift", raising)
+        monkeypatch.setattr(families, "ou_htransform_drift", raising)
         cfg = FpConfig(x_min=-6, x_max=6, n_x=101, n_t=64)
         with pytest.raises(FloatingPointError, match="h-transform drift"):
             solve_kfe(DriftSpec(params={"lam": 1.0, "chirality": 1}), 0.0,
@@ -357,6 +355,22 @@ class TestBatchedDrift:
                          "--t-end", "1", "--x-min", "-6", "--x-max", "6", "--n-x", "101",
                          "--n-t", "64", "--output-dir", str(out)]) == 3
         assert json.loads((out / "diagnostics.json").read_bytes())["type"] == "FloatingPointError"
+
+
+@pytest.mark.parametrize("lam,chirality,theta", [(1.0, +1, 0.5), (0.7, -1, 1.0)])
+def test_factor_once_gives_the_per_step_bits(lam, chirality, theta):
+    # DriftSpec(params=...) is time-free: its one matrix is factored once
+    # (dgttrf) and solved at each step (dgttrs).  The same drift as a mu_fn
+    # is not, and each step calls dgtsv.
+    ou = OuSkewSpec(lam=lam, chirality=chirality)
+    once = DriftSpec(params={"lam": lam, "chirality": chirality})
+    per_step = DriftSpec(mu_fn=lambda x, t: ou_htransform_drift(x, ou))
+    assert once.time_free and not per_step.time_free
+    cfg = FpConfig(x_min=-10, x_max=10, n_x=401, n_t=200, theta=theta)
+    grid = TimeGrid(0.0, 1.0, 200)
+    a, b = (solve_kfe(d, 0.0, grid, cfg) for d in (once, per_step))
+    assert np.array_equal(a.t_nodes, b.t_nodes)
+    assert np.array_equal(a.values, b.values)
 
 
 class TestBrownianBackwardResidual:

@@ -308,6 +308,17 @@ class TestMixture:
         frac = np.mean(ens.labels > 0)
         assert abs(frac - 0.25) < 3 * math.sqrt(0.25 * 0.75 / 20000)
 
+    def test_rejects_drifts_of_two_diffusion_scales(self):
+        # the engine drives every path with one noise scale: the sigma = 3
+        # paths would get sigma = 1 noise, a terminal variance near 0.4
+        # where their law has about 3.3
+        plus = DriftSpec(family=horizon_family(1.0, +1))
+        minus = DriftSpec(family=horizon_family(1.0, -1), diffusion_scale=3.0)
+        with pytest.raises(SchemaError, match="diffusion_scale"):
+            simulate_mixture(plus, minus, 0.5, 0.0,
+                             TimeGrid(0.0, 1.0, 100, terminal_cutoff_epsilon=1e-4),
+                             SimConfig(n_paths=20000, seed=5, record_stride=100))
+
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             simulate_mixture(skew_drift(), skew_drift(1.0, -1), 1.5, 0.0,

@@ -82,6 +82,37 @@ def test_module_level_scipy_is_special_only():
             assert scipy <= {"scipy", "scipy.special"}, (path.name, node.lineno)
 
 
+def _package_imports(nodes):
+    """The skewdiff modules that the import statements among `nodes` load."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            # from .m import y loads skewdiff.m; from . import m loads skewdiff.m
+            names = ([f"skewdiff.{node.module}"] if node.module
+                     else [f"skewdiff.{a.name}" for a in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        else:
+            continue
+        yield from (n for n in names if n.split(".")[0] == "skewdiff")
+
+
+# deferred on purpose, so that start-up skips them: the CSV kernel until a
+# writer runs, and the validation suite until `validate` runs
+LAZY_IMPORTS = {("io", "skewdiff._floatfmt"), ("cli", "skewdiff.suite")}
+
+
+def test_no_package_import_inside_a_function():
+    # an import in a function body hides a dependency from the module
+    # header, and most often an import cycle
+    for path in sorted((SRC / "skewdiff").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for mod in _package_imports(ast.walk(fn)):
+                    assert (path.stem, mod) in LAZY_IMPORTS, (path.name, fn.name, mod)
+
+
 def test_no_import_inside_a_loop():
     for path in sorted((SRC / "skewdiff").glob("*.py")):
         tree = ast.parse(path.read_text())
