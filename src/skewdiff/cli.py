@@ -308,9 +308,11 @@ def cmd_censor(args, outdir: Path):
             raise SchemaError(f"--check-t {t_check} is not a positive recorded time "
                               f"(every {grid.dt * cfg.record_stride:g} up to {T:g})")
         checks.append(j)
-    ens_x, ens_y = simulate_bivariate_censoring(rho, grid, cfg)
+    # no check reads a step past the last check time, so none is run
+    n_run = max(checks) * cfg.record_stride
+    ens_x, ens_y = simulate_bivariate_censoring(rho, grid, cfg, n_steps=n_run)
 
-    rho_vals = np.array([rho(t) if callable(rho) else rho for t in grid.times()[:-1]])
+    rho_vals = np.array([rho(t) if callable(rho) else rho for t in grid.times()[:n_run]])
     results = []
     artifacts = []
     for j in checks:

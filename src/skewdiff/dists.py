@@ -98,19 +98,30 @@ def mills(x):
             return float(_SQRT_2_OVER_PI / erfcx(-v / _SQRT_2))
         return float(np.exp(v * v * -0.5 - LOG_SQRT_2PI) / ndtr(v))
     x = np.asarray(x, dtype=float)
-    # clipped, so neither x^2 overflows nor 0/0 forms where both factors
-    # underflow; the clipped-off elements are exact or overwritten below
-    u = np.maximum(x, MILLS_CUTOFF)
-    np.minimum(u, _MILLS_ZERO_ABOVE, out=u)
+    # one min finds a tail; a NaN minimum falls back to the mask
+    if x.size and not x.min() >= MILLS_CUTOFF:
+        tail = x < MILLS_CUTOFF
+        if tail.any():
+            # each branch runs on its own elements only
+            q = np.empty_like(x)
+            q[tail] = _SQRT_2_OVER_PI / erfcx(-x[tail] / _SQRT_2)
+            body = ~tail
+            q[body] = _mills_body(x[body])
+            return q
+    return _mills_body(x)
+
+
+def _mills_body(x: np.ndarray) -> np.ndarray:
+    """mills' exp/ndtr branch on an array whose elements are at or above
+    MILLS_CUTOFF or NaN.  Clipped at _MILLS_ZERO_ABOVE, so neither x^2
+    overflows nor 0/0 forms where both factors underflow; the ratio is 0
+    there, which the clipped value gives too."""
+    u = np.minimum(x, _MILLS_ZERO_ABOVE)
     q = u * u
     q *= -0.5
     q -= LOG_SQRT_2PI
     np.exp(q, out=q)
     q /= ndtr(u, out=u)
-    # one min finds a tail; a NaN minimum falls back to the mask
-    if x.size and not x.min() >= MILLS_CUTOFF:
-        tail = x < MILLS_CUTOFF
-        q[tail] = _SQRT_2_OVER_PI / erfcx(-x[tail] / _SQRT_2)
     return q
 
 

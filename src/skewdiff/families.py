@@ -154,8 +154,10 @@ def constant_skew_family(alpha_const: float, chirality: int = 1) -> SkewFamily:
     if not 0 < alpha_const < math.inf:
         raise SchemaError(f"alpha_const must be positive and finite, got {alpha_const}")
     chirality = int(chirality)
-    a2 = alpha_const * alpha_const
     big = sys.float_info.max
+    # an overflowing a2 is taken as the largest double, so a2 * 0 is 0 and
+    # psi(0) is 1; every finite a2 keeps its bits
+    a2 = min(alpha_const * alpha_const, big)
 
     def psi(t):
         # a float divides by at least one for t >= 0; elsewhere NumPy's rules

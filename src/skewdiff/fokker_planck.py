@@ -84,12 +84,19 @@ def _operator_bands(mu_face, dx, diff):
 
     dcoef = diff / dx**2
     # rows: upper, main and lower diagonal; face j sits between nodes j and
-    # j+1, with zero flux outside the domain
-    ab = np.zeros((*mu_face.shape[:-1], 3, n))
-    ab[..., 1, :-1] += -left - dcoef
-    ab[..., 0, 1:] += -right + dcoef
-    ab[..., 1, 1:] += right - dcoef
-    ab[..., 2, :-1] += left + dcoef
+    # j+1, with zero flux outside the domain.  Each entry is written once,
+    # with the bits of its sum of face terms (the main diagonal's two added
+    # in face order)
+    ab = np.empty((*mu_face.shape[:-1], 3, n))
+    ab[..., 0, 0] = 0.0
+    np.subtract(dcoef, right, out=ab[..., 0, 1:])
+    main = ab[..., 1, :]
+    np.negative(left, out=main[..., :-1])
+    main[..., :-1] -= dcoef
+    main[..., -1] = 0.0
+    main[..., 1:] += right - dcoef
+    np.add(left, dcoef, out=ab[..., 2, :-1])
+    ab[..., 2, -1] = 0.0
     return ab
 
 

@@ -139,7 +139,9 @@ class PathEnsemble:
 
     @property
     def times(self) -> np.ndarray:
-        return self.grid.times()[:: self.record_stride]
+        """The grid's recorded times, cut to the columns held (a run may stop
+        before the grid's end)."""
+        return self.grid.times()[:: self.record_stride][: self.values.shape[1]]
 
     def at_time(self, t: float) -> np.ndarray:
         """Column of path values at the recorded time closest to t."""
@@ -202,7 +204,7 @@ def _runs(n_paths: int, workers: int):
 
 
 def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
-               scales=(1.0,)):
+               scales=(1.0,), n_steps: Optional[int] = None):
     """The one Euler-Maruyama engine behind every simulator.
 
     `step_for(lo, hi)` builds the step for paths lo:hi; the step maps
@@ -223,16 +225,24 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
     them.  States are checked for finiteness every _STEP_CHUNK steps.  A
     SimulationError names the lowest failing block at that block's first
     detection, whatever the thread count: a failure in a run reruns the
-    run's blocks below the failing one, which may fail first.  Returns one
+    run's blocks below the failing one, which may fail first.
+
+    `n_steps` (a multiple of the stride, default grid.n_steps) runs only the
+    grid's first n_steps steps; the draws of those steps are the same as in
+    a whole run, so the recorded columns keep their bits.  Returns one
     n_paths x n_recorded array per component (started at x0s) and the
     total clamp events.
     """
     if grid.n_steps % cfg.record_stride:
         raise SchemaError("record_stride must divide n_steps")
+    n_run = grid.n_steps if n_steps is None else n_steps
+    if not (0 < n_run <= grid.n_steps and n_run % cfg.record_stride == 0):
+        raise SchemaError(f"a run of {n_run} steps must be a positive multiple of "
+                          f"record_stride up to the grid's {grid.n_steps}")
     # one column per stream: row k scales step k's draws
     columns = [np.broadcast_to(np.asarray(s, dtype=float), (grid.n_steps,))[:, None]
                for s in scales]
-    n_rec = grid.n_steps // cfg.record_stride + 1
+    n_rec = n_run // cfg.record_stride + 1
     outs = tuple(np.empty((cfg.n_paths, n_rec)) for _ in x0s)
 
     def run_blocks(b0, b1):
@@ -241,7 +251,7 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
         m = hi - lo
         streams = [[_stream(cfg.seed, tag, b) for b in range(b0, b1)]
                    for tag in range(len(columns))]
-        rows = max(1, min(grid.n_steps, _STEP_CHUNK * _BLOCK_SIZE // m))
+        rows = max(1, min(n_run, _STEP_CHUNK * _BLOCK_SIZE // m))
         bufs = [np.empty((rows, m)) for _ in columns]
         draws = np.empty(rows * min(m, _BLOCK_SIZE))   # one block's rows, before scaling
         step = step_for(lo, hi)
@@ -249,10 +259,10 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
         for out, x in zip(outs, states):
             out[lo:hi, 0] = x
         clamps = 0
-        for k in range(grid.n_steps):
+        for k in range(n_run):
             j = k % rows
             if j == 0:
-                n = min(rows, grid.n_steps - k)
+                n = min(rows, n_run - k)
                 for rngs, buf, col in zip(streams, bufs, columns):
                     for i, rng in enumerate(rngs):
                         c0, c1 = i * _BLOCK_SIZE, min(m, (i + 1) * _BLOCK_SIZE)
@@ -266,7 +276,7 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
             if (k + 1) % cfg.record_stride == 0:
                 for out, x in zip(outs, states):
                     out[lo:hi, (k + 1) // cfg.record_stride] = x
-            if (k + 1) % _STEP_CHUNK == 0 or k + 1 == grid.n_steps:
+            if (k + 1) % _STEP_CHUNK == 0 or k + 1 == n_run:
                 for x in states:
                     _check_finite(~np.isfinite(x), k + 1, lo)
         return clamps
@@ -373,13 +383,17 @@ def simulate_mixture(drift_plus: "DriftSpec", drift_minus: "DriftSpec",
     return _drift_ensemble(mu_for, drift_plus.diffusion_scale, x0, grid, cfg, labels)
 
 
-def simulate_bivariate_censoring(rho, grid: TimeGrid, cfg: SimConfig):
+def simulate_bivariate_censoring(rho, grid: TimeGrid, cfg: SimConfig,
+                                  n_steps: Optional[int] = None):
     """Driver pair (X, Y): X is standard Brownian and dY = rho dX +
     sqrt(1 - rho^2) dW2 with W2 independent, both started at zero.
 
-    `rho` maps time to [-1, 1] (scalars accepted).  Returns the (X, Y)
-    ensembles; Var X_t = Var Y_t = t in expectation and the covariance
-    accumulates as the running integral of rho.
+    `rho` maps time to [-1, 1] (scalars accepted), and is checked on the
+    whole grid.  Only the grid's first `n_steps` steps are run (a multiple
+    of cfg.record_stride, default all of them); the columns held have the
+    bits of a whole run's.  Returns the (X, Y) ensembles; Var X_t = Var Y_t
+    = t in expectation and the covariance accumulates as the running
+    integral of rho.
     """
     rho_fn = rho if callable(rho) else (lambda t, _r=float(rho): _r)
     times = grid.times()
@@ -400,7 +414,7 @@ def simulate_bivariate_censoring(rho, grid: TimeGrid, cfg: SimConfig):
         return (x + dx, y_new), 0
 
     (xv, yv), _ = _integrate(lambda lo, hi: step, (0.0, 0.0), grid, cfg,
-                             scales=(sqdt, ortho * sqdt))
+                             scales=(sqdt, ortho * sqdt), n_steps=n_steps)
     ens_x = PathEnsemble(grid=grid, values=xv, seed=cfg.seed, record_stride=cfg.record_stride)
     ens_y = PathEnsemble(grid=grid, values=yv, seed=cfg.seed, record_stride=cfg.record_stride)
     return ens_x, ens_y

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from skewdiff import cli
 from skewdiff import (SimConfig, TimeGrid, TruncatedNormalSpec,
                       censored_posterior, constant_correlation_family,
                       constant_skew_family, horizon_family,
@@ -212,3 +213,52 @@ class TestCensoredPosteriorFromSim:
             keep = ey.values[:, -1] >= 0
             ks_by_n.append(ks_statistic(ex.values[:, -1][keep], ref))
         assert ks_by_n[1] < ks_by_n[0]
+
+
+# sha256 of each artifact of a `censor` run, recorded while the pair was
+# still integrated to --t-end.  The first run's checks sit at
+# 0.30000000000000004 and 0.6000000000000001, where a grid cut at the last
+# check would move dt; the second's last check is --t-end
+CENSOR_PINS = {
+    "ramp-cut-grid-times": (
+        ("--t-end", "1", "--steps", "300", "--paths", "8200", "--record-stride", "30",
+         "--check-t", "0.3,0.6", "--seed", "5"),
+        {"censor_results.json":
+            "3e75eef273e5cf0a64552ca12aee987b070386757814630a384acfa6b78f9f4c",
+         "kde_t3.csv": "f70cb561618356ca87120997db5f5fbb13a94ab5da281bfd8c88ceaf68fabd2b",
+         "kde_t6.csv": "682b807fe4b199b323c95038bfb63febcb421b90cccb3eb6175dff12948c2a2a"}),
+    "constant-to-t-end": (
+        ("--t-end", "1", "--steps", "200", "--paths", "8192", "--record-stride", "50",
+         "--check-t", "0.25,1", "--rho-kind", "constant", "--rho", "0.4", "--seed", "7"),
+        {"censor_results.json":
+            "8b449cb8af5c557d67a27dfdc8b4b7986382d1420b6f3860bb9ea0f4e822f806",
+         "kde_t1.csv": "f60dad430b751432413bbcae8639c390c9f39e74f1cb236a2da881e9e8aef9b4",
+         "kde_t4.csv": "5d8d5d06f41a5a4dd0ff91cfa107402235b321a8990e6c3a4d4f51424a96ecaf"}),
+}
+
+
+class TestCensorCommand:
+    @pytest.mark.parametrize("case", sorted(CENSOR_PINS))
+    def test_artifacts_are_pinned(self, tmp_path, case):
+        argv, digests = CENSOR_PINS[case]
+        assert cli.main(["censor", *argv, "--output-dir", str(tmp_path)]) == 0
+        names = sorted(f.name for f in tmp_path.iterdir() if f.name != "manifest.json")
+        assert names == sorted(digests)
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    def test_pair_stops_at_the_last_check(self, tmp_path, monkeypatch):
+        runs = []
+
+        def spy(*args, **kwargs):
+            pair = simulate_bivariate_censoring(*args, **kwargs)
+            runs.append(pair)
+            return pair
+        monkeypatch.setattr(cli, "simulate_bivariate_censoring", spy)
+        assert cli.main(["censor", "--t-end", "1", "--steps", "200", "--paths", "4000",
+                         "--record-stride", "50", "--check-t", "0.5,0.25",
+                         "--output-dir", str(tmp_path)]) in (0, 1)
+        (ex, ey), = runs
+        # columns for t = 0, 0.25 and 0.5: the steps past t = 0.5 never ran
+        assert ex.values.shape == ey.values.shape == (4000, 3)
+        assert ex.times.tolist() == [0.0, 0.25, 0.5]

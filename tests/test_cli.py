@@ -663,6 +663,14 @@ class TestArtifactFormat:
         rows = _float_cells(kde[0], "x,density")
         assert len(rows) > 10 and all(len(r) == 2 for r in rows)
 
+    def test_quick_report_is_pinned(self, tmp_path):
+        # sha256 recorded while the martingale ensemble still ran its
+        # 300 steps to t = 1
+        assert main(["validate", "--suite", "quick", "--seed", "3",
+                     "--output-dir", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "validation_report.json").read_bytes()).hexdigest() \
+            == "d808fcbca9960195ef9ee12d1dda46e1db005f730e78cf2fbd1abf624f66bc8f"
+
     def test_validation_report_identical_across_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import log_ndtr
@@ -14,6 +15,8 @@ from scipy.stats import skewnorm
 
 from skewdiff import (ExtendedSkewNormalParams, esn_moments, esn_pdf,
                       half_normal_pdf, mills, sn_moments, std_normal_cdf)
+from scipy.special import erfcx, ndtr
+
 from skewdiff.dists import LOG_SQRT_2PI, MILLS_CUTOFF, esn_logpdf
 
 SQRT_2PI = math.sqrt(2 * math.pi)
@@ -146,6 +149,56 @@ class TestMills:
     def test_non_increasing(self, a, b):
         lo, hi = min(a, b), max(a, b)
         assert mills(lo) >= mills(hi)
+
+
+def _mills_one_pass(x):
+    """mills' array form as one pass over every element: clipped to
+    [MILLS_CUTOFF, 40], exp/ndtr on all of it, then the tail overwritten
+    with the erfcx branch."""
+    x = np.asarray(x, dtype=float)
+    u = np.maximum(x, MILLS_CUTOFF)
+    np.minimum(u, 40.0, out=u)
+    q = u * u
+    q *= -0.5
+    q -= LOG_SQRT_2PI
+    np.exp(q, out=q)
+    q /= ndtr(u, out=u)
+    if x.size and not x.min() >= MILLS_CUTOFF:
+        tail = x < MILLS_CUTOFF
+        q[tail] = math.sqrt(2 / math.pi) / erfcx(-x[tail] / math.sqrt(2))
+    return q
+
+
+# tail and body elements, the specials, and the doubles around both ends
+# of the exp/ndtr branch's clip
+_MILLS_ELEMENTS = st.one_of(
+    st.floats(-60.0, 60.0),
+    st.floats(-5.0000001, -4.9999999),
+    st.floats(39.9999, 40.0001),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, MILLS_CUTOFF,
+                     float(np.nextafter(MILLS_CUTOFF, -np.inf)),
+                     float(np.nextafter(MILLS_CUTOFF, np.inf)), 40.0,
+                     float(np.nextafter(40.0, np.inf)), -1e300, 1e300]))
+
+
+class TestMillsSplit:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                                     max_side=12),
+                        elements=_MILLS_ELEMENTS))
+    def test_matches_the_one_pass_form_bit_for_bit(self, x):
+        # both forms divide by erfcx(inf) = 0 at -inf, giving its limit inf
+        with np.errstate(divide="ignore"):
+            got = mills(x)
+            want = _mills_one_pass(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_mixed_rows_match_the_one_pass_form(self):
+        # a 2-D block as the solver passes it: tail and body in every row
+        x = np.multiply.outer(np.array([-2.0, 0.5, 3.0]), np.linspace(-10, 10, 1001))
+        x[1, 7] = math.nan
+        assert mills(x).tobytes() == _mills_one_pass(x).tobytes()
 
 
 class TestSkewNormalPdf:

@@ -62,6 +62,16 @@ class TestConstantSkewFamily:
             assert fam.psi(t) == 0.5
             assert np.array_equal(fam.psi(np.array([t, 0.5 * t])), [0.5, 0.5])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_amplitude_where_a2_overflows(self):
+        # a2 itself is inf above alpha ~ 1.34e154; capped at the largest
+        # double, a2 * 0 is 0, so psi(0) is 1 rather than inf * 0 = nan
+        fam = constant_skew_family(1e200, +1)
+        assert fam.psi(0.0) == 1.0
+        assert fam.psi(1.0) == 0.5
+        assert np.array_equal(fam.psi(np.array([0.0, 1.0])), [1.0, 0.5])
+        assert np.array_equal(fam.psi(np.array([[0.0], [2.0]])), [[1.0], [0.5]])
+
     def test_amplitude_bits_where_a2t_is_finite(self):
         a2 = 2.0 * 2.0
         ts = np.concatenate([[0.0], np.geomspace(1e-300, 4e307, 97)])

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from skewdiff import DriftSpec, SimConfig, TimeGrid, density_grid, simulate, \
-    simulate_mixture, constant_skew_family, constant_skew_tpd
+    simulate_bivariate_censoring, simulate_mixture, constant_skew_family, \
+    constant_skew_tpd
 from skewdiff import _floatfmt
 from skewdiff.densities import DensityGrid
 from skewdiff.sde import PathEnsemble
@@ -70,6 +71,20 @@ class TestBinaryRoundTrip:
             with pytest.raises(ValueError, match=what) as err:
                 ensemble_from_binary(p)
             assert str(p) in str(err.value)
+
+    def test_cut_ensemble(self, tmp_path):
+        # a run stopped at step 12 of 20 holds 4 of the grid's 6 recorded times
+        ens, _ = simulate_bivariate_censoring(0.5, TimeGrid(0.0, 1.0, 20),
+                                              SimConfig(n_paths=13, seed=23, record_stride=4),
+                                              n_steps=12)
+        assert ens.values.shape == (13, 4) and len(ens.times) == 4
+        p = tmp_path / "cut.skdf"
+        ensemble_to_binary(ens, p)
+        back = ensemble_from_binary(p)
+        assert back.values.tobytes() == ens.values.tobytes()
+        assert back.times.tobytes() == ens.times.tobytes()
+        assert (back.seed, back.grid, back.record_stride) == \
+            (ens.seed, ens.grid, ens.record_stride)
 
     def test_byte_identical_rewrites(self, small_ensemble, tmp_path):
         p1, p2 = tmp_path / "a.skdf", tmp_path / "b.skdf"

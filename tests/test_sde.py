@@ -290,6 +290,38 @@ class TestBivariateCensoring:
             simulate_bivariate_censoring(1.5, TimeGrid(0.0, 1.0, 10),
                                          SimConfig(n_paths=2, seed=1, record_stride=10))
 
+    @pytest.mark.parametrize("n_threads", [1, 2, 3])
+    def test_cut_run_holds_the_whole_run_columns(self, n_threads):
+        # 8200 paths, two noise blocks; 70 steps end inside the third
+        # 32-step noise chunk
+        grid = TimeGrid(0.0, 1.0, 100)
+        cfg = SimConfig(n_paths=8200, seed=47, record_stride=10, n_threads=n_threads)
+        rho = lambda t: math.sqrt(t)
+        whole = simulate_bivariate_censoring(rho, grid, cfg)
+        cut = simulate_bivariate_censoring(rho, grid, cfg, n_steps=70)
+        for w, c in zip(whole, cut):
+            assert c.values.shape == (8200, 8)
+            assert c.values.tobytes() == w.values[:, :8].tobytes()
+            assert len(c.times) == c.values.shape[1]
+            assert c.times.tobytes() == w.times[:8].tobytes()
+            assert c.grid == grid and c.at_time(0.7) is not None
+            with pytest.raises(ValueError, match="not a recorded time"):
+                c.at_time(0.8)
+
+    def test_cut_run_checks_rho_on_the_whole_grid(self):
+        rho = lambda t: 1.5 if t > 0.75 else 0.5
+        with pytest.raises(SchemaError):
+            simulate_bivariate_censoring(rho, TimeGrid(0.0, 1.0, 100),
+                                         SimConfig(n_paths=2, seed=1, record_stride=10),
+                                         n_steps=50)
+
+    @pytest.mark.parametrize("n_steps", [0, 55, 110])
+    def test_cut_run_length_is_checked(self, n_steps):
+        with pytest.raises(SchemaError, match="multiple of record_stride"):
+            simulate_bivariate_censoring(0.5, TimeGrid(0.0, 1.0, 100),
+                                         SimConfig(n_paths=2, seed=1, record_stride=10),
+                                         n_steps=n_steps)
+
 
 class TestMixture:
     def test_degenerate_mixture_matches_plain(self):
