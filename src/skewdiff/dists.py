@@ -95,7 +95,8 @@ def mills(x):
     if is_scalar(x):    # no 0-d array round trip
         v = float(x)
         if v < MILLS_CUTOFF:
-            return float(_SQRT_2_OVER_PI / erfcx(-v / _SQRT_2))
+            # at -inf, erfcx(inf) = 0: return the limit without dividing
+            return float(_SQRT_2_OVER_PI / erfcx(-v / _SQRT_2)) if v > -math.inf else math.inf
         return float(np.exp(v * v * -0.5 - LOG_SQRT_2PI) / ndtr(v))
     x = np.asarray(x, dtype=float)
     # one min finds a tail; a NaN minimum falls back to the mask
@@ -104,7 +105,9 @@ def mills(x):
         if tail.any():
             # each branch runs on its own elements only
             q = np.empty_like(x)
-            q[tail] = _SQRT_2_OVER_PI / erfcx(-x[tail] / _SQRT_2)
+            # erfcx(inf) = 0 at -inf: the quotient is the limit, inf
+            with np.errstate(divide="ignore"):
+                q[tail] = _SQRT_2_OVER_PI / erfcx(-x[tail] / _SQRT_2)
             body = ~tail
             q[body] = _mills_body(x[body])
             return q

@@ -4,12 +4,13 @@ CSV contract: every float cell is the shortest round-trip Python repr of a
 plain float (``0.1``, ``-0.0``, ``nan``, ``inf``; never a NumPy scalar
 repr), so ``float(cell)`` recovers the value exactly and repeated runs with
 the same configuration produce byte-identical files.  Every cell comes from
-one vectorized formatter, `_floatfmt`, which is tested equal to ``repr``;
-the writers hand it blocks of whole slices or rows, about
-``_floatfmt.CHUNK`` values each, and write each block before formatting
-the next.  They import it on first use, so start-up does not load it.
-Density tables are long-form, one ``x,t,q`` row per node pair;
-ensembles are one row per path.
+one vectorized formatter, `_floatfmt`, tested equal to ``repr`` and imported
+on first use, so start-up does not load it.  The three CSV writers share one
+block writer, `_write_csv`: after the header, it builds, formats and writes
+one block of whole rows (about ``_floatfmt.CHUNK`` cells) before the next,
+so memory is bounded by the block.  Density tables are long-form, one
+``x,t,q`` row per node pair; ensembles are one row per path.  Arrays reach
+``write`` through the buffer protocol, never as ``tobytes()`` copies.
 The binary ensemble layout is little-endian:
 
     magic "SKDF" | u16 version | u16 flags (bit0 = labels present)
@@ -34,14 +35,17 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHHQQqdddII")
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _cells(values) -> np.ndarray:
+    """`_floatfmt` cells of an array of any shape, shaped (*shape, WIDTH)."""
+    from . import _floatfmt
+    values = np.asarray(values, dtype=float)
+    return _floatfmt.cells(values).reshape(*values.shape, _floatfmt.WIDTH)
 
 
-def _csv_rows(*blocks) -> bytes:
-    """CSV text of NUL-padded `_floatfmt` cells.  Each block is shaped
-    (..., columns, WIDTH); the blocks' columns are laid side by side and their
-    leading axes broadcast, one row per index of those axes."""
+def _csv_rows(*blocks) -> np.ndarray:
+    """CSV text of NUL-padded `_floatfmt` cells, as one uint8 array.  Each
+    block is shaped (..., columns, WIDTH); the blocks' columns are laid side
+    by side and their leading axes broadcast, one row per index of those axes."""
     width = blocks[0].shape[-1]
     lead = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
     buf = np.empty((*lead, sum(b.shape[-2] for b in blocks), width + 1), np.uint8)
@@ -51,63 +55,64 @@ def _csv_rows(*blocks) -> bytes:
         col += b.shape[-2]
     buf[..., width] = ord(",")
     buf[..., -1, width] = ord("\n")
-    return buf[buf != 0].tobytes()
+    return buf[buf != 0]
+
+
+def _write_csv(path, header: str, n_rows: int, row_cells: int, block) -> None:
+    """Write `header`, then, for each run [lo, hi) of rows that holds about
+    `_floatfmt.CHUNK` cells, the rows of the `_csv_rows` blocks that
+    `block(lo, hi)` returns, each run written before the next is built."""
+    from . import _floatfmt
+    step = max(1, _floatfmt.CHUNK // max(row_cells, 1))
+    with Path(path).open("wb") as fh:
+        fh.write(header.encode())
+        for lo in range(0, n_rows, step):
+            fh.write(_csv_rows(*block(lo, min(lo + step, n_rows))))
 
 
 def columns_to_csv(path, names, *columns) -> None:
     """Header `names`, then one row per index of the equal-length columns."""
-    from . import _floatfmt
     n_rows = min((len(c) for c in columns), default=0)
-    # one row of values per column; each block is formatted in one call, row-major
+    # one row of values per column, so a block is its slice of every row
     values = np.array([np.asarray(c, dtype=float)[:n_rows] for c in columns])
-    step = max(1, _floatfmt.CHUNK // max(len(columns), 1))
-    with Path(path).open("wb") as fh:
-        fh.write((",".join(names) + "\n").encode())
-        for lo in range(0, n_rows, step):
-            block = values[:, lo:lo + step].T
-            fh.write(_csv_rows(_floatfmt.cells(block).reshape(*block.shape, -1)))
+    _write_csv(path, ",".join(names) + "\n", n_rows, len(columns),
+               lambda lo, hi: (_cells(values[:, lo:hi].T),))
 
 
 def ensemble_to_csv(ens: PathEnsemble, path) -> None:
     """One row per path; metadata in a leading comment, times in the header."""
     from . import _floatfmt
-    n_times = len(ens.times)
+    g = ens.grid
+    t_start, t_end, eps, *times = (r.decode() for r in _floatfmt.reprs(
+        [g.t_start, g.t_end, g.terminal_cutoff_epsilon, *ens.times]).tolist())
     labels = None if ens.labels is None else ens.labels.tolist()
-    cols = ["path"] + (["label"] if labels is not None else []) \
-        + [f"t={t.decode()}" for t in _floatfmt.reprs(ens.times).tolist()]
-    step = max(1, _floatfmt.CHUNK // max(n_times, 1))
-    with Path(path).open("wb") as fh:
-        fh.write((f"# skewdiff-ensemble seed={ens.seed} scheme={ens.scheme} "
-                  f"n_paths={ens.n_paths} n_steps={ens.grid.n_steps} "
-                  f"t_start={_fmt(ens.grid.t_start)} t_end={_fmt(ens.grid.t_end)} "
-                  f"epsilon={_fmt(ens.grid.terminal_cutoff_epsilon)} "
-                  f"record_stride={ens.record_stride} clamp_events={ens.clamp_events}\n"
-                  + ",".join(cols) + "\n").encode())
-        for lo in range(0, ens.n_paths, step):
-            rows = range(lo, min(lo + step, ens.n_paths))
-            # the path index (and label) lead each row as one more cell
-            head = np.array([f"{i}" if labels is None else f"{i},{labels[i]}" for i in rows],
-                            dtype=f"S{_floatfmt.WIDTH}").view(np.uint8)
-            values = _floatfmt.cells(ens.values[rows.start:rows.stop])
-            fh.write(_csv_rows(head.reshape(len(rows), 1, -1),
-                               values.reshape(len(rows), n_times, -1)))
+    cols = ["path"] + (["label"] if labels is not None else []) + [f"t={t}" for t in times]
+    header = (f"# skewdiff-ensemble seed={ens.seed} scheme={ens.scheme} "
+              f"n_paths={ens.n_paths} n_steps={g.n_steps} t_start={t_start} "
+              f"t_end={t_end} epsilon={eps} record_stride={ens.record_stride} "
+              f"clamp_events={ens.clamp_events}\n" + ",".join(cols) + "\n")
+
+    def block(lo, hi):
+        # the path index (and label) lead each row as one more cell
+        head = np.array([f"{i}" if labels is None else f"{i},{labels[i]}"
+                         for i in range(lo, hi)], dtype=f"S{_floatfmt.WIDTH}")
+        return head.view(np.uint8).reshape(hi - lo, 1, -1), _cells(ens.values[lo:hi])
+
+    _write_csv(path, header, ens.n_paths, len(times), block)
 
 
 def ensemble_to_binary(ens: PathEnsemble, path) -> None:
-    path = Path(path)
     times = np.ascontiguousarray(ens.times, dtype="<f8")
-    values = np.ascontiguousarray(ens.values, dtype="<f8")
-    flags = 1 if ens.labels is not None else 0
     header = _HEADER.pack(
-        MAGIC, VERSION, flags, ens.n_paths, len(times),
+        MAGIC, VERSION, 0 if ens.labels is None else 1, ens.n_paths, len(times),
         ens.seed, ens.grid.t_start, ens.grid.t_end,
         ens.grid.terminal_cutoff_epsilon, ens.record_stride, ens.grid.n_steps)
-    with path.open("wb") as fh:
+    with Path(path).open("wb") as fh:
         fh.write(header)
-        fh.write(times.tobytes())
-        fh.write(values.tobytes())
+        fh.write(times)
+        fh.write(np.ascontiguousarray(ens.values, dtype="<f8"))
         if ens.labels is not None:
-            fh.write(np.ascontiguousarray(ens.labels, dtype="<i1").tobytes())
+            fh.write(np.ascontiguousarray(ens.labels, dtype="<i1"))
 
 
 def ensemble_from_binary(path) -> PathEnsemble:
@@ -145,24 +150,12 @@ def ensemble_from_binary(path) -> PathEnsemble:
 
 
 def density_grid_to_csv(grid: DensityGrid, path) -> None:
-    """Long-form x,t,q rows (one per node pair), in time-slice order.
-
-    Cells come from `_floatfmt`, tested equal to ``repr``: x and t are
-    formatted once, q a block of whole slices (about `_floatfmt.CHUNK`
-    values) at a time, each block written before the next is formatted,
-    so memory stays bounded by the block, not the grid.
-    """
-    from . import _floatfmt
-    xs = _floatfmt.cells(grid.x_nodes)
-    ts = _floatfmt.cells(grid.t_nodes)
-    n_x, n_t = len(xs), len(ts)
-    step = max(1, _floatfmt.CHUNK // max(n_x, 1))
-    with Path(path).open("wb") as fh:
-        fh.write(b"x,t,q\n")
-        for lo in range(0, n_t, step):
-            n = min(step, n_t - lo)
-            qs = _floatfmt.cells(grid.values[lo:lo + n]).reshape(n, n_x, 1, -1)
-            fh.write(_csv_rows(xs[:, None], ts[lo:lo + n, None, None], qs))
+    """Long-form x,t,q rows (one per node pair), in time-slice order: x and
+    t are formatted once, q a block of whole slices at a time."""
+    xs = _cells(grid.x_nodes)[:, None]
+    ts = _cells(grid.t_nodes)[:, None, None]
+    _write_csv(path, "x,t,q\n", len(ts), len(xs),
+               lambda lo, hi: (xs, ts[lo:hi], _cells(grid.values[lo:hi, :, None])))
 
 
 def density_grid_summary(grid: DensityGrid) -> dict:

@@ -77,6 +77,13 @@ class TestFamilyCommand:
         assert table[0] == "t,psi,alpha"
         assert len(table) == 3
 
+    def test_table_is_pinned(self, tmp_path):
+        # sha256 of family_table.csv: fixed and exponent-form cells alike
+        assert run(tmp_path, "family", "--kind", "constant-skew", "--alpha", "1.5",
+                   "--chirality", "-1", "--table-t", "1e-07,0.125,0.5,1,3.7,1e+16") == 0
+        assert hashlib.sha256((tmp_path / "family_table.csv").read_bytes()).hexdigest() \
+            == "26288e4aa0b50cd6fe62852095a7f94e6c47b7873c36f08fc3f1112672b909bd"
+
     def test_psi_where_a2t_overflows_is_its_limit(self, tmp_path):
         # a2 * t = 4e308 overflows; psi = (2 + a2 t) / (2 (1 + a2 t)) tends to 1/2
         assert run(tmp_path, "family", "--kind", "constant-skew", "--alpha", "2",
@@ -713,6 +720,14 @@ FUZZ_BASE = {
     "fokker-planck": ("fokker-planck", "--kind", "constant-skew", "--alpha", "1.0",
                       "--t-end", "0.5", "--x-min", "-6", "--x-max", "6",
                       "--n-x", "64", "--n-t", "64"),
+    "mixture": ("mixture", "--kind", "horizon", "--T", "1", "--t-end", "0.5",
+                "--steps", "8", "--paths", "128"),
+    "ou": ("ou", "--mode", "sknoise", "--lam", "1", "--T", "2", "--t-end", "0.5",
+           "--steps", "8", "--paths", "128"),
+    # censor's posterior check needs 1000 survivors
+    "censor": ("censor", "--t-end", "0.5", "--steps", "8", "--paths", "4096",
+               "--check-t", "0.25"),
+    "validate": ("validate", "--suite", "quick"),
 }
 # a command that runs no check never exits 1
 FUZZ_CHECKS_NOTHING = {"fokker-planck"}

@@ -307,3 +307,25 @@ class TestDensityGridBookkeeping:
         with pytest.raises(ValueError):
             DensityGrid(x_nodes=np.arange(4.0), t_nodes=np.arange(2.0),
                         values=np.zeros((3, 4)))
+
+    def test_moments_match_the_per_slice_loop_bit_for_bit(self):
+        from skewdiff import DensityGrid
+
+        def per_slice(grid):
+            # the reference: three trapezoids per time slice
+            x, out = grid.x_nodes, []
+            for row, mass in zip(grid.values, grid.mass_per_t):
+                mean = np.trapezoid(row * x, x) / mass
+                var = np.trapezoid(row * (x - mean) ** 2, x) / mass
+                m3 = np.trapezoid(row * (x - mean) ** 3, x) / mass
+                out.append((float(mass), float(mean), float(var), float(m3 / var**1.5)))
+            return out
+
+        rng = np.random.default_rng(7)
+        x = np.sort(rng.uniform(-6.0, 9.0, 733))
+        grids = [density_grid(lambda x, t: constant_skew_tpd(x, t, 1.5, -1),
+                              np.linspace(-9, 10, 2001), [0.1, 0.5, 1.0, 3.0]),
+                 DensityGrid(x, np.arange(5.0), rng.exponential(size=(5, 733))),
+                 DensityGrid(x[:3], np.arange(0.0), np.empty((0, 3)))]
+        for grid in grids:
+            assert grid.moments() == per_slice(grid)

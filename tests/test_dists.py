@@ -187,12 +187,19 @@ class TestMillsSplit:
                                                      max_side=12),
                         elements=_MILLS_ELEMENTS))
     def test_matches_the_one_pass_form_bit_for_bit(self, x):
-        # both forms divide by erfcx(inf) = 0 at -inf, giving its limit inf
+        got = mills(x)
+        # the reference divides by erfcx(inf) = 0 at -inf, giving its limit inf
         with np.errstate(divide="ignore"):
-            got = mills(x)
             want = _mills_one_pass(x)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+    def test_minus_infinity_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mills(float("-inf")) == math.inf
+            got = mills(np.array([-np.inf, 0.0]))
+        assert got[0] == math.inf and got[1] == mills(0.0)
 
     def test_mixed_rows_match_the_one_pass_form(self):
         # a 2-D block as the solver passes it: tail and body in every row

@@ -165,7 +165,14 @@ DENSITY_CSV_SHA256 = \
     "014bb4999a35a21d65ddec9a035ef87a476401a2a8517cebd7bc0ff9087733b9"
 ENSEMBLE_CSV_SHA256 = \
     "19ae40f9c67e012ef92e5761bef2257ad00efd968a59cf00b9eef642c99d7378"
-
+# sha256 of the unlabelled ensemble's CSV and SKDF (its header has a nonzero
+# t_start and epsilon), and of the labelled ensemble's SKDF
+UNLABELED_CSV_SHA256 = \
+    "73d0630d4d7f7debeb06ffcf81df4730f059ebfae2aaf363bfeebf4eec0337a6"
+UNLABELED_SKDF_SHA256 = \
+    "e358b93ad830231fa88ca38185f275ecbf1e3689112d921584983fed6984d5e9"
+LABELED_SKDF_SHA256 = \
+    "3673c5e73ed00f1a250ade69ea0edd4c7e3f692177d838aa977c0f0a6dd66642"
 
 def _special_grid():
     x = np.array([-1e300, -0.0, 5e-324, 0.1, 1.0 / 3.0, 1e300])
@@ -188,6 +195,21 @@ class TestPinnedBytes:
         p = tmp_path / "e.csv"
         ensemble_to_csv(labeled_ensemble, p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == ENSEMBLE_CSV_SHA256
+
+    def test_unlabeled_ensemble_csv_and_binary(self, tmp_path):
+        ens = simulate(ZERO, -0.25, TimeGrid(0.1, 1.3, 24, terminal_cutoff_epsilon=1e-05),
+                       SimConfig(n_paths=11, seed=23, record_stride=6))
+        ensemble_to_csv(ens, tmp_path / "e.csv")
+        ensemble_to_binary(ens, tmp_path / "e.skdf")
+        assert hashlib.sha256((tmp_path / "e.csv").read_bytes()).hexdigest() \
+            == UNLABELED_CSV_SHA256
+        assert hashlib.sha256((tmp_path / "e.skdf").read_bytes()).hexdigest() \
+            == UNLABELED_SKDF_SHA256
+
+    def test_labeled_ensemble_binary(self, labeled_ensemble, tmp_path):
+        p = tmp_path / "e.skdf"
+        ensemble_to_binary(labeled_ensemble, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == LABELED_SKDF_SHA256
 
 
 class TestDensityExports:
