@@ -232,12 +232,14 @@ def _format_chunk(v: np.ndarray, cells: np.ndarray) -> None:
 
 
 def cells(values) -> np.ndarray:
-    """The repr of each value as a row of a (n, WIDTH) uint8 matrix, NUL-padded."""
-    v = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    """The repr of each value as a NUL-padded row of WIDTH uint8 bytes, in
+    an array shaped (*values.shape, WIDTH)."""
+    values = np.asarray(values, dtype=np.float64)
+    v = np.ascontiguousarray(values).reshape(-1)
     out = np.empty((len(v), WIDTH), np.uint8)
     for lo in range(0, len(v), CHUNK):
         _format_chunk(v[lo:lo + CHUNK], out[lo:lo + CHUNK])
-    return out
+    return out.reshape(*values.shape, WIDTH)
 
 
 def reprs(values) -> np.ndarray:

@@ -128,7 +128,7 @@ def _read_json(path, what) -> dict:
 
 
 def _drift_from_args(args) -> DriftSpec:
-    if getattr(args, "drift_json", None):
+    if args.drift_json:
         if args.kind is not None:
             raise SchemaError("--kind and --drift-json are exclusive")
         desc = _read_json(args.drift_json, "drift descriptor")
@@ -382,7 +382,7 @@ def cmd_validate(args, outdir: Path):
     from .suite import build_core_report
     report = build_core_report(seed=args.seed, quick=(args.suite == "quick"))
     rp = outdir / "validation_report.json"
-    rp.write_text(report.to_json() + "\n")
+    write_json(rp, report.to_dict())
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name}: statistic={c.statistic:.3e} threshold={c.threshold:.3e}")
@@ -398,7 +398,12 @@ def _add_common(p):
 
 
 def _add_family_params(p, kinds, kind_required=True):
+    """--kind over `kinds`, the parameter flags they read and --chirality;
+    where --kind is optional, --drift-json stands in for it."""
     p.add_argument("--kind", choices=kinds, required=kind_required, default=None)
+    if not kind_required:
+        p.add_argument("--drift-json", default=None,
+                       help="drift (or family) descriptor file, instead of --kind")
     read = {f for _, flags in kinds.values() for f in flags}
     for name, about in _KIND_PARAMS.items():
         if name in read:
@@ -440,14 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sim_params(p)
     p.add_argument("--t-start", type=float, default=0.0)
     p.add_argument("--shift", type=float, default=0.0)
-    p.add_argument("--drift-json", default=None,
-                   help="drift (or family) descriptor file, instead of --kind")
 
     p = sub.add_parser("density", help="tabulate a closed-form density")
     _add_common(p)
     _add_family_params(p, {**DRIFT_KINDS, **DENSITY_KINDS}, kind_required=False)
-    p.add_argument("--drift-json", default=None,
-                   help="drift (or family) descriptor file, instead of --kind")
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--t", required=True, help="comma list of times")
     p.add_argument("--x", required=True, help="x grid as lo:hi:step")
@@ -455,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fokker-planck", help="finite-difference forward solve")
     _add_common(p)
     _add_family_params(p, DRIFT_KINDS, kind_required=False)
-    p.add_argument("--drift-json", default=None,
-                   help="drift (or family) descriptor file, instead of --kind")
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--epsilon", type=float, default=None,

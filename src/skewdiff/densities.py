@@ -318,13 +318,13 @@ def chapman_kolmogorov_residual(tpd, x0: float, t0: float, t1: float, t2: float,
 
 
 def density_mass(fn, t: float, lo: float = None, hi: float = None,
-                 center: float = 0.0, width: float = None) -> float:
-    """Adaptive-quadrature mass of a density slice x -> fn(x, t)."""
+                 center: float = 0.0) -> float:
+    """Adaptive-quadrature mass of a density slice x -> fn(x, t), by default
+    over center -/+ (12 sqrt(t) + 8)."""
     from scipy.integrate import quad
-    if lo is None or hi is None:
-        w = width if width is not None else 12.0 * math.sqrt(max(t, 1e-12)) + 8.0
-        lo = center - w if lo is None else lo
-        hi = center + w if hi is None else hi
+    w = 12.0 * math.sqrt(max(t, 1e-12)) + 8.0
+    lo = center - w if lo is None else lo
+    hi = center + w if hi is None else hi
 
     def integrand(x):
         return float(np.asarray(fn(x, t)))

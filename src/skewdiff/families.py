@@ -118,6 +118,15 @@ def _family_from_gamma_table(C, chirality, t_nodes, psi_vals, gamma, horizon):
                               "gamma": np.asarray(gamma).tolist()})
 
 
+def _constant(c: float) -> Callable:
+    """t -> c: a Python float for one number, else an array shaped like t."""
+    def f(t):
+        if is_scalar(t):
+            return c
+        return np.full_like(np.asarray(t, dtype=float), c)
+    return f
+
+
 def horizon_family(T: float, chirality: int = 1) -> SkewFamily:
     """Finite-horizon family: unit amplitude, skewness 1/sqrt(T - t).
 
@@ -129,11 +138,6 @@ def horizon_family(T: float, chirality: int = 1) -> SkewFamily:
         raise SchemaError(f"horizon T must be positive and finite, got {T}")
     chirality = int(chirality)
 
-    def psi(t):
-        if is_scalar(t):
-            return 1.0
-        return np.ones_like(np.asarray(t, dtype=float))
-
     def alpha(t):
         # from T on, math raises where NumPy gives inf or nan
         if is_scalar(t) and float(t) < T:
@@ -144,7 +148,7 @@ def horizon_family(T: float, chirality: int = 1) -> SkewFamily:
     def alpha_dot(t):
         return chirality * 0.5 * np.power(T - t, -1.5)
 
-    return SkewFamily(psi=psi, alpha=alpha, chirality=chirality,
+    return SkewFamily(psi=_constant(1.0), alpha=alpha, chirality=chirality,
                       validity_horizon=float(T), kind="horizon", params={"T": float(T)},
                       alpha_dot=alpha_dot)
 
@@ -171,18 +175,9 @@ def constant_skew_family(alpha_const: float, chirality: int = 1) -> SkewFamily:
                 a2t = np.minimum(a2 * np.asarray(t, dtype=float), big)
         return 0.5 * (2.0 + a2t) / (1.0 + a2t)
 
-    def alpha(t):
-        if is_scalar(t):
-            return chirality * alpha_const
-        t = np.asarray(t, dtype=float)
-        return np.full_like(t, chirality * alpha_const)
-
-    def alpha_dot(t):
-        return np.zeros_like(t, dtype=float)
-
-    return SkewFamily(psi=psi, alpha=alpha, chirality=chirality,
-                      validity_horizon=math.inf, kind="constant_skew",
-                      params={"alpha": float(alpha_const)}, alpha_dot=alpha_dot)
+    return SkewFamily(psi=psi, alpha=_constant(chirality * float(alpha_const)),
+                      chirality=chirality, validity_horizon=math.inf, kind="constant_skew",
+                      params={"alpha": float(alpha_const)}, alpha_dot=_constant(0.0))
 
 
 def constant_correlation_family(C: float, chirality: int = 1) -> SkewFamily:
@@ -196,11 +191,6 @@ def constant_correlation_family(C: float, chirality: int = 1) -> SkewFamily:
     chirality = int(chirality)
     coef = C / math.sqrt(1.0 - C * C)
 
-    def psi(t):
-        if is_scalar(t):
-            return 0.5
-        return np.full_like(np.asarray(t, dtype=float), 0.5)
-
     def alpha(t):
         if is_scalar(t) and t > 0:
             return chirality * coef / math.sqrt(float(t))
@@ -212,7 +202,7 @@ def constant_correlation_family(C: float, chirality: int = 1) -> SkewFamily:
     def alpha_dot(t):
         return -0.5 * chirality * coef * np.power(t, -1.5)
 
-    return SkewFamily(psi=psi, alpha=alpha, chirality=chirality,
+    return SkewFamily(psi=_constant(0.5), alpha=alpha, chirality=chirality,
                       validity_horizon=math.inf, kind="constant_correlation",
                       params={"C": float(C)}, alpha_dot=alpha_dot)
 

@@ -35,13 +35,6 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHHQQqdddII")
 
 
-def _cells(values) -> np.ndarray:
-    """`_floatfmt` cells of an array of any shape, shaped (*shape, WIDTH)."""
-    from . import _floatfmt
-    values = np.asarray(values, dtype=float)
-    return _floatfmt.cells(values).reshape(*values.shape, _floatfmt.WIDTH)
-
-
 def _csv_rows(*blocks) -> np.ndarray:
     """CSV text of NUL-padded `_floatfmt` cells, as one uint8 array.  Each
     block is shaped (..., columns, WIDTH); the blocks' columns are laid side
@@ -72,11 +65,12 @@ def _write_csv(path, header: str, n_rows: int, row_cells: int, block) -> None:
 
 def columns_to_csv(path, names, *columns) -> None:
     """Header `names`, then one row per index of the equal-length columns."""
+    from . import _floatfmt
     n_rows = min((len(c) for c in columns), default=0)
     # one row of values per column, so a block is its slice of every row
     values = np.array([np.asarray(c, dtype=float)[:n_rows] for c in columns])
     _write_csv(path, ",".join(names) + "\n", n_rows, len(columns),
-               lambda lo, hi: (_cells(values[:, lo:hi].T),))
+               lambda lo, hi: (_floatfmt.cells(values[:, lo:hi].T),))
 
 
 def ensemble_to_csv(ens: PathEnsemble, path) -> None:
@@ -96,7 +90,7 @@ def ensemble_to_csv(ens: PathEnsemble, path) -> None:
         # the path index (and label) lead each row as one more cell
         head = np.array([f"{i}" if labels is None else f"{i},{labels[i]}"
                          for i in range(lo, hi)], dtype=f"S{_floatfmt.WIDTH}")
-        return head.view(np.uint8).reshape(hi - lo, 1, -1), _cells(ens.values[lo:hi])
+        return head.view(np.uint8).reshape(hi - lo, 1, -1), _floatfmt.cells(ens.values[lo:hi])
 
     _write_csv(path, header, ens.n_paths, len(times), block)
 
@@ -152,10 +146,11 @@ def ensemble_from_binary(path) -> PathEnsemble:
 def density_grid_to_csv(grid: DensityGrid, path) -> None:
     """Long-form x,t,q rows (one per node pair), in time-slice order: x and
     t are formatted once, q a block of whole slices at a time."""
-    xs = _cells(grid.x_nodes)[:, None]
-    ts = _cells(grid.t_nodes)[:, None, None]
+    from . import _floatfmt
+    xs = _floatfmt.cells(grid.x_nodes)[:, None]
+    ts = _floatfmt.cells(grid.t_nodes)[:, None, None]
     _write_csv(path, "x,t,q\n", len(ts), len(xs),
-               lambda lo, hi: (xs, ts[lo:hi], _cells(grid.values[lo:hi, :, None])))
+               lambda lo, hi: (xs, ts[lo:hi], _floatfmt.cells(grid.values[lo:hi, :, None])))
 
 
 def density_grid_summary(grid: DensityGrid) -> dict:

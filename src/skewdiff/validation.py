@@ -7,7 +7,6 @@ per-test constants.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
 from typing import Callable, List, Optional
@@ -53,9 +52,6 @@ class ValidationReport:
         return {"checks": [asdict(c) for c in self.checks],
                 "seed": self.seed,
                 "all_passed": self.all_passed}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def ks_statistic(samples, cdf: Callable) -> float:

@@ -1,4 +1,5 @@
 """Command-line interface: artifacts, determinism, exit codes."""
+import argparse
 import contextlib
 import hashlib
 import io
@@ -16,8 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewdiff import (DriftSpec, SimulationError, constant_correlation_family,
-                      constant_skew_family, constant_skew_tpd, horizon_family,
-                      ks_statistic, ks_threshold)
+                      constant_skew_family, constant_skew_tpd, family_from_amplitude,
+                      horizon_family, ks_statistic, ks_threshold)
 from skewdiff import cli
 from skewdiff.cli import main
 
@@ -229,6 +230,22 @@ class TestSimulateCommand:
         assert code == 0
         assert (sim_dir / "ensemble.csv").read_bytes() == \
             (flags_dir / "ensemble.csv").read_bytes()
+
+    def test_rebuilt_numeric_family_drives_each_command(self, tmp_path):
+        # the suite's constant-skew solve, rebuilt from its descriptor file;
+        # it is evaluable from 1e-6 on, so simulate starts after 0
+        fam = constant_skew_family(1.0, +1)
+        num = family_from_amplitude(lambda t: float(fam.psi(t)), 1.0, +1,
+                                    np.linspace(0.01, 5.0, 60))
+        desc = tmp_path / "family.json"
+        desc.write_text(json.dumps(num.descriptor()))
+        for argv in (("simulate", "--t-start", "0.1", "--t-end", "1", "--steps", "20",
+                      "--paths", "200"),
+                     ("fokker-planck", "--t-end", "1", "--x-min", "-6", "--x-max", "6",
+                      "--n-x", "101", "--n-t", "64"),
+                     ("density", "--t", "0.5,1", "--x=-3:3:0.5")):
+            assert main([*argv, "--drift-json", str(desc),
+                         "--output-dir", str(tmp_path / argv[0])]) == 0, argv[0]
 
     def test_horizon_violation_is_numerical_failure(self, tmp_path):
         code = run(tmp_path, "simulate", "--kind", "horizon", "--T", "1.0",
@@ -731,41 +748,99 @@ FUZZ_BASE = {
 }
 # a command that runs no check never exits 1
 FUZZ_CHECKS_NOTHING = {"fokker-planck"}
+# each validate case runs a whole suite, and its only keys are seed and suite
+FUZZ_EXAMPLES = {"validate": 10}
 FUZZ_STRINGS = ("", "abc", "1.0", "-1", "0.5,1.0", "1.0,x", "-1:1:0.5", "0:1:0",
                 "1:0:0.5", "a:b:c", "0:1", "nan:1:0.5", "horizon", "constant-skew",
                 "ou-htransform", "censored", "binary", "json")
 
 
-def _fuzz_keys(command):
-    # every flag of the command except --output-dir, which only says where
-    # files go, plus one key that no command knows
-    args = vars(cli.build_parser().parse_args(list(FUZZ_BASE[command])))
-    return sorted(set(args) - {"command", "output_dir"}) + ["no_such_flag"]
+def _flag_actions(command):
+    """The parser actions of `command`'s flags by dest, except --output-dir,
+    which only says where files go, and --config."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions
+            if a.option_strings and a.dest not in ("help", "output_dir", "config")}
 
 
-def _fuzz_configs(command):
-    # integers stay at or below 64, so no case runs more paths or steps;
-    # null, booleans and lists share one branch so most values are scalars
-    values = st.one_of(st.integers(-2, 64), st.floats(-4.0, 4.0),
-                       st.sampled_from(FUZZ_STRINGS),
-                       st.none() | st.booleans() | st.lists(st.integers(0, 3), max_size=2))
-    return st.dictionaries(st.sampled_from(_fuzz_keys(command)), values, max_size=3)
+def _typed_configs(command):
+    """Up to three keys, each with a value its flag can take: one of its
+    choices, a JSON boolean for a switch, an int, a float, or a string for a
+    text flag.  An int stays at or below the larger of 64 and its base value,
+    so no case runs more paths or steps than its base or 64."""
+    base = vars(cli.build_parser().parse_args(list(FUZZ_BASE[command])))
+    values = {}
+    for dest, action in _flag_actions(command).items():
+        if action.choices is not None:
+            values[dest] = st.sampled_from(list(action.choices))
+        elif action.nargs == 0:
+            values[dest] = st.booleans()
+        elif action.type is int:
+            values[dest] = st.integers(-2, max(64, base[dest] or 0))
+        elif action.type is float:
+            values[dest] = st.floats(-4.0, 4.0)
+        else:
+            values[dest] = st.sampled_from(FUZZ_STRINGS)
+    keys = st.lists(st.sampled_from(sorted(values)), unique=True, max_size=3)
+    return keys.flatmap(lambda ks: st.fixed_dictionaries({k: values[k] for k in ks}))
+
+
+def _ill_typed_configs(command):
+    """A typed config plus one key that no command knows, or one value that
+    its flag cannot take: null, a list or an object, a boolean for a flag
+    that is not a switch, a number or string for a switch."""
+    actions = _flag_actions(command)
+
+    def bad_value(dest):
+        if actions[dest].nargs == 0:
+            return st.integers(0, 3) | st.sampled_from(FUZZ_STRINGS)
+        return st.none() | st.booleans() | st.lists(st.integers(0, 3), max_size=2) \
+            | st.just({"a": 1})
+
+    bad = st.tuples(st.just("no_such_flag"), st.integers(-2, 64)) | st.sampled_from(
+        sorted(actions)).flatmap(lambda k: st.tuples(st.just(k), bad_value(k)))
+    return st.tuples(_typed_configs(command), bad).map(
+        lambda pair: {**pair[0], pair[1][0]: pair[1][1]})
+
+
+def _fuzz_main(argv, out):
+    """main() on `argv`, writing into `out`, with its output swallowed: every
+    draw gets a documented exit code, and an exit 2 writes no diagnostics."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main([*argv, "--output-dir", str(out)])
+    assert code in (0, 1, 2, 3)
+    assert not (code == 2 and (out / "diagnostics.json").exists())
+    return code
+
+
+def _run_config(command, config):
+    """The exit code of FUZZ_BASE[command] with `config` as its --config file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(config))
+        return _fuzz_main([*FUZZ_BASE[command], "--config", str(cfg)], Path(tmp) / "out")
 
 
 class TestConfigFuzz:
     @pytest.mark.parametrize("command", sorted(FUZZ_BASE))
     def test_config_never_raises(self, command):
-        @settings(max_examples=100, derandomize=True, deadline=None, database=None)
-        @given(config=_fuzz_configs(command))
+        @settings(max_examples=FUZZ_EXAMPLES.get(command, 100), derandomize=True,
+                  deadline=None, database=None)
+        @given(config=_typed_configs(command))
         def check(config):
-            with tempfile.TemporaryDirectory() as tmp:
-                cfg = Path(tmp) / "config.json"
-                cfg.write_text(json.dumps(config))
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    code = main([*FUZZ_BASE[command], "--config", str(cfg),
-                                 "--output-dir", str(Path(tmp) / "out")])
-            assert code in ((0, 2, 3) if command in FUZZ_CHECKS_NOTHING else (0, 1, 2, 3))
+            code = _run_config(command, config)
+            assert not (code == 1 and command in FUZZ_CHECKS_NOTHING)
+
+        check()
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_BASE))
+    def test_ill_typed_config_exits_2(self, command):
+        @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+        @given(config=_ill_typed_configs(command))
+        def check(config):
+            assert _run_config(command, config) == 2
 
         check()
 
@@ -803,8 +878,36 @@ def _density_argv(draw):
             _flag("x0", draw(FLAG_VALUES)), f"--t={_times(draw)}", "--x=-5:1:0.5"]
 
 
+# FUZZ_BASE's runs, at its path and step sizes, each with the number flags
+# it reads; a draw sets one or two of them
+RUN_FLAGS = {
+    "mixture": (FUZZ_BASE["mixture"], ("T", "x0", "t-end", "epsilon", "clamp")),
+    "ou-sknoise": (FUZZ_BASE["ou"], ("lam", "T", "x0", "t-end", "epsilon", "clamp")),
+    "ou-htransform": (("ou", "--mode", "htransform", "--lam", "1", "--t-end", "0.5",
+                       "--steps", "8", "--paths", "128"),
+                      ("lam", "x0", "t-end", "epsilon", "clamp")),
+    "censor": (FUZZ_BASE["censor"], ("t-end", "bandwidth")),
+    "censor-constant": ((*FUZZ_BASE["censor"], "--rho-kind", "constant", "--rho", "0.5"),
+                        ("rho", "t-end", "bandwidth")),
+}
+
+
+@st.composite
+def _run_argv(draw):
+    base, flags = RUN_FLAGS[draw(st.sampled_from(sorted(RUN_FLAGS)))]
+    chosen = draw(st.lists(st.sampled_from(flags), min_size=1, max_size=2, unique=True))
+    # a number in (0, 4], where a run's flags mostly lie, or any number
+    values = {f: draw(st.floats(0.0, 4.0, exclude_min=True) | FLAG_VALUES) for f in chosen}
+    argv = [*base, *(_flag(f, v) for f, v in values.items())]
+    if base[0] == "censor":
+        # any check times, or the recorded midpoint of the run
+        argv.append(f"--check-t={_times(draw)}" if draw(st.booleans())
+                    else _flag("check-t", values.get("t-end", 0.5) / 2))
+    return argv
+
+
 class TestFlagFuzz:
-    """Any number in a family or density flag gets a documented exit code."""
+    """Any number in a command's flags gets a documented exit code."""
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(argv=st.one_of(_family_argv(), _density_argv()))
@@ -817,13 +920,22 @@ class TestFlagFuzz:
     def test_flags_get_their_exit_code(self, argv):
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = main([*argv, "--output-dir", str(out)])
-            assert code in (0, 2, 3)
-            if code == 2:
-                assert not (out / "diagnostics.json").exists()
+            code = _fuzz_main(argv, out)
+            assert code != 1
             if code == 0:
                 table = {"family": ("family_table.csv", "t,psi,alpha"),
                          "density": ("density.csv", "x,t,q")}[argv[0]]
                 assert np.all(np.isfinite(_float_cells(out / table[0], table[1])))
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(argv=_run_argv())
+    def test_run_flags_get_their_exit_code(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            _fuzz_main(argv, Path(tmp))
+
+    # each case runs the quick suite
+    @settings(max_examples=10, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(-2**64, 2**64) | FLAG_VALUES)
+    def test_validate_seed_gets_its_exit_code(self, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            _fuzz_main(["validate", "--suite", "quick", _flag("seed", seed)], Path(tmp))

@@ -198,8 +198,9 @@ class TestOuReversalTpd:
 
     def test_mass(self):
         for chir in (+1, -1):
+            center = 0.4 * math.e
             mass = density_mass(lambda x, t: ou_htransform_tpd(x, t, 1.0, 0.4, chir),
-                                1.0, center=0.4 * math.e, width=25.0)
+                                1.0, lo=center - 25.0, hi=center + 25.0, center=center)
             assert abs(mass - 1.0) < 1e-9
 
 

@@ -15,9 +15,9 @@ from skewdiff import DriftSpec, SimConfig, TimeGrid, density_grid, simulate, \
 from skewdiff import _floatfmt
 from skewdiff.densities import DensityGrid
 from skewdiff.sde import PathEnsemble
-from skewdiff.io import (columns_to_csv, density_grid_summary, density_grid_to_csv,
-                         ensemble_from_binary, ensemble_to_binary,
-                         ensemble_to_csv)
+from skewdiff.io import (_HEADER, columns_to_csv, density_grid_summary,
+                         density_grid_to_csv, ensemble_from_binary,
+                         ensemble_to_binary, ensemble_to_csv)
 
 ZERO = DriftSpec(mu_fn=lambda x, t: np.zeros_like(x))
 
@@ -57,6 +57,27 @@ class TestBinaryRoundTrip:
         p = tmp_path / "junk.skdf"
         p.write_bytes(b"NOPE" + b"\x00" * 100)
         with pytest.raises(ValueError):
+            ensemble_from_binary(p)
+
+    def test_wrong_version_rejected(self, small_ensemble, tmp_path):
+        p = tmp_path / "ens.skdf"
+        ensemble_to_binary(small_ensemble, p)
+        raw = bytearray(p.read_bytes())
+        raw[4:6] = (2).to_bytes(2, "little")    # the u16 after the magic
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="unsupported ensemble version 2"):
+            ensemble_from_binary(p)
+
+    def test_times_off_the_header_grid_rejected(self, small_ensemble, tmp_path):
+        p = tmp_path / "ens.skdf"
+        ensemble_to_binary(small_ensemble, p)
+        raw = bytearray(p.read_bytes())
+        # the stored times follow the header; move the second one by 1e-9
+        at = _HEADER.size + 8
+        stored = np.frombuffer(raw, "<f8", count=1, offset=at)[0]
+        raw[at:at + 8] = np.array([stored + 1e-9], "<f8").tobytes()
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="inconsistent time grid in binary file"):
             ensemble_from_binary(p)
 
     @pytest.mark.parametrize("labels", [False, True])
@@ -282,6 +303,16 @@ class TestFloatFormatter:
     def test_empty(self):
         assert _floatfmt.reprs(np.empty(0)).shape == (0,)
         assert _floatfmt.cells([]).shape == (0, _floatfmt.WIDTH)
+
+    def test_cells_keep_the_input_shape(self):
+        # one trailing axis of WIDTH bytes, also for a strided or 0-d input
+        values = np.arange(24.0).reshape(2, 3, 4)[:, ::2].transpose(2, 0, 1) / 7.0
+        got = _floatfmt.cells(values)
+        assert got.shape == (*values.shape, _floatfmt.WIDTH)
+        assert np.array_equal(got.reshape(-1, _floatfmt.WIDTH),
+                              _floatfmt.cells(values.reshape(-1)))
+        assert _floatfmt.cells(0.5).shape == (_floatfmt.WIDTH,)
+        assert _floatfmt.cells(0.5).tobytes().rstrip(b"\0") == b"0.5"
 
     def test_any_float(self):
         @settings(max_examples=500, derandomize=True, deadline=None, database=None)

@@ -1,4 +1,5 @@
 """KS/KL machinery, martingale means, drift-energy identity, mass audits."""
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from skewdiff import (DriftSpec, SimConfig, TimeGrid, ValidationReport,
                       girsanov_kl_gap, horizon_family, ks_statistic,
                       ks_threshold, martingale_mean, normalization_audit,
                       path_kl_telescoped, simulate, std_normal_cdf)
+from skewdiff.io import write_json
 
 ZERO = DriftSpec(mu_fn=lambda x, t: np.zeros_like(x))
 
@@ -134,10 +136,12 @@ class TestNormalizationAudit:
         names = [c.name for c in report.checks]
         assert any("unshifted-deviates" in n for n in names)
 
-    def test_report_serialization(self):
+    def test_report_serialization(self, tmp_path):
         report = ValidationReport(seed=7)
         report.add("demo", 0.5, 1.0)
         out = report.to_dict()
         assert out["all_passed"] is True
         assert out["checks"][0]["name"] == "demo"
-        assert "0.5" in report.to_json()
+        # validate writes the report through the one JSON writer
+        write_json(tmp_path / "report.json", out)
+        assert json.loads((tmp_path / "report.json").read_text()) == out
