@@ -109,7 +109,8 @@ def posterior_from_censored_sim(ensemble_x: PathEnsemble, ensemble_y: PathEnsemb
     Gaussian kernel; bandwidth defaults to the Silverman rule.  The estimate
     is taken on 801 points spanning the survivors plus 4 bandwidths.  Returns
     (x_grid, density, survivor_fraction, n_survivors).  Raises when fewer
-    than 1000 paths survive, since the estimate is meaningless below that.
+    than 1000 paths survive, since the estimate is meaningless below that,
+    and FloatingPointError when the estimate has no finite positive mass.
     """
     if bandwidth is not None and not 0 < bandwidth < math.inf:
         raise SchemaError(f"bandwidth must be positive and finite, got {bandwidth}")
@@ -130,8 +131,14 @@ def posterior_from_censored_sim(ensemble_x: PathEnsemble, ensemble_y: PathEnsemb
     centers = 0.5 * (edges[:-1] + edges[1:])
     # the kernel matrix a block of grid rows at a time, so its temporaries stay small
     dens = np.empty(len(x_grid))
-    for i in range(0, len(x_grid), _KDE_ROWS):
-        z = (x_grid[i:i + _KDE_ROWS, None] - centers[None, :]) / bw
-        dens[i:i + _KDE_ROWS] = (np.exp(-0.5 * z * z) * counts[None, :]).sum(axis=1)
-    dens /= len(sel) * bw * math.sqrt(2 * math.pi)
+    # a z that overflows is a kernel weight of 0; the mass check below
+    # catches a bandwidth too small for any weight to survive
+    with np.errstate(over="ignore"):
+        for i in range(0, len(x_grid), _KDE_ROWS):
+            z = (x_grid[i:i + _KDE_ROWS, None] - centers[None, :]) / bw
+            dens[i:i + _KDE_ROWS] = (np.exp(-0.5 * z * z) * counts[None, :]).sum(axis=1)
+        dens /= len(sel) * bw * math.sqrt(2 * math.pi)
+    if not 0 < dens.sum() < math.inf:
+        raise FloatingPointError(f"the KDE at t_index={t_index} has no finite positive "
+                                 f"mass at bandwidth {bw:g}")
     return x_grid, dens, frac, n_surv

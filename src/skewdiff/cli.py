@@ -82,17 +82,15 @@ def _ou_drift(lam, chirality) -> DriftSpec:
 
 
 def _horizon_mixture(T, x0):
-    """Horizon drifts of both chiralities; their mixture is Brownian motion."""
-    drifts = [DriftSpec(family=horizon_family(T, c)) for c in (1, -1)]
+    """The horizon drift; mixed with its reflection it is Brownian motion."""
     brownian = Law(lambda t: ExtendedSkewNormalParams(x0, math.sqrt(t), 0.0, 0.0))
-    return drifts, mixture_probability(x0, T), brownian, "brownian"
+    return DriftSpec(family=horizon_family(T)), mixture_probability(x0, T), brownian, "brownian"
 
 
 def _ou_mixture(lam, x0):
-    """OU h-transforms of both chiralities; their mixture is the growing OU."""
-    drifts = [_ou_drift(lam, c) for c in (1, -1)]
+    """The OU h-transform; mixed with its reflection it is the growing OU."""
     growing = Law(lambda t: ou_gaussian_esn(t, lam, x0))
-    return drifts, ou_mixture_probability(lam, x0), growing, "growing-ou"
+    return _ou_drift(lam, 1), ou_mixture_probability(lam, x0), growing, "growing-ou"
 
 
 # One table per --kind axis: kind -> (constructor, the flags passed to it in
@@ -167,7 +165,8 @@ def _write_manifest(outdir: Path, args, artifacts, t0: float):
     }
     if hasattr(args, "threads"):
         manifest["threads"] = thread_count(args.threads)
-    write_json(outdir / "manifest.json", manifest)
+    # the configuration as given, which may hold a flag's inf or nan
+    write_json(outdir / "manifest.json", manifest, strict=False)
 
 
 def _sim_config(args) -> SimConfig:
@@ -225,11 +224,15 @@ def cmd_simulate(args, outdir: Path):
     law, ks, thr = drift.law(args.x0, grid.t_start), None, None
     if law is not None and args.paths >= 100 and grid.t_final < drift.validity_horizon:
         ks, thr = ks_statistic(terminal, law.cdf(grid.t_final)), ks_threshold(args.paths)
+    # a statistic the run leaves undefined (one path, no spread) is null;
+    # one that overflows is not finite, and write_json refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, sd3 = terminal.mean(), terminal.std() ** 3
+        var = float(terminal.var(ddof=1)) if args.paths > 1 else None
+        skew = None if sd3 == 0 else float(((terminal - mean) ** 3).mean() / sd3)
     summary = {"law": None if law is None else drift.kind, "terminal_ks": ks,
-               "threshold": thr, "terminal_mean": float(terminal.mean()),
-               "terminal_variance": float(terminal.var(ddof=1)),
-               "terminal_skewness": float(
-                   ((terminal - terminal.mean()) ** 3).mean() / terminal.std() ** 3),
+               "threshold": thr, "terminal_mean": float(mean),
+               "terminal_variance": var, "terminal_skewness": skew,
                "clamp_events": ens.clamp_events,
                "clamp_fraction": ens.clamp_events / (args.paths * args.steps)}
     sp = outdir / "summary.json"
@@ -336,9 +339,9 @@ def cmd_censor(args, outdir: Path):
 
 
 def cmd_mixture(args, outdir: Path):
-    (dplus, dminus), (p_minus, p_plus), target, target_name = _make(MIXTURE_KINDS, args)
-    grid = _grid(args, dplus.family, args.steps)
-    ens = simulate_mixture(dplus, dminus, p_plus, args.x0, grid, _sim_config(args))
+    drift, (p_minus, p_plus), target, target_name = _make(MIXTURE_KINDS, args)
+    grid = _grid(args, drift.family, args.steps)
+    ens = simulate_mixture(drift, p_plus, args.x0, grid, _sim_config(args))
     ks = ks_statistic(ens.values[:, -1], target.cdf(grid.t_final))
     thr = ks_threshold(args.paths)
     artifacts = [_emit_ensemble(ens, outdir, "mixture", args.format)]
@@ -574,7 +577,7 @@ def main(argv=None) -> int:
         # vars(e) holds the fields an exception carries, such as the
         # PDE step diagnostics or the failing path and step index
         write_json(outdir / "diagnostics.json",
-                   {"error": str(e), "type": type(e).__name__, **vars(e)})
+                   {"error": str(e), "type": type(e).__name__, **vars(e)}, strict=False)
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     _write_manifest(outdir, args, artifacts, t0)

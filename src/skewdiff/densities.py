@@ -43,14 +43,19 @@ class DensityGrid:
         self.mass_per_t = np.trapezoid(self.values, self.x_nodes, axis=1)
 
     def moments(self):
-        """Trapezoid (mass, mean, variance, skewness) per time slice."""
+        """Trapezoid (mass, mean, variance, skewness) per time slice.  A
+        moment the slice leaves undefined is None: all three without mass,
+        the skewness without variance."""
         x, mass = self.x_nodes, self.mass_per_t
-        mean = np.trapezoid(self.values * x, x) / mass
-        dev = x - mean[:, None]
-        var = np.trapezoid(self.values * dev ** 2, x) / mass
-        m3 = np.trapezoid(self.values * dev ** 3, x) / mass
+        # a slice without mass divides by zero; its moments are None below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = np.trapezoid(self.values * x, x) / mass
+            dev = x - mean[:, None]
+            var = np.trapezoid(self.values * dev ** 2, x) / mass
+            m3 = np.trapezoid(self.values * dev ** 3, x) / mass
         # skewness from NumPy scalars: an array ** rounds differently in the last bit
-        return [(float(a), float(b), float(v), float(c / v ** 1.5))
+        return [(float(a), None, None, None) if a == 0 else
+                (float(a), float(b), float(v), None if v == 0 else float(c / v ** 1.5))
                 for a, b, v, c in zip(mass, mean, var, m3)]
 
 

@@ -22,6 +22,7 @@ The binary ensemble layout is little-endian:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -162,5 +163,32 @@ def density_grid_summary(grid: DensityGrid) -> dict:
             "skewness": [m[3] for m in moments]}
 
 
-def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _nonfinite_keys(obj, key=""):
+    """The places ("a.b[2]") of the floats in obj that are not finite."""
+    if isinstance(obj, float):
+        return [] if math.isfinite(obj) else [key]
+    if isinstance(obj, dict):
+        items = ((f"{key}.{k}" if key else str(k), v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return []
+    return [place for k, v in items for place in _nonfinite_keys(v, k)]
+
+
+def write_json(path, obj, strict: bool = True) -> None:
+    """Write obj as strict JSON, indented with sorted keys: never a NaN or
+    Infinity token.  A float that is not finite raises FloatingPointError
+    naming its keys, and nothing is written.  With strict=False, for a
+    record of a run's inputs or of its failure, such a float is written as
+    the string "NaN", "Infinity" or "-Infinity" instead."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        if strict:
+            raise FloatingPointError(f"{Path(path).name}: not finite at "
+                                     f"{', '.join(_nonfinite_keys(obj))}") from None
+        # the tokens json writes for them, read back as strings
+        obj = json.loads(json.dumps(obj), parse_constant=str)
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")

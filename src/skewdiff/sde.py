@@ -306,12 +306,11 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
     return outs, sum(events)
 
 
-def _check_horizon(grid: TimeGrid, *drifts: "DriftSpec"):
-    """HorizonError when the grid runs past a drift's validity horizon."""
-    for d in drifts:
-        if grid.t_final > d.validity_horizon + 1e-12:
-            raise HorizonError(f"grid reaches t={grid.t_final} beyond the drift "
-                               f"validity horizon {d.validity_horizon}")
+def _check_horizon(grid: TimeGrid, drift: "DriftSpec"):
+    """HorizonError when the grid runs past the drift's validity horizon."""
+    if grid.t_final > drift.validity_horizon + 1e-12:
+        raise HorizonError(f"grid reaches t={grid.t_final} beyond the drift "
+                           f"validity horizon {drift.validity_horizon}")
 
 
 def _drift_ensemble(mu_for: Callable, sigma: float, x0: float, grid: TimeGrid,
@@ -351,36 +350,29 @@ def simulate(drift: "DriftSpec", x0: float, grid: TimeGrid, cfg: SimConfig) -> P
     return _drift_ensemble(lambda lo, hi: drift.mu, drift.diffusion_scale, x0, grid, cfg)
 
 
-def simulate_mixture(drift_plus: "DriftSpec", drift_minus: "DriftSpec",
-                     p_plus: float, x0: float, grid: TimeGrid,
+def simulate_mixture(drift: "DriftSpec", p_plus: float, x0: float, grid: TimeGrid,
                      cfg: SimConfig) -> PathEnsemble:
-    """Each path draws a +-1 label with P(+1) = p_plus, then follows the
-    corresponding drift; labels are recorded on the ensemble.  Both drifts
-    share the one noise scale, so their diffusion_scale must be equal."""
+    """Each path draws a +-1 label with P(+1) = p_plus; labels are recorded
+    on the ensemble.  A +1 path follows `drift`, a -1 path its reflection
+    -mu(-x, t), each step computed as lab * mu(lab * x, t) with lab = +-1.0.
+
+    Multiplying by +-1 is exact, and every closed-form family drift and the
+    OU h-transform satisfy mu_-(x, t) = -mu_+(-x, t) bit for bit, so the
+    reflection of a chirality +1 drift is its chirality -1 drift.  The
+    reflection is taken about 0: that of a drift shifted by s is the
+    opposite chirality shifted by -s."""
     if not 0.0 <= p_plus <= 1.0:
         raise ValueError(f"p_plus must be a probability, got {p_plus}")
-    if drift_minus.diffusion_scale != drift_plus.diffusion_scale:
-        raise SchemaError("the mixture's two drifts need one diffusion_scale")
-    _check_horizon(grid, drift_plus, drift_minus)
+    _check_horizon(grid, drift)
     labels = _draw_labels(cfg.seed, cfg.n_paths, p_plus)
 
     def mu_for(lo, hi):
-        # each drift is evaluated only on its own paths; every drift
-        # operation is elementwise, so the values match a full evaluation
-        lab = labels[lo:hi]
-        ip = np.flatnonzero(lab > 0)
-        im = np.flatnonzero(lab <= 0)
-        mu = np.empty(hi - lo)
+        # one drift call per step; the product is a new array, since a
+        # mu_fn may return its argument
+        lab = labels[lo:hi].astype(float)
+        return lambda x, t: lab * drift.mu(lab * x, t)
 
-        def mu_at(x, t):
-            if ip.size:
-                mu[ip] = drift_plus.mu(x[ip], t)
-            if im.size:
-                mu[im] = drift_minus.mu(x[im], t)
-            return mu
-        return mu_at
-
-    return _drift_ensemble(mu_for, drift_plus.diffusion_scale, x0, grid, cfg, labels)
+    return _drift_ensemble(mu_for, drift.diffusion_scale, x0, grid, cfg, labels)
 
 
 def simulate_bivariate_censoring(rho, grid: TimeGrid, cfg: SimConfig,

@@ -286,22 +286,20 @@ def test_criterion_7_pointwise_mixture_identities():
 def test_criterion_7_mixture_simulations():
     T, eps = 1.0, 1e-4
     n = 200_000
-    dplus = DriftSpec(family=horizon_family(T, +1))
-    dminus = DriftSpec(family=horizon_family(T, -1))
+    drift = DriftSpec(family=horizon_family(T, +1))
     grid = TimeGrid(0.0, T, 2500, terminal_cutoff_epsilon=eps)
     cfg = SimConfig(n_paths=n, seed=SEED + 3, record_stride=2500)
-    ens = simulate_mixture(dplus, dminus, 0.5, 0.0, grid, cfg)
+    ens = simulate_mixture(drift, 0.5, 0.0, grid, cfg)
     t_term = T - eps
     ks_b = ks_statistic(ens.values[:, -1],
                         lambda v: std_normal_cdf(v / math.sqrt(t_term)))
     thr = ks_threshold(n)
 
     lam, x0 = 1.0, 0.3
-    oplus = DriftSpec(params={"lam": lam, "chirality": +1})
-    ominus = DriftSpec(params={"lam": lam, "chirality": -1})
+    ou = DriftSpec(params={"lam": lam, "chirality": +1})
     _, p_plus = ou_mixture_probability(lam, x0)
     grid2 = TimeGrid(0.0, 1.0, 1000)
-    ens2 = simulate_mixture(oplus, ominus, p_plus, x0, grid2,
+    ens2 = simulate_mixture(ou, p_plus, x0, grid2,
                             SimConfig(n_paths=n, seed=SEED + 4, record_stride=1000))
     m = x0 * math.exp(lam)
     sd = math.sqrt((math.exp(2 * lam) - 1) / (2 * lam))

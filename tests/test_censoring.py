@@ -1,6 +1,8 @@
 """Truncated-Gaussian means and the selection-model drift identities."""
 import hashlib
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +171,15 @@ class TestCensoredPosteriorFromSim:
         with pytest.raises(ValueError):
             posterior_from_censored_sim(small_x, small_y, t_index=4)
 
+    @pytest.mark.parametrize("bandwidth", [2.8576853923635173e-252, 1e306])
+    def test_a_kde_without_mass_is_refused(self, uncorrelated_run, bandwidth):
+        # every kernel weight underflows, or the normalization overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError, match="no finite positive mass"):
+                posterior_from_censored_sim(*uncorrelated_run, t_index=4,
+                                            bandwidth=bandwidth)
+
     @pytest.mark.parametrize("n_paths", [2000, 8000])
     def test_binned_smoother_matches_direct_sum(self, uncorrelated_run, n_paths):
         # about 1k and 4k survivors, against the plain Gaussian kernel sum
@@ -262,3 +273,17 @@ class TestCensorCommand:
         # columns for t = 0, 0.25 and 0.5: the steps past t = 0.5 never ran
         assert ex.values.shape == ey.values.shape == (4000, 3)
         assert ex.times.tolist() == [0.0, 0.25, 0.5]
+
+    def test_a_degenerate_kde_exits_3(self, tmp_path):
+        # at this bandwidth every density once read 0.0 at exit 0, and an
+        # overflow warning escaped
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["censor", "--t-end", "0.5", "--steps", "8", "--paths", "4096",
+                             "--check-t", "0.25", "--bandwidth", "2.8576853923635173e-252",
+                             "--output-dir", str(tmp_path)])
+        assert code == 3
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["type"] == "FloatingPointError"
+        assert "no finite positive mass" in diag["error"]
+        assert not (tmp_path / "kde_t4.csv").exists()

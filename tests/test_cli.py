@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skewdiff import (DriftSpec, SimulationError, constant_correlation_family,
+from skewdiff import (DriftSpec, PdeInstabilityError, SimulationError,
+                      constant_correlation_family,
                       constant_skew_family, constant_skew_tpd, family_from_amplitude,
                       horizon_family, ks_statistic, ks_threshold)
 from skewdiff import cli
@@ -516,6 +517,58 @@ class TestDiagnostics:
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
         assert diag["type"] == error
         assert sorted(p.name for p in tmp_path.iterdir()) == ["diagnostics.json"]
+
+
+def _strict_json(path):
+    """The JSON in `path`, refusing the NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"{path.name} holds the token {token}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestStrictJson:
+    """No artifact holds a NaN or Infinity token: a statistic the run leaves
+    undefined is null, and any other value that is not finite exits 3."""
+
+    def test_one_path_leaves_variance_and_skewness_null(self, tmp_path):
+        assert run(tmp_path, "simulate", "--kind", "constant-skew", "--alpha", "1",
+                   "--t-end", "0.5", "--steps", "8", "--paths", "1") == 0
+        s = _strict_json(tmp_path / "summary.json")
+        assert s["terminal_variance"] is None and s["terminal_skewness"] is None
+        assert math.isfinite(s["terminal_mean"])
+
+    def test_a_slice_without_mass_has_null_moments(self, tmp_path):
+        assert run(tmp_path, "density", "--kind", "horizon", "--T", "1", "--x0", "100",
+                   "--t", "0.5", "--x=-5:1:0.5") == 0
+        s = _strict_json(tmp_path / "density_summary.json")
+        assert s["mass"] == [0.0]
+        assert s["mean"] == s["variance"] == s["skewness"] == [None]
+
+    def test_an_overflowing_statistic_exits_3(self, tmp_path):
+        assert run(tmp_path, "simulate", "--kind", "constant-skew", "--alpha", "1",
+                   "--t-end", "0.5", "--steps", "8", "--paths", "8", "--x0", "1e308") == 3
+        diag = _strict_json(tmp_path / "diagnostics.json")
+        assert diag["type"] == "FloatingPointError"
+        assert "terminal_mean" in diag["error"]
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_the_manifest_records_a_flag_that_is_not_finite(self, tmp_path):
+        # the censored kind does not read --x0, so the run succeeds
+        assert run(tmp_path, "density", "--kind", "censored", "--rho", "0.5",
+                   "--x0", "inf", "--t", "1", "--x=-1:1:0.5") == 0
+        manifest = _strict_json(tmp_path / "manifest.json")
+        assert manifest["configuration"]["x0"] == "Infinity"
+
+    def test_diagnostics_take_a_field_that_is_not_finite(self, tmp_path, monkeypatch):
+        def failing(args, outdir):
+            raise PdeInstabilityError("unstable", diagnostics={
+                "min_value": math.nan, "mass": math.inf, "t": -math.inf, "step": 3})
+
+        monkeypatch.setattr(cli, "cmd_family", failing)
+        assert run(tmp_path, "family", "--kind", "horizon", "--T", "1.0") == 3
+        diag = _strict_json(tmp_path / "diagnostics.json")
+        assert diag["diagnostics"] == {"min_value": "NaN", "mass": "Infinity",
+                                       "t": "-Infinity", "step": 3}
 
 
 class TestConfigOverlay:

@@ -1,4 +1,5 @@
 """Drift-family system: closed forms, the quadrature solver, drift values."""
+import dataclasses
 import functools
 import json
 import math
@@ -414,6 +415,30 @@ class TestTimeRows:
         spec = DriftSpec(family=horizon_family(1.0, +1))
         with pytest.raises(HorizonError):
             drift_value(spec, np.zeros(3), np.array([0.5, 1.0]))
+
+
+class TestReflection:
+    """The opposite chirality's drift is the reflection -mu(-x, t) bit for
+    bit, taken about 0: shifted by s, it is the opposite chirality shifted
+    by -s.  simulate_mixture runs its -1 paths on this reflection."""
+
+    @pytest.mark.parametrize("chirality", [1, -1])
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_opposite_chirality_is_the_reflection(self, case, chirality, data):
+        make, times = ROW_CASES[case]
+        sigma = data.draw(st.sampled_from([0.7, 1.0, 2.0]))
+        shift = data.draw(st.sampled_from([0.0, 0.4]))
+        spec = dataclasses.replace(make(chirality, sigma), shift=shift)
+        opposite = dataclasses.replace(make(-chirality, sigma), shift=-shift)
+        xs = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, -0.0]) | st.floats(-40.0, 40.0), min_size=1, max_size=6)))
+        ts = data.draw(st.lists(times, min_size=1, max_size=4))
+        # one float time, and a 1-D array of them (the solver's rows)
+        for t in (ts[0], np.array(ts)):
+            assert np.array_equal(_bits(drift_value(opposite, xs, t)),
+                                  _bits(-drift_value(spec, -xs, t))), (t, xs)
 
 
 class TestConstructorErrors:

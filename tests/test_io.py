@@ -1,5 +1,6 @@
 """Ensemble and density serialization round trips."""
 import hashlib
+import math
 import subprocess
 import sys
 
@@ -17,7 +18,7 @@ from skewdiff.densities import DensityGrid
 from skewdiff.sde import PathEnsemble
 from skewdiff.io import (_HEADER, columns_to_csv, density_grid_summary,
                          density_grid_to_csv, ensemble_from_binary,
-                         ensemble_to_binary, ensemble_to_csv)
+                         ensemble_to_binary, ensemble_to_csv, write_json)
 
 ZERO = DriftSpec(mu_fn=lambda x, t: np.zeros_like(x))
 
@@ -30,9 +31,8 @@ def small_ensemble():
 
 @pytest.fixture()
 def labeled_ensemble():
-    plus = DriftSpec(family=constant_skew_family(1.0, +1))
-    minus = DriftSpec(family=constant_skew_family(1.0, -1))
-    return simulate_mixture(plus, minus, 0.5, 0.0, TimeGrid(0.0, 1.0, 20),
+    return simulate_mixture(DriftSpec(family=constant_skew_family(1.0, +1)), 0.5, 0.0,
+                            TimeGrid(0.0, 1.0, 20),
                             SimConfig(n_paths=10, seed=19, record_stride=4))
 
 
@@ -389,3 +389,18 @@ class TestWritersAcrossBlocks:
         want = "a,b,c\n" + "".join(f"{u!r},{v!r},{w!r}\n" for u, v, w in
                                      zip(a.tolist(), b.tolist(), c.tolist()))
         assert p.read_bytes() == want.encode()
+
+
+class TestWriteJson:
+    def test_a_value_that_is_not_finite_is_refused_by_name(self, tmp_path):
+        p = tmp_path / "r.json"
+        obj = {"checks": [{"ks": 0.1}, {"ks": np.float64(np.nan)}], "mean": -math.inf}
+        with pytest.raises(FloatingPointError, match=r"checks\[1\]\.ks, mean"):
+            write_json(p, obj)
+        assert not p.exists()
+
+    def test_loose_writes_the_tokens_as_strings(self, tmp_path):
+        p = tmp_path / "d.json"
+        write_json(p, {"a": (math.nan, 1.5), "b": {"c": -math.inf}}, strict=False)
+        assert p.read_text() == ('{\n  "a": [\n    "NaN",\n    1.5\n  ],\n'
+                                 '  "b": {\n    "c": "-Infinity"\n  }\n}\n')

@@ -62,8 +62,7 @@ class TestReproducibility:
             cfg = SimConfig(n_paths=50000, seed=7, record_stride=10, n_threads=n_threads,
                             antithetic=kind == "antithetic")
             if kind == "mixture":
-                return simulate_mixture(skew_drift(1.0, +1), skew_drift(1.0, -1), 0.4,
-                                        0.1, grid, cfg)
+                return simulate_mixture(skew_drift(1.0, +1), 0.4, 0.1, grid, cfg)
             return simulate(skew_drift(1.0, +1), 0.1, grid, cfg)
 
         ref = run(1)
@@ -327,35 +326,50 @@ class TestMixture:
     def test_degenerate_mixture_matches_plain(self):
         grid = TimeGrid(0.0, 1.0, 100)
         cfg = SimConfig(n_paths=300, seed=43, record_stride=20)
-        mixed = simulate_mixture(skew_drift(1.0, +1), skew_drift(1.0, -1), 1.0,
-                                 0.0, grid, cfg)
+        mixed = simulate_mixture(skew_drift(1.0, +1), 1.0, 0.0, grid, cfg)
         plain = simulate(skew_drift(1.0, +1), 0.0, grid, cfg)
         assert np.array_equal(mixed.values, plain.values)
         assert np.all(mixed.labels == 1)
 
     def test_labels_recorded_and_distributed(self):
         grid = TimeGrid(0.0, 0.5, 50)
-        ens = simulate_mixture(skew_drift(), skew_drift(1.0, -1), 0.25, 0.0, grid,
+        ens = simulate_mixture(skew_drift(), 0.25, 0.0, grid,
                                SimConfig(n_paths=20000, seed=47, record_stride=50))
         frac = np.mean(ens.labels > 0)
         assert abs(frac - 0.25) < 3 * math.sqrt(0.25 * 0.75 / 20000)
 
-    def test_rejects_drifts_of_two_diffusion_scales(self):
-        # the engine drives every path with one noise scale: the sigma = 3
-        # paths would get sigma = 1 noise, a terminal variance near 0.4
-        # where their law has about 3.3
-        plus = DriftSpec(family=horizon_family(1.0, +1))
-        minus = DriftSpec(family=horizon_family(1.0, -1), diffusion_scale=3.0)
-        with pytest.raises(SchemaError, match="diffusion_scale"):
-            simulate_mixture(plus, minus, 0.5, 0.0,
-                             TimeGrid(0.0, 1.0, 100, terminal_cutoff_epsilon=1e-4),
-                             SimConfig(n_paths=20000, seed=5, record_stride=100))
+    def test_minus_labels_follow_the_opposite_chirality(self):
+        grid = TimeGrid(0.0, 1.0, 100)
+        cfg = SimConfig(n_paths=300, seed=43, record_stride=20)
+        mixed = simulate_mixture(skew_drift(1.0, +1), 0.0, 0.0, grid, cfg)
+        plain = simulate(skew_drift(1.0, -1), 0.0, grid, cfg)
+        assert np.array_equal(mixed.values, plain.values)
+        assert np.all(mixed.labels == -1)
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_one_drift_call_per_step_per_worker(self, n_threads, monkeypatch):
+        # a drift that returns its argument: the reflection -(-x) is x on
+        # every path, so the mixture is the plain run, and the engine must
+        # not write into the array the drift returned
+        monkeypatch.delenv("SKEWDIFF_THREADS", raising=False)
+        calls = []
+
+        def identity(x, t):
+            calls.append(x.size)
+            return x
+
+        drift = DriftSpec(mu_fn=identity)
+        grid = TimeGrid(0.0, 0.5, 20)
+        cfg = SimConfig(n_paths=10000, seed=11, record_stride=5, n_threads=n_threads)
+        mixed = simulate_mixture(drift, 0.5, 0.3, grid, cfg)
+        assert sorted(calls) == sorted([8192] * 20 + [1808] * 20 if n_threads == 2
+                                       else [10000] * 20)
+        assert np.array_equal(mixed.values, simulate(drift, 0.3, grid, cfg).values)
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
-            simulate_mixture(skew_drift(), skew_drift(1.0, -1), 1.5, 0.0,
-                             TimeGrid(0.0, 1.0, 10), SimConfig(n_paths=2, seed=1,
-                                                               record_stride=10))
+            simulate_mixture(skew_drift(), 1.5, 0.0, TimeGrid(0.0, 1.0, 10),
+                             SimConfig(n_paths=2, seed=1, record_stride=10))
 
 
 def _mixture_digest(ens) -> str:
@@ -369,10 +383,9 @@ def _mixture_digest(ens) -> str:
 def _pinned_mixture(case: str, n_threads: int):
     """8200 paths: one full noise block of 8192 and a short second one."""
     if case == "horizon_clamp":
-        plus = DriftSpec(family=horizon_family(1.0, +1))
-        minus = DriftSpec(family=horizon_family(1.0, -1))
         return simulate_mixture(
-            plus, minus, 0.5, 0.0, TimeGrid(0.0, 1.0, 40, terminal_cutoff_epsilon=1e-4),
+            DriftSpec(family=horizon_family(1.0, +1)), 0.5, 0.0,
+            TimeGrid(0.0, 1.0, 40, terminal_cutoff_epsilon=1e-4),
             SimConfig(n_paths=8200, seed=29, record_stride=8, drift_clamp=0.2,
                       n_threads=n_threads))
     grid = TimeGrid(0.0, 0.5, 10)
@@ -380,13 +393,12 @@ def _pinned_mixture(case: str, n_threads: int):
                     antithetic=case == "antithetic")
     if case == "flip_noise":
         # the mixture from 0.2 under negated noise: the negation of the one
-        # from -0.2 with the two drifts swapped, bit for bit
-        ens = simulate_mixture(skew_drift(1.0, -1), skew_drift(1.0, +1), 0.3, -0.2,
-                               grid, cfg)
+        # from -0.2 that labels chirality -1 as +1 and follows its
+        # reflection, chirality +1, under -1, bit for bit
+        ens = simulate_mixture(skew_drift(1.0, -1), 0.3, -0.2, grid, cfg)
         return dataclasses.replace(ens, values=-ens.values)
     p_plus = {"p0": 0.0, "p05": 0.5, "p1": 1.0, "antithetic": 0.5}[case]
-    return simulate_mixture(skew_drift(1.0, +1), skew_drift(1.0, -1), p_plus, 0.2,
-                            grid, cfg)
+    return simulate_mixture(skew_drift(1.0, +1), p_plus, 0.2, grid, cfg)
 
 
 # sha256 of (values, labels, clamp_events); first recorded when the mixture
