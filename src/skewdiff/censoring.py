@@ -97,7 +97,10 @@ def verify_ou_selection(lam: float, x: float, chirality: int = 1):
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
-    sd = float(np.std(samples, ddof=1))
+    # a spread whose squares overflow gives an infinite bandwidth, which the
+    # KDE refuses
+    with np.errstate(over="ignore"):
+        sd = float(np.std(samples, ddof=1))
     return 1.06 * sd * len(samples) ** (-0.2)
 
 
@@ -110,7 +113,8 @@ def posterior_from_censored_sim(ensemble_x: PathEnsemble, ensemble_y: PathEnsemb
     is taken on 801 points spanning the survivors plus 4 bandwidths.  Returns
     (x_grid, density, survivor_fraction, n_survivors).  Raises when fewer
     than 1000 paths survive, since the estimate is meaningless below that,
-    and FloatingPointError when the estimate has no finite positive mass.
+    and FloatingPointError when its grid is not finite or the estimate has
+    no finite positive mass.
     """
     if bandwidth is not None and not 0 < bandwidth < math.inf:
         raise SchemaError(f"bandwidth must be positive and finite, got {bandwidth}")
@@ -123,10 +127,15 @@ def posterior_from_censored_sim(ensemble_x: PathEnsemble, ensemble_y: PathEnsemb
     sel = xs[keep]
     frac = n_surv / len(xs)
     bw = bandwidth if bandwidth is not None else silverman_bandwidth(sel)
+    lo, hi = float(sel.min()), float(sel.max())
+    # the histogram's edges span the most; a span that is not finite is no grid
+    if not math.isfinite((hi + 6 * bw) - (lo - 6 * bw)):
+        raise FloatingPointError(f"the KDE grid at t_index={t_index} is not finite "
+                                 f"at bandwidth {bw:g}")
     pad = 4.0 * bw
-    x_grid = np.linspace(sel.min() - pad, sel.max() + pad, 801)
+    x_grid = np.linspace(lo - pad, hi + pad, 801)
     # smooth a 4096-bin histogram, so the smoothing cost does not grow with the survivors
-    edges = np.linspace(sel.min() - 6 * bw, sel.max() + 6 * bw, 4097)
+    edges = np.linspace(lo - 6 * bw, hi + 6 * bw, 4097)
     counts, _ = np.histogram(sel, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     # the kernel matrix a block of grid rows at a time, so its temporaries stay small

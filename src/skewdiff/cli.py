@@ -26,8 +26,8 @@ from .densities import (Law, censored_esn, density_grid, ou_gaussian_esn,
                         ou_skew_driven_esn)
 from .dists import ExtendedSkewNormalParams
 from .errors import SchemaError, SkewDiffError
-from .families import (CLOSED_FORM_FAMILIES, DriftSpec, drift_spec_from_descriptor,
-                       horizon_family)
+from .families import (CLOSED_FORM_FAMILIES, DriftSpec, OuSkewSpec,
+                       drift_spec_from_descriptor, horizon_family)
 from .fokker_planck import FpConfig, solve_kfe
 from .io import (columns_to_csv, density_grid_summary, density_grid_to_csv,
                  ensemble_to_binary, ensemble_to_csv, write_json)
@@ -77,10 +77,6 @@ def _params(args, flags, what):
     return [getattr(args, f) for f in flags]
 
 
-def _ou_drift(lam, chirality) -> DriftSpec:
-    return DriftSpec(params={"lam": lam, "chirality": chirality})
-
-
 def _horizon_mixture(T, x0):
     """The horizon drift; mixed with its reflection it is Brownian motion."""
     brownian = Law(lambda t: ExtendedSkewNormalParams(x0, math.sqrt(t), 0.0, 0.0))
@@ -90,7 +86,7 @@ def _horizon_mixture(T, x0):
 def _ou_mixture(lam, x0):
     """The OU h-transform; mixed with its reflection it is the growing OU."""
     growing = Law(lambda t: ou_gaussian_esn(t, lam, x0))
-    return _ou_drift(lam, 1), ou_mixture_probability(lam, x0), growing, "growing-ou"
+    return DriftSpec(ou=OuSkewSpec(lam, 1)), ou_mixture_probability(lam, x0), growing, "growing-ou"
 
 
 # One table per --kind axis: kind -> (constructor, the flags passed to it in
@@ -98,7 +94,7 @@ def _ou_mixture(lam, x0):
 FAMILY_KINDS = {kind.replace("_", "-"): (make, (param, "chirality"))
                 for kind, (make, param) in CLOSED_FORM_FAMILIES.items()}
 # simulate, fokker-planck and density also take the OU h-transform drift
-DRIFT_KINDS = {**FAMILY_KINDS, "ou-htransform": (_ou_drift, ("lam", "chirality"))}
+DRIFT_KINDS = {**FAMILY_KINDS, "ou-htransform": (OuSkewSpec, ("lam", "chirality"))}
 # plain densities, not the law of a drift: ESN maps called as f(t, *flags)
 DENSITY_KINDS = {
     "censored": (censored_esn, ("rho",)),
@@ -136,10 +132,10 @@ def _drift_from_args(args) -> DriftSpec:
             raise SchemaError(f"bad drift descriptor: {e}") from e
     if args.kind is None:
         raise SchemaError("--kind (or --drift-json) is required")
-    made = _make(DRIFT_KINDS, args)
-    if isinstance(made, DriftSpec):
-        return made
-    return DriftSpec(family=made, shift=getattr(args, "shift", 0.0))
+    source = _make(DRIFT_KINDS, args)
+    ou = isinstance(source, OuSkewSpec)
+    return DriftSpec(family=None if ou else source, ou=source if ou else None,
+                     shift=getattr(args, "shift", 0.0))
 
 
 def _grid(args, family, n_steps: int, t_start: float = 0.0) -> TimeGrid:
@@ -258,8 +254,8 @@ def cmd_density(args, outdir: Path):
         params = _params(args, flags, f"kind={args.kind}")
         if args.rho is not None and not abs(args.rho) < 1:
             raise SchemaError(f"--rho must lie in (-1, 1), got {args.rho}")
-        if args.lam is not None and not args.lam > 0:
-            raise SchemaError(f"--lam must be positive, got {args.lam}")
+        if args.lam is not None and not 0 < args.lam < math.inf:
+            raise SchemaError(f"--lam must be positive and finite, got {args.lam}")
         if args.T is not None and not args.T < math.inf:
             raise SchemaError(f"--T must be finite, got {args.T}")
         law = Law(lambda t: esn(t, *params))
@@ -363,7 +359,7 @@ def cmd_ou(args, outdir: Path):
     term = grid.t_final
     if args.mode == "htransform":
         _params(args, ("lam",), "mode=htransform")
-        drift = _ou_drift(args.lam, 1 if args.chirality is None else args.chirality)
+        drift = DriftSpec(ou=OuSkewSpec(args.lam, 1 if args.chirality is None else args.chirality))
         ens = simulate(drift, args.x0, grid, cfg)
         ks = ks_statistic(ens.values[:, -1], drift.law(args.x0).cdf(term))
         artifacts = [_emit_ensemble(ens, outdir, "ou_htransform", args.format)]

@@ -83,11 +83,15 @@ class Law:
 
 def cdf_from_pdf(pdf: Callable, lo: float, hi: float) -> Callable:
     """Numerically integrated cdf of a vectorized pdf on 20001 nodes, as an
-    interpolant."""
+    interpolant.  Raises FloatingPointError when the window holds no finite
+    positive mass, as one collapsed to a single double does."""
     x = np.linspace(lo, hi, 20001)
     p = np.asarray(pdf(x), dtype=float)
     c = np.concatenate([[0.0], np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(x))])
     total = c[-1]
+    if not 0 < total < math.inf:
+        raise FloatingPointError(f"the pdf has no finite positive mass on the window "
+                                 f"[{float(lo)!r}, {float(hi)!r}]")
 
     def cdf(v):
         return np.clip(np.interp(v, x, c / total), 0.0, 1.0)

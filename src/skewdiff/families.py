@@ -374,8 +374,8 @@ class OuSkewSpec:
     chirality: int = 1
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise SchemaError(f"lam must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise SchemaError(f"lam must be positive and finite, got {self.lam}")
         if self.chirality not in (-1, 1):
             raise SchemaError("chirality must be +1 or -1")
 
@@ -399,41 +399,29 @@ class DriftSpec:
     """Drift of Y = shift + sigma * X (sigma = diffusion_scale), where
     dX = mu(X, t) dt + dW and mu is
       - a family's psi_t * alpha_t * mills(alpha_t * x);
-      - for params {"lam", "chirality"}, the OU h-transform lam*x +
-        chirality * sqrt(2 lam) * mills(chirality * sqrt(2 lam) * x);
+      - an OuSkewSpec's h-transform lam*x + chirality * sqrt(2 lam) *
+        mills(chirality * sqrt(2 lam) * x);
       - or mu_fn(y, t), the drift of Y itself, used as given (no shift).
-    Exactly one of family, params and mu_fn is given; params are checked
-    once, here, into the OuSkewSpec that every evaluation uses.  `kind` is
-    a derived label (the family's kind, "ou_htransform" or "custom"); an
-    init-only `kind` argument must name it."""
+    Exactly one of family, ou and mu_fn is given.  `kind` is a derived
+    label (the family's kind, "ou_htransform" or "custom"); an init-only
+    `kind` argument must name it."""
 
     family: Optional[SkewFamily] = None
     shift: float = 0.0
     diffusion_scale: float = 1.0
-    params: dict = field(default_factory=dict)
+    ou: Optional[OuSkewSpec] = None
     mu_fn: Optional[Callable] = None
     kind: InitVar[Optional[str]] = None
-    _ou: Optional[OuSkewSpec] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self, kind):
         if not self.diffusion_scale > 0:
             raise SchemaError("diffusion_scale must be positive")
-        if (self.family is not None) + (self.mu_fn is not None) + bool(self.params) != 1:
-            raise SchemaError("a drift needs exactly one of a family, a mu_fn "
-                              "or params {'lam', 'chirality'}")
+        if (self.family is not None) + (self.ou is not None) + (self.mu_fn is not None) != 1:
+            raise SchemaError("a drift needs exactly one of a family, an ou or a mu_fn")
         if self.mu_fn is not None and self.shift != 0.0:
             raise SchemaError("a mu_fn is the drift of Y itself and takes no shift")
-        if self.params:
-            if not {"lam", "chirality"} <= self.params.keys():
-                raise SchemaError("OU h-transform params need 'lam' and 'chirality'")
-            # a SchemaError for a bad rate or chirality, before any evaluation
-            object.__setattr__(self, "_ou", OuSkewSpec(lam=self.params["lam"],
-                                                       chirality=self.params["chirality"]))
-        derived = (self.family.kind if self.family is not None
-                   else "custom" if self.mu_fn is not None else "ou_htransform")
-        if kind not in (None, derived):
-            raise SchemaError(f"drift kind {kind!r} does not match its {derived!r} definition")
-        object.__setattr__(self, "kind", derived)
+        if kind not in (None, self.kind):
+            raise SchemaError(f"drift kind {kind!r} does not match its {self.kind!r} definition")
 
     @property
     def validity_horizon(self) -> float:
@@ -444,7 +432,7 @@ class DriftSpec:
     @property
     def time_free(self) -> bool:
         """True when mu does not depend on t: the OU h-transform."""
-        return self._ou is not None
+        return self.ou is not None
 
     def mu(self, x, t):
         return drift_value(self, x, t)
@@ -455,7 +443,7 @@ class DriftSpec:
         Its unit law is that of X from (x0 - shift)/sigma: the horizon and
         (time-free) OU h-transform kernels from any start, a family's
         marginal only from (shift, 0)."""
-        shift, sigma, fam, ou = self.shift, self.diffusion_scale, self.family, self._ou
+        shift, sigma, fam, ou = self.shift, self.diffusion_scale, self.family, self.ou
         u0 = (x0 - shift) / sigma
         if ou is not None:
             unit = lambda t: ou_htransform_esn(t - t0, ou.lam, u0, ou.chirality)
@@ -471,9 +459,15 @@ class DriftSpec:
         d = {"kind": self.kind, "shift": self.shift, "sigma": self.diffusion_scale}
         if self.family is not None:
             d["family"] = self.family.descriptor()
-        if self.params:
-            d["parameters"] = self.params
+        if self.ou is not None:
+            d["parameters"] = {"lam": self.ou.lam, "chirality": self.ou.chirality}
         return d
+
+
+# the label is read from the source, so it is a property; the init-only
+# `kind` of the same name only checks it
+DriftSpec.kind = property(lambda self: self.family.kind if self.family is not None
+                          else "ou_htransform" if self.ou is not None else "custom")
 
 
 def drift_spec_from_descriptor(desc: dict) -> DriftSpec:
@@ -485,10 +479,11 @@ def drift_spec_from_descriptor(desc: dict) -> DriftSpec:
     if "family" not in desc and kind != "ou_htransform":
         return DriftSpec(family=family_from_descriptor(desc))
     family = family_from_descriptor(desc["family"]) if "family" in desc else None
+    p = desc.get("parameters")
     return DriftSpec(kind=None if kind == "general" else kind, family=family,
                      shift=float(desc.get("shift", 0.0)),
                      diffusion_scale=float(desc.get("sigma", 1.0)),
-                     params=desc.get("parameters", {}))
+                     ou=None if p is None else OuSkewSpec(lam=p["lam"], chirality=p["chirality"]))
 
 
 def drift_value(spec: DriftSpec, x, t):
@@ -512,8 +507,8 @@ def drift_value(spec: DriftSpec, x, t):
         u = x   # the identity map: (x - 0)/1 is x, bit for bit
     else:
         u = (x - spec.shift) / spec.diffusion_scale
-    if spec._ou is not None:
-        mu = spec.diffusion_scale * ou_htransform_drift(u, spec._ou)
+    if spec.ou is not None:
+        mu = spec.diffusion_scale * ou_htransform_drift(u, spec.ou)
         return np.repeat(mu[None], len(t), axis=0) if rows else mu
     fam = spec.family
     fam.check_time(t)

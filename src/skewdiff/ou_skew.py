@@ -43,7 +43,7 @@ def ou_h(x, t, spec: OuSkewSpec):
 def ou_mixture_probability(lam: float, x: float):
     """Chirality weights (p_minus, p_plus) = Gaussian masses at rate lam
     below -x and x; they sum to one exactly."""
-    OuSkewSpec(lam)   # a SchemaError unless the rate is positive
+    OuSkewSpec(lam)   # a SchemaError unless the rate is positive and finite
     s = math.sqrt(2.0 * lam)
     p_plus = float(std_normal_cdf(s * x))
     return 1.0 - p_plus, p_plus
@@ -95,7 +95,7 @@ def simulate_ou_skew_noise(lam: float, x0: float, T: float, grid: TimeGrid,
     ensembles.  A grid that reaches T is a SchemaError: the law of Z is
     singular there.
     """
-    OuSkewSpec(lam)   # a SchemaError unless the rate is positive
+    OuSkewSpec(lam)   # a SchemaError unless the rate is positive and finite
     noise = DriftSpec(family=horizon_family(T))
     if not grid.t_final < T:
         raise SchemaError(f"the skew noise needs t_final < T, got t_final="

@@ -78,6 +78,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.t_start < 0:
             raise SchemaError("t_start must be nonnegative")
+        if not math.isfinite(self.t_end):
+            raise SchemaError(f"t_end must be finite, got {self.t_end}")
         if self.n_steps < 1:
             raise SchemaError("n_steps must be positive")
         if self.terminal_cutoff_epsilon < 0:

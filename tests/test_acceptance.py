@@ -14,7 +14,7 @@ import pytest
 
 import _acceptance_log
 
-from skewdiff import (DriftSpec, SimConfig, TimeGrid, brownian_h_residual,
+from skewdiff import (DriftSpec, OuSkewSpec, SimConfig, TimeGrid, brownian_h_residual,
                       censored_posterior, chapman_kolmogorov_residual,
                       constant_correlation_family, constant_skew_family,
                       constant_skew_tpd, family_from_amplitude, family_tpd,
@@ -296,7 +296,7 @@ def test_criterion_7_mixture_simulations():
     thr = ks_threshold(n)
 
     lam, x0 = 1.0, 0.3
-    ou = DriftSpec(params={"lam": lam, "chirality": +1})
+    ou = DriftSpec(ou=OuSkewSpec(lam, +1))
     _, p_plus = ou_mixture_probability(lam, x0)
     grid2 = TimeGrid(0.0, 1.0, 1000)
     ens2 = simulate_mixture(ou, p_plus, x0, grid2,

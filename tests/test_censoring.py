@@ -180,6 +180,13 @@ class TestCensoredPosteriorFromSim:
                 posterior_from_censored_sim(*uncorrelated_run, t_index=4,
                                             bandwidth=bandwidth)
 
+    def test_a_kde_grid_that_is_not_finite_is_refused(self, uncorrelated_run):
+        # four and six bandwidths overflow: linspace once made inf * 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError, match="grid .* is not finite"):
+                posterior_from_censored_sim(*uncorrelated_run, t_index=4, bandwidth=1e308)
+
     @pytest.mark.parametrize("n_paths", [2000, 8000])
     def test_binned_smoother_matches_direct_sum(self, uncorrelated_run, n_paths):
         # about 1k and 4k survivors, against the plain Gaussian kernel sum
@@ -287,3 +294,20 @@ class TestCensorCommand:
         assert diag["type"] == "FloatingPointError"
         assert "no finite positive mass" in diag["error"]
         assert not (tmp_path / "kde_t4.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        # the grid's ends overflow in linspace
+        ("--t-end", "1", "--check-t", "0.5", "--bandwidth", "1e308"),
+        # the survivors' squares overflow in the Silverman spread
+        ("--t-end", "1e308", "--check-t", "5e307")],
+        ids=["wide_bandwidth", "wide_spread"])
+    def test_a_kde_grid_that_is_not_finite_exits_3(self, tmp_path, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["censor", *argv, "--steps", "8", "--paths", "4096",
+                             "--output-dir", str(tmp_path)])
+        assert code == 3
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["type"] == "FloatingPointError"
+        assert "grid at t_index=4 is not finite" in diag["error"]
+        assert not list(tmp_path.glob("kde_*.csv"))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skewdiff import (DriftSpec, PdeInstabilityError, SimulationError,
+from skewdiff import (DriftSpec, OuSkewSpec, PdeInstabilityError, SimulationError,
                       constant_correlation_family,
                       constant_skew_family, constant_skew_tpd, family_from_amplitude,
                       horizon_family, ks_statistic, ks_threshold)
@@ -211,6 +211,23 @@ class TestSimulateCommand:
         else:
             assert summary["threshold"] == ks_threshold(n)
             assert summary["terminal_ks"] <= summary["threshold"]
+
+    def test_shift_moves_the_ou_drift(self, tmp_path):
+        # the OU drift once dropped --shift: both runs wrote the same bytes
+        argv = ("simulate", "--kind", "ou-htransform", "--lam", "1", "--x0", "0.3",
+                "--t-end", "0.5", "--steps", "50", "--paths", "2000", "--record-stride", "50")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main([*argv, "--shift", "0", "--output-dir", str(a)]) == 0
+        assert main([*argv, "--shift", "0.5", "--output-dir", str(b)]) == 0
+        assert (a / "ensemble.csv").read_bytes() != (b / "ensemble.csv").read_bytes()
+        terminal = np.loadtxt(b / "ensemble.csv", delimiter=",", skiprows=2)[:, -1]
+        summary = json.loads((b / "summary.json").read_text())
+        # the KS is taken against the law started from x0 - shift
+        shifted, plain = (DriftSpec(ou=OuSkewSpec(1.0), shift=s).law(0.3) for s in (0.5, 0.0))
+        assert summary["law"] == "ou_htransform"
+        assert summary["terminal_ks"] == ks_statistic(terminal, shifted.cdf(0.5))
+        assert summary["terminal_ks"] != ks_statistic(terminal, plain.cdf(0.5))
+        assert summary["terminal_ks"] <= summary["threshold"]
 
     def test_drift_descriptor_file(self, tmp_path):
         # export a family, then simulate from the descriptor file
@@ -420,6 +437,31 @@ class TestRunSettingsReadOnce:
         assert run(tmp_path, *(a.format(tmp=tmp_path) for a in argv)) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "diagnostics.json").exists()
+
+
+class TestInfiniteRate:
+    SIM = ("--t-end", "0.5", "--steps", "8", "--paths", "128")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        # exit 2, but as "drift is singular at t=0"
+        ("simulate", "--kind", "ou-htransform", *SIM),
+        # exit 3: a scale of nan, or of 0
+        ("density", "--kind", "ou-htransform", "--t", "0.5", "--x=-1:1:0.5"),
+        ("density", "--kind", "ou-noise-marginal", "--T", "2", "--t", "0.5",
+         "--x=-1:1:0.5"),
+        # exit 3: a non-finite path, a p_plus of nan, or a non-finite matrix
+        ("ou", "--mode", "htransform", *SIM),
+        ("ou", "--mode", "sknoise", "--T", "2", *SIM),
+        ("mixture", "--kind", "ou", *SIM),
+        ("fokker-planck", "--kind", "ou-htransform", "--t-end", "0.5", "--x-min", "-3",
+         "--x-max", "3", "--n-x", "101", "--n-t", "64")],
+        ids=["simulate", "density", "density_noise_marginal", "ou_htransform", "ou_sknoise",
+             "mixture", "fokker_planck"])
+    def test_an_infinite_rate_exits_2(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv, "--lam", "inf") == 2
+        assert "must be positive and finite, got inf" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestHorizonAndModeFlags:

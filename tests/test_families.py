@@ -1,6 +1,7 @@
 """Drift-family system: closed forms, the quadrature solver, drift values."""
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from skewdiff import (DriftSpec, HorizonError, SchemaError, amplitude_from_family,
+from skewdiff import (DriftSpec, HorizonError, OuSkewSpec, SchemaError, amplitude_from_family,
                       constant_correlation_family, constant_skew_family,
                       drift_value, family_from_amplitude,
                       family_from_descriptor, horizon_family, mills,
@@ -248,14 +249,14 @@ class TestDriftValue:
         t, x = 0.5, 0.9
         expect = sigma * float(fam.psi(t)) * 1.0 * float(mills(1.0 * (x - shift) / sigma))
         assert_allclose(float(drift_value(spec, x, t)), expect, rtol=1e-14)
-        ou = DriftSpec(params={"lam": 1.0, "chirality": -1}, diffusion_scale=sigma)
-        unit = DriftSpec(params={"lam": 1.0, "chirality": -1})
+        ou = DriftSpec(ou=OuSkewSpec(1.0, -1), diffusion_scale=sigma)
+        unit = DriftSpec(ou=OuSkewSpec(1.0, -1))
         assert_allclose(drift_value(ou, x, t), sigma * drift_value(unit, x / sigma, t),
                         rtol=1e-14)
 
     def test_derived_kind(self):
         assert DriftSpec(family=horizon_family(1.0)).kind == "horizon"
-        assert DriftSpec(params={"lam": 1.0, "chirality": 1}).kind == "ou_htransform"
+        assert DriftSpec(ou=OuSkewSpec(1.0, 1)).kind == "ou_htransform"
         assert DriftSpec(mu_fn=lambda x, t: x).kind == "custom"
         # an explicit kind is only a check against the definition
         assert DriftSpec(kind="horizon", family=horizon_family(1.0)).kind == "horizon"
@@ -268,7 +269,7 @@ class TestDriftValue:
                                         "family": constant_skew_family(1.0).descriptor()})
 
     def test_time_free_is_derived(self, monkeypatch):
-        ou = DriftSpec(params={"lam": 1.0, "chirality": -1})
+        ou = DriftSpec(ou=OuSkewSpec(1.0, -1))
         assert ou.time_free
         assert not DriftSpec(family=constant_skew_family(1.0)).time_free
         assert not DriftSpec(mu_fn=lambda x, t: x).time_free
@@ -276,16 +277,17 @@ class TestDriftValue:
             ou.time_free = False
         with pytest.raises(TypeError):
             DriftSpec(mu_fn=lambda x, t: x, time_free=True)
-        # the params were checked once, at construction; evaluation builds nothing
+        # the rate was checked once, when the OuSkewSpec was built; evaluation
+        # builds nothing
         monkeypatch.setattr(families, "OuSkewSpec", None)
         assert drift_value(ou, 0.5, 0.1) == drift_value(ou, 0.5, 7.0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(family=constant_skew_family(1.0), mu_fn=lambda x, t: x),
-        dict(family=constant_skew_family(1.0), params={"lam": 1.0, "chirality": 1}),
-        dict(mu_fn=lambda x, t: x, params={"lam": 1.0, "chirality": 1}),
+        dict(family=constant_skew_family(1.0), ou=OuSkewSpec(1.0, 1)),
+        dict(mu_fn=lambda x, t: x, ou=OuSkewSpec(1.0, 1)),
         dict(mu_fn=lambda x, t: x, shift=0.5)],
-        ids=["family+mu_fn", "family+params", "mu_fn+params", "mu_fn+shift"])
+        ids=["family+mu_fn", "family+ou", "mu_fn+ou", "mu_fn+shift"])
     def test_exactly_one_drift_source(self, kwargs):
         # a second source was dropped without a word
         with pytest.raises(SchemaError):
@@ -371,7 +373,7 @@ ROW_CASES = {
         st.floats(1e-6, 100.0)),
     "general": (lambda c, sigma: DriftSpec(family=_general_family(c), diffusion_scale=sigma),
                 st.floats(1e-4, 1.2)),
-    "ou_htransform": (lambda c, sigma: DriftSpec(params={"lam": 1.3, "chirality": c},
+    "ou_htransform": (lambda c, sigma: DriftSpec(ou=OuSkewSpec(1.3, c),
                                                  diffusion_scale=sigma),
                       st.floats(0.0, 100.0)),
 }
@@ -450,6 +452,7 @@ class TestConstructorErrors:
         lambda: family_from_amplitude(lambda t: 1.0, -0.5, +1, np.linspace(0.01, 1, 10)),
         lambda: family_from_amplitude(lambda t: 1.0, 0.5, +1, [0.5]),
         lambda: family_from_amplitude(lambda t: 1.0, 0.5, +1, [0.0, 1.0]),
+        lambda: OuSkewSpec(math.inf),
     ])
     def test_bad_parameter_is_schema_error(self, build):
         with pytest.raises(SchemaError):
@@ -501,17 +504,31 @@ class TestSerialization:
         assert np.max(np.abs(back.psi(ts) - fam.psi(ts))) < 2e-7
         assert back.validity_horizon == num.validity_horizon == math.inf
 
+    # the sha256 of drift_value at t = 0.8, at t = [0.1, 0.8], and the law's
+    # pdf at t = 0.9 from (0.5, 0.2), as the OU drift evaluated them when
+    # its rate and side were a {"lam", "chirality"} dict
+    OU_DRIFT_PINS = {
+        1: "2204f978a68df44260f965bb210ef0378b372a0747fe497c369df574d1c10e66",
+        -1: "bfcceab1540a1f4c1fa969538b015cb18675587f0c1f42f0028560a9258de899",
+    }
+
     @pytest.mark.parametrize("chirality", [1, -1])
     def test_ou_drift_descriptor_round_trip(self, chirality):
-        spec = DriftSpec(params={"lam": 0.7, "chirality": chirality}, shift=0.3,
+        spec = DriftSpec(ou=OuSkewSpec(0.7, chirality), shift=0.3,
                          diffusion_scale=1.7)
-        back = drift_spec_from_descriptor(json.loads(json.dumps(spec.descriptor())))
-        assert (back.kind, back.shift, back.diffusion_scale, back.params) == \
-            ("ou_htransform", 0.3, 1.7, {"lam": 0.7, "chirality": chirality})
+        # the descriptor format predates the typed field: an old file loads
+        text = ('{"kind": "ou_htransform", "shift": 0.3, "sigma": 1.7, '
+                f'"parameters": {{"lam": 0.7, "chirality": {chirality}}}}}')
+        assert json.dumps(spec.descriptor()) == text
+        back = drift_spec_from_descriptor(json.loads(text))
+        assert (back.kind, back.shift, back.diffusion_scale, back.ou) == \
+            ("ou_htransform", 0.3, 1.7, OuSkewSpec(0.7, chirality))
         assert back.time_free is spec.time_free is True
         xs = np.linspace(-4.0, 4.0, 33)
         ts = np.array([0.1, 0.8])
-        assert drift_value(back, xs, 0.8).tobytes() == drift_value(spec, xs, 0.8).tobytes()
-        assert drift_value(back, xs, ts).tobytes() == drift_value(spec, xs, ts).tobytes()
-        law, law_back = spec.law(0.5, 0.2), back.law(0.5, 0.2)
-        assert law_back.pdf(xs, 0.9).tobytes() == law.pdf(xs, 0.9).tobytes()
+        for d in (spec, back):
+            h = hashlib.sha256()
+            h.update(drift_value(d, xs, 0.8).tobytes())
+            h.update(drift_value(d, xs, ts).tobytes())
+            h.update(d.law(0.5, 0.2).pdf(xs, 0.9).tobytes())
+            assert h.hexdigest() == self.OU_DRIFT_PINS[chirality]

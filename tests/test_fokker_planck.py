@@ -128,7 +128,7 @@ def _pinned_solve(case: str):
     if case == "constant_skew":
         drift = skew
     elif case == "ou_htransform":
-        drift, lo, hi = DriftSpec(params={"lam": 1.0, "chirality": 1}), -6.0, 12.0
+        drift, lo, hi = DriftSpec(ou=OuSkewSpec(1.0, 1)), -6.0, 12.0
     elif case == "horizon_eps":
         # theta = 1: Crank-Nicolson fails its positivity check near the
         # horizon on this grid
@@ -322,7 +322,7 @@ class TestBatchedDrift:
                 solve_kfe(drift, 0.0, TimeGrid(0.0, 2.0, 100), cfg)
             assert len(calls) == steps
 
-    @pytest.mark.parametrize("drift", [ZERO, DriftSpec(params={"lam": 1.0, "chirality": 1})],
+    @pytest.mark.parametrize("drift", [ZERO, DriftSpec(ou=OuSkewSpec(1.0, 1))],
                              ids=["time_dependent", "time_free"])
     @pytest.mark.parametrize("band,error", [(64.0, np.linalg.LinAlgError),
                                             (np.inf, ValueError)])
@@ -348,7 +348,7 @@ class TestBatchedDrift:
         monkeypatch.setattr(families, "ou_htransform_drift", raising)
         cfg = FpConfig(x_min=-6, x_max=6, n_x=101, n_t=64)
         with pytest.raises(FloatingPointError, match="h-transform drift"):
-            solve_kfe(DriftSpec(params={"lam": 1.0, "chirality": 1}), 0.0,
+            solve_kfe(DriftSpec(ou=OuSkewSpec(1.0, 1)), 0.0,
                       TimeGrid(0.0, 1.0, 64), cfg)
         out = tmp_path / "out"
         assert cli.main(["fokker-planck", "--kind", "ou-htransform", "--lam", "1",
@@ -359,11 +359,11 @@ class TestBatchedDrift:
 
 @pytest.mark.parametrize("lam,chirality,theta", [(1.0, +1, 0.5), (0.7, -1, 1.0)])
 def test_factor_once_gives_the_per_step_bits(lam, chirality, theta):
-    # DriftSpec(params=...) is time-free: its one matrix is factored once
+    # DriftSpec(ou=...) is time-free: its one matrix is factored once
     # (dgttrf) and solved at each step (dgttrs).  The same drift as a mu_fn
     # is not, and each step calls dgtsv.
     ou = OuSkewSpec(lam=lam, chirality=chirality)
-    once = DriftSpec(params={"lam": lam, "chirality": chirality})
+    once = DriftSpec(ou=ou)
     per_step = DriftSpec(mu_fn=lambda x, t: ou_htransform_drift(x, ou))
     assert once.time_free and not per_step.time_free
     cfg = FpConfig(x_min=-10, x_max=10, n_x=401, n_t=200, theta=theta)

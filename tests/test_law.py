@@ -1,4 +1,5 @@
 """DriftSpec.law and the image map Y = shift + sigma * X."""
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from skewdiff import (DriftSpec, SimConfig, TimeGrid, constant_correlation_family,
+from skewdiff import cli
+from skewdiff import (DriftSpec, OuSkewSpec, SimConfig, TimeGrid, constant_correlation_family,
                       constant_skew_family, horizon_family, ks_statistic,
                       ks_threshold, simulate)
 from skewdiff.densities import (density_mass, family_tpd_unshifted,
@@ -20,7 +22,7 @@ def _drift(kind, sigma=1.0, shift=0.0):
     if kind == "horizon":
         return DriftSpec(family=horizon_family(1.0, -1), diffusion_scale=sigma)
     if kind == "ou_htransform":
-        return DriftSpec(params={"lam": 1.0, "chirality": 1}, shift=shift,
+        return DriftSpec(ou=OuSkewSpec(1.0, 1), shift=shift,
                          diffusion_scale=sigma)
     return DriftSpec(family=constant_skew_family(1.5, +1), shift=shift,
                      diffusion_scale=sigma)
@@ -66,7 +68,7 @@ class TestLawKs:
     @pytest.mark.parametrize("drift,x0", [
         (DriftSpec(family=constant_skew_family(1.0), shift=0.7, diffusion_scale=1.5), 0.7),
         (DriftSpec(family=horizon_family(1.0), diffusion_scale=3.0), 0.4),
-        (DriftSpec(params={"lam": 1.0, "chirality": 1}, diffusion_scale=2.0), 0.0),
+        (DriftSpec(ou=OuSkewSpec(1.0, 1), diffusion_scale=2.0), 0.0),
         (DriftSpec(family=horizon_family(1.0), shift=0.5), 0.3),
         (DriftSpec(family=horizon_family(1.0), shift=0.5), -0.4),
     ], ids=["constant_skew", "horizon", "ou_htransform", "horizon_shift_x0=0.3",
@@ -125,7 +127,7 @@ class TestLawCdf:
     def test_ou_htransform(self, lam, x0):
         # x0 = -10 at lam = 2 and t = 2 puts the normaliser at Phi(-20)
         for chirality in (1, -1):
-            law = DriftSpec(params={"lam": lam, "chirality": chirality}).law(x0)
+            law = DriftSpec(ou=OuSkewSpec(lam, chirality)).law(x0)
             for t in (0.01, 0.3, 1.0, 2.0):
                 xs, ref = _reference_cdf(
                     law, t, lambda v: ou_htransform_tpd_raw(v, t, lam, x0, chirality))
@@ -158,6 +160,28 @@ def _scaled_laws(draw):
     x0 = shift if kind == "constant_skew" else shift + draw(st.floats(-1.0, 1.0))
     t = draw(st.floats(0.05, 0.95))
     return kind, sigma, shift, x0, t
+
+
+class TestEmptyWindow:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_window_without_mass_is_refused(self):
+        # a window about 1e300 collapses to one double, so its trapezoid is 0
+        law = DriftSpec(family=horizon_family(1.0)).law(1e300)
+        with pytest.raises(FloatingPointError, match=r"no finite positive mass on the "
+                                                     r"window \[1e\+300, 1e\+300\]"):
+            law.cdf(0.5)
+        with pytest.raises(FloatingPointError, match="window"):
+            cdf_from_pdf(lambda v: np.zeros_like(v), -1.0, 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_mixture_target_without_mass_exits_3(self, tmp_path):
+        # the simulation succeeds; its KS target was a 0/0 that read NaN
+        assert cli.main(["mixture", "--kind", "horizon", "--T", "1", "--t-end", "0.5",
+                         "--steps", "8", "--paths", "128", "--x0", "1e300",
+                         "--output-dir", str(tmp_path)]) == 3
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["type"] == "FloatingPointError"
+        assert "no finite positive mass on the window" in diag["error"]
 
 
 class TestLawProperties:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from skewdiff import cli
 from skewdiff import (DriftSpec, ExtendedSkewNormalParams, HorizonError,
                       SchemaError, SimConfig, SimulationError,
                       TimeGrid, constant_skew_family, horizon_family,
@@ -32,6 +33,24 @@ class TestTimeGrid:
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 10, terminal_cutoff_epsilon=1.0)
+
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_rejects_t_end_that_is_not_finite(self, t_end):
+        with pytest.raises(SchemaError, match="t_end must be finite"):
+            TimeGrid(0.0, t_end, 8)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        # dt was inf and times() inf * 0: a non-finite path at exit 3
+        ("ou", "--mode", "htransform", "--lam", "1", "--t-end", "inf", "--steps", "8",
+         "--paths", "128"),
+        # exit 2 only through the --check-t message
+        ("censor", "--t-end", "inf", "--steps", "8", "--paths", "4096")],
+        ids=["ou", "censor"])
+    def test_an_infinite_t_end_exits_2(self, tmp_path, capsys, argv):
+        assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 2
+        assert "t_end must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestReproducibility:
