@@ -16,7 +16,7 @@ import numpy as np
 from .dists import mills
 from .errors import SchemaError
 from .families import DriftSpec, OuSkewSpec, SkewFamily, drift_value, ou_htransform_drift
-from .sde import PathEnsemble
+from .sde import PathEnsemble, ordered_map
 
 _KDE_ROWS = 32      # grid points per block of the kernel matrix
 
@@ -138,14 +138,17 @@ def posterior_from_censored_sim(ensemble_x: PathEnsemble, ensemble_y: PathEnsemb
     edges = np.linspace(lo - 6 * bw, hi + 6 * bw, 4097)
     counts, _ = np.histogram(sel, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    # the kernel matrix a block of grid rows at a time, so its temporaries stay small
-    dens = np.empty(len(x_grid))
-    # a z that overflows is a kernel weight of 0; the mass check below
-    # catches a bandwidth too small for any weight to survive
-    with np.errstate(over="ignore"):
-        for i in range(0, len(x_grid), _KDE_ROWS):
+    # the kernel matrix a block of grid rows at a time, on the shared pool:
+    # its temporaries stay small, and a row's sum does not depend on the block
+    def rows(i):
+        # a z that overflows is a kernel weight of 0; the mass check below
+        # catches a bandwidth too small for any weight to survive
+        with np.errstate(over="ignore"):
             z = (x_grid[i:i + _KDE_ROWS, None] - centers[None, :]) / bw
-            dens[i:i + _KDE_ROWS] = (np.exp(-0.5 * z * z) * counts[None, :]).sum(axis=1)
+            return (np.exp(-0.5 * z * z) * counts[None, :]).sum(axis=1)
+
+    dens = np.concatenate(list(ordered_map(rows, range(0, len(x_grid), _KDE_ROWS))))
+    with np.errstate(over="ignore"):
         dens /= len(sel) * bw * math.sqrt(2 * math.pi)
     if not 0 < dens.sum() < math.inf:
         raise FloatingPointError(f"the KDE at t_index={t_index} has no finite positive "

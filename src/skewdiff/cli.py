@@ -210,9 +210,11 @@ def cmd_simulate(args, outdir: Path):
     with np.errstate(invalid="ignore"):
         probe = np.asarray(drift.mu(np.asarray([args.x0]), grid.t_start))
     if not np.all(np.isfinite(probe)):
-        raise SchemaError(
-            f"drift is singular at t={grid.t_start} for this family; "
-            "pass a positive --t-start")
+        if drift.family is not None and grid.t_start == 0:
+            raise SchemaError("drift is singular at t=0 for this family; "
+                              "pass a positive --t-start")
+        raise SchemaError(f"the {drift.kind} drift is not finite at "
+                          f"x0={args.x0!r}, t={grid.t_start!r}")
     ens = simulate(drift, args.x0, grid, _sim_config(args))
     artifacts = [_emit_ensemble(ens, outdir, "ensemble", args.format)]
     terminal = ens.values[:, -1]

@@ -20,9 +20,12 @@ import numpy as np
 from .dists import (ExtendedSkewNormalParams, LOG_SQRT_2PI, esn_moments, esn_pdf,
                     std_normal_logcdf)
 from .errors import HorizonError
+from .sde import ordered_map
 
 if TYPE_CHECKING:  # pragma: no cover
     from .families import SkewFamily
+
+_MOMENT_CELLS = 1 << 15     # density values per block of time slices in moments()
 
 
 @dataclass
@@ -45,18 +48,26 @@ class DensityGrid:
     def moments(self):
         """Trapezoid (mass, mean, variance, skewness) per time slice.  A
         moment the slice leaves undefined is None: all three without mass,
-        the skewness without variance."""
+        the skewness without variance.  Blocks of slices are computed on
+        the shared pool; a slice's moments do not depend on its block."""
         x, mass = self.x_nodes, self.mass_per_t
-        # a slice without mass divides by zero; its moments are None below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mean = np.trapezoid(self.values * x, x) / mass
-            dev = x - mean[:, None]
-            var = np.trapezoid(self.values * dev ** 2, x) / mass
-            m3 = np.trapezoid(self.values * dev ** 3, x) / mass
-        # skewness from NumPy scalars: an array ** rounds differently in the last bit
-        return [(float(a), None, None, None) if a == 0 else
-                (float(a), float(b), float(v), None if v == 0 else float(c / v ** 1.5))
-                for a, b, v, c in zip(mass, mean, var, m3)]
+        step = max(1, _MOMENT_CELLS // max(len(x), 1))
+
+        def block(lo):
+            q, m = self.values[lo:lo + step], mass[lo:lo + step]
+            # a slice without mass divides by zero; its moments are None below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mean = np.trapezoid(q * x, x) / m
+                dev = x - mean[:, None]
+                var = np.trapezoid(q * dev ** 2, x) / m
+                m3 = np.trapezoid(q * dev ** 3, x) / m
+            # skewness from NumPy scalars: an array ** rounds differently in the last bit
+            return [(float(a), None, None, None) if a == 0 else
+                    (float(a), float(b), float(v), None if v == 0 else float(c / v ** 1.5))
+                    for a, b, v, c in zip(m, mean, var, m3)]
+
+        return [row for rows in ordered_map(block, range(0, len(mass), step))
+                for row in rows]
 
 
 @dataclass(frozen=True)

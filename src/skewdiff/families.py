@@ -391,7 +391,10 @@ def ou_htransform_drift(x, spec: OuSkewSpec):
     """
     x = np.asarray(x, dtype=float)
     s = math.sqrt(2.0 * spec.lam)
-    return spec.lam * x + spec.chirality * s * mills(spec.chirality * s * x)
+    # a rate or state so large that a product overflows (or meets inf * 0)
+    # gives a drift that is not finite, which its caller refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return spec.lam * x + spec.chirality * s * mills(spec.chirality * s * x)
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,9 @@ class FpConfig:
         return self.init_width if self.init_width is not None else 4.0 * self.dx
 
 
+# a drift that is not finite (or overflows here) makes bands that are not
+# finite, which the banded solve refuses: no warning on the way
+@np.errstate(over="ignore", invalid="ignore")
 def _operator_bands(mu_face, dx, diff):
     """Banded (..., 3, n) representation of the conservative flux operator,
     one band matrix per row of mu_face (shape (..., n - 1))."""

@@ -6,11 +6,13 @@ repr), so ``float(cell)`` recovers the value exactly and repeated runs with
 the same configuration produce byte-identical files.  Every cell comes from
 one vectorized formatter, `_floatfmt`, tested equal to ``repr`` and imported
 on first use, so start-up does not load it.  The three CSV writers share one
-block writer, `_write_csv`: after the header, it builds, formats and writes
-one block of whole rows (about ``_floatfmt.CHUNK`` cells) before the next,
-so memory is bounded by the block.  Density tables are long-form, one
-``x,t,q`` row per node pair; ensembles are one row per path.  Arrays reach
-``write`` through the buffer protocol, never as ``tobytes()`` copies.
+block writer, `_write_csv`: after the header, it builds and formats blocks of
+whole rows (about ``_floatfmt.CHUNK`` cells each) on the shared worker pool
+and writes them in order, so memory is bounded by about ``workers + 1``
+blocks and the bytes do not depend on the thread count.  Density tables are
+long-form, one ``x,t,q`` row per node pair; ensembles are one row per path.
+Arrays reach ``write`` through the buffer protocol, never as ``tobytes()``
+copies.
 The binary ensemble layout is little-endian:
 
     magic "SKDF" | u16 version | u16 flags (bit0 = labels present)
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .densities import DensityGrid
-from .sde import PathEnsemble, TimeGrid
+from .sde import PathEnsemble, TimeGrid, ordered_map
 
 MAGIC = b"SKDF"
 VERSION = 1
@@ -55,13 +57,18 @@ def _csv_rows(*blocks) -> np.ndarray:
 def _write_csv(path, header: str, n_rows: int, row_cells: int, block) -> None:
     """Write `header`, then, for each run [lo, hi) of rows that holds about
     `_floatfmt.CHUNK` cells, the rows of the `_csv_rows` blocks that
-    `block(lo, hi)` returns, each run written before the next is built."""
+    `block(lo, hi)` returns.  The runs are built on the shared pool
+    (`ordered_map`) and written in order as they come."""
     from . import _floatfmt
     step = max(1, _floatfmt.CHUNK // max(row_cells, 1))
+
+    def rows(lo):
+        return _csv_rows(*block(lo, min(lo + step, n_rows)))
+
     with Path(path).open("wb") as fh:
         fh.write(header.encode())
-        for lo in range(0, n_rows, step):
-            fh.write(_csv_rows(*block(lo, min(lo + step, n_rows))))
+        for text in ordered_map(rows, range(0, n_rows, step)):
+            fh.write(text)
 
 
 def columns_to_csv(path, names, *columns) -> None:

@@ -9,14 +9,21 @@ single array of paths, so a step costs a few wide array operations per
 worker rather than per block; every operation is elementwise, so the
 split does not change a value, and each run writes a disjoint slice of
 the output.
+
+The worker threads belong to one process-wide pool, built on first use and
+shared with every other layer that maps independent blocks through
+`ordered_map` (the CSV writer, the censor KDE, density moments).
 """
 from __future__ import annotations
 
+import collections
+import contextvars
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, Iterable, Iterator, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -64,6 +71,80 @@ def thread_count(requested: Optional[int] = None) -> int:
     if cap:
         requested = min(int(requested), cap)
     return max(1, int(requested))
+
+
+_pool_lock = threading.Lock()
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_width = 0
+_in_pool = threading.local()      # .worker is True on the pool's own threads
+
+
+def _mark_worker():
+    _in_pool.worker = True
+
+
+def _shared_pool(width: int) -> ThreadPoolExecutor:
+    """The process-wide pool, at least `width` threads wide.  A narrower
+    pool is replaced, not shut down: a call still feeding it finishes, and
+    its idle threads exit once it is collected."""
+    global _pool, _pool_width
+    with _pool_lock:
+        if _pool_width < width:
+            _pool = ThreadPoolExecutor(max_workers=width, thread_name_prefix="skewdiff",
+                                       initializer=_mark_worker)
+            _pool_width = width
+        return _pool
+
+
+def _forget_pool():
+    # a forked child holds the parent's pool object but none of its
+    # threads (and perhaps a lock another thread held): start afresh
+    global _pool, _pool_width, _pool_lock
+    _pool, _pool_width, _pool_lock = None, 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def ordered_map(fn: Callable, items: Iterable, workers: Optional[int] = None) -> Iterator:
+    """Yield fn(item) for each item, in item order, computed on the shared
+    pool by up to `workers` threads (thread_count(workers) of them).
+
+    At most workers + 1 items are in flight (started and not yet taken by
+    the caller), which bounds the memory of a writer that consumes blocks
+    as they come.  An item that raises re-raises at its position, after the
+    earlier items' results, and only once no task of the call is running.
+    Each task runs in a copy of the caller's context, so NumPy's error
+    state (a context variable) is the caller's.  One worker, a single item
+    or a call from a pool task runs fn inline on the calling thread, and
+    builds no pool.
+    """
+    items = list(items)
+    workers = min(thread_count(workers), len(items))
+    if workers <= 1 or getattr(_in_pool, "worker", False):
+        yield from map(fn, items)
+        return
+    pool = _shared_pool(workers)
+    todo = iter(items)
+    pending = collections.deque()
+
+    def submit():
+        for item in todo:
+            pending.append(pool.submit(contextvars.copy_context().run, fn, item))
+            return
+
+    try:
+        for _ in range(workers):
+            submit()
+        while pending:
+            result = pending.popleft().result()
+            submit()
+            yield result
+    finally:
+        for f in pending:
+            f.cancel()
+        wait(pending)
 
 
 @dataclass(frozen=True)
@@ -218,9 +299,9 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
     (0 = primary, 1 = secondary) is keyed by (seed, i, block), so the
     ensemble does not depend on the thread count.
 
-    Each worker thread takes one contiguous run of blocks (see _runs) and
-    steps all its paths at once, so a step is a few wide array operations
-    rather than a few per block.  Each block's stream fills that block's
+    Each worker (see ordered_map) takes one contiguous run of blocks (see
+    _runs) and steps all its paths at once, so a step is a few wide array
+    operations rather than a few per block.  Each block's stream fills that block's
     columns of the run's noise rows, at most _STEP_CHUNK * _BLOCK_SIZE
     doubles per stream (a wider run draws fewer rows per call); the
     generator writes its draws in order, so the row count does not change
@@ -299,12 +380,7 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
         return clamps
 
     workers = min(thread_count(cfg.n_threads), len(_blocks(cfg.n_paths)))
-    runs = _runs(cfg.n_paths, workers)
-    if workers == 1:
-        events = [worker(run) for run in runs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            events = list(pool.map(worker, runs))
+    events = ordered_map(worker, _runs(cfg.n_paths, workers), workers)
     return outs, sum(events)
 
 

@@ -213,6 +213,16 @@ class TestCensoredPosteriorFromSim:
         h.update(np.ascontiguousarray(dens, dtype="<f8").tobytes())
         assert h.hexdigest() == digest
 
+    def test_density_is_bitwise_the_same_at_any_thread_count(self, uncorrelated_run,
+                                                             monkeypatch):
+        # 801 grid points: 26 kernel blocks on the shared pool
+        dens = []
+        for n in ("1", "2", "3"):
+            monkeypatch.setenv("SKEWDIFF_THREADS", n)
+            _, d, _, _ = posterior_from_censored_sim(*uncorrelated_run, t_index=4)
+            dens.append(d.tobytes())
+        assert dens == [dens[0]] * 3
+
     def test_positive_correlation_shifts_survivors_right(self):
         grid = TimeGrid(0.0, 1.0, 200)
         cfg = SimConfig(n_paths=20000, seed=59, record_stride=200)

@@ -273,12 +273,28 @@ class TestSimulateCommand:
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
         assert "horizon" in diag["error"]
 
-    def test_singular_start_needs_positive_t_start(self, tmp_path):
+    def test_singular_start_needs_positive_t_start(self, tmp_path, capsys):
         args = ("simulate", "--kind", "constant-correlation", "--C", "0.5",
                 "--t-end", "1.0", "--steps", "50", "--paths", "16",
                 "--record-stride", "50")
         assert run(tmp_path, *args) == 2
+        assert "pass a positive --t-start" in capsys.readouterr().err
         assert run(tmp_path, *args, "--t-start", "0.01") == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv,where", [
+        (("--lam", "1e308", "--t-start", "0.1"), "x0=0.0, t=0.1"),
+        (("--lam", "1", "--x0=-1e308"), "x0=-1e+308, t=0.0")])
+    def test_a_drift_that_is_not_finite_at_the_start_is_named(self, tmp_path, capsys,
+                                                             argv, where):
+        # no --t-start can help a time-free drift: the message names the
+        # drift and the point, not that flag
+        assert run(tmp_path, "simulate", "--kind", "ou-htransform", *argv, "--t-end", "0.5",
+                   "--steps", "8", "--paths", "128") == 2
+        err = capsys.readouterr().err
+        assert f"the ou_htransform drift is not finite at {where}" in err
+        assert "--t-start" not in err
+        assert not (tmp_path / "diagnostics.json").exists()
 
 
 class TestConfigurationErrors:
@@ -444,7 +460,7 @@ class TestInfiniteRate:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
-        # exit 2, but as "drift is singular at t=0"
+        # exit 2 at the rate check, before the drift is probed
         ("simulate", "--kind", "ou-htransform", *SIM),
         # exit 3: a scale of nan, or of 0
         ("density", "--kind", "ou-htransform", "--t", "0.5", "--x=-1:1:0.5"),

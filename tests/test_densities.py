@@ -311,6 +311,7 @@ class TestDensityGridBookkeeping:
 
     def test_moments_match_the_per_slice_loop_bit_for_bit(self):
         from skewdiff import DensityGrid
+        from skewdiff.densities import _MOMENT_CELLS
 
         def per_slice(grid):
             # the reference: three trapezoids per time slice
@@ -324,9 +325,13 @@ class TestDensityGridBookkeeping:
 
         rng = np.random.default_rng(7)
         x = np.sort(rng.uniform(-6.0, 9.0, 733))
+        # 200 slices of 733 nodes: several blocks of slices, the last partial
+        many = DensityGrid(x, np.arange(200.0), rng.exponential(size=(200, 733)))
+        step = _MOMENT_CELLS // len(x)
+        assert 200 > 2 * step and 200 % step
         grids = [density_grid(lambda x, t: constant_skew_tpd(x, t, 1.5, -1),
                               np.linspace(-9, 10, 2001), [0.1, 0.5, 1.0, 3.0]),
                  DensityGrid(x, np.arange(5.0), rng.exponential(size=(5, 733))),
-                 DensityGrid(x[:3], np.arange(0.0), np.empty((0, 3)))]
+                 DensityGrid(x[:3], np.arange(0.0), np.empty((0, 3))), many]
         for grid in grids:
             assert grid.moments() == per_slice(grid)

@@ -16,7 +16,7 @@ from skewdiff import DriftSpec, SimConfig, TimeGrid, density_grid, simulate, \
 from skewdiff import _floatfmt
 from skewdiff.densities import DensityGrid
 from skewdiff.sde import PathEnsemble
-from skewdiff.io import (_HEADER, columns_to_csv, density_grid_summary,
+from skewdiff.io import (_HEADER, _csv_rows, columns_to_csv, density_grid_summary,
                          density_grid_to_csv, ensemble_from_binary,
                          ensemble_to_binary, ensemble_to_csv, write_json)
 
@@ -389,6 +389,52 @@ class TestWritersAcrossBlocks:
         want = "a,b,c\n" + "".join(f"{u!r},{v!r},{w!r}\n" for u, v, w in
                                      zip(a.tolist(), b.tolist(), c.tolist()))
         assert p.read_bytes() == want.encode()
+
+
+class TestWritersAcrossThreadCounts:
+    """The shared pool formats the blocks: the bytes at 1, 2 and 3 workers
+    equal each other and the serial reference."""
+
+    @staticmethod
+    def _each_thread_count(monkeypatch, tmp_path, write):
+        out = []
+        for n in ("1", "2", "3"):
+            monkeypatch.setenv("SKEWDIFF_THREADS", n)
+            p = tmp_path / f"{n}.csv"
+            write(p)
+            out.append(p.read_bytes())
+        return out
+
+    # 37 slices of 1003 nodes: three blocks, the last partial; 5: one block
+    @pytest.mark.parametrize("n_t", [37, 5])
+    def test_density_grid(self, tmp_path, monkeypatch, n_t):
+        rng = np.random.default_rng(12)
+        x = np.linspace(-7.0, 11.0, 1003)
+        values = rng.standard_normal((n_t, 1003))
+        # one infinity per slice, so its trapezoid mass is no inf - inf
+        values[-1, :3] = [np.nan, np.inf, -0.0]
+        values[0, -3:] = [-0.0, -np.inf, np.nan]
+        grid = DensityGrid(x, np.linspace(0.01, 2.0, n_t), values)
+        assert (n_t * len(x) > _floatfmt.CHUNK) == (n_t == 37)
+        serial = b"x,t,q\n" + _csv_rows(_floatfmt.cells(x)[:, None],
+                                        _floatfmt.cells(grid.t_nodes)[:, None, None],
+                                        _floatfmt.cells(values[:, :, None])).tobytes()
+        assert serial == _reference_density_csv(grid)
+        got = self._each_thread_count(monkeypatch, tmp_path,
+                                      lambda p: density_grid_to_csv(grid, p))
+        assert got == [serial] * 3
+
+    def test_labeled_ensemble(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(13)
+        values = rng.standard_normal((1500, 41))
+        values[7, :3] = [np.nan, -np.inf, -0.0]
+        ens = PathEnsemble(grid=TimeGrid(0.0, 1.0, 40), values=values, seed=4,
+                           labels=rng.choice(np.array([-1, 1], np.int8), 1500))
+        assert values.size > 2 * _floatfmt.CHUNK
+        got = self._each_thread_count(monkeypatch, tmp_path,
+                                      lambda p: ensemble_to_csv(ens, p))
+        assert got[0].split(b"\n", 1)[1] == _reference_ensemble_csv(ens)
+        assert got == [got[0]] * 3
 
 
 class TestWriteJson:

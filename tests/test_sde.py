@@ -3,6 +3,10 @@ import dataclasses
 import hashlib
 import math
 import os
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -570,3 +574,164 @@ class TestThreadCap:
             thread_count()
         with pytest.raises(SchemaError):
             thread_count(2)
+
+
+# runs a script in a fresh interpreter with two pool workers, so a hang
+# fails the test at its timeout instead of stopping the suite
+def _run_script(code: str, timeout: float = 120.0):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, SKEWDIFF_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestOrderedMap:
+    """The shared pool's map: order, failures, memory bound, inline cases."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_come_in_item_order(self, workers):
+        from skewdiff.sde import ordered_map
+
+        def fn(i):
+            # later items finish first
+            time.sleep(0.002 * (12 - i))
+            return i * i
+
+        assert list(ordered_map(fn, range(12), workers)) == [i * i for i in range(12)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failure_reraises_at_its_position(self, workers):
+        from skewdiff.sde import ordered_map
+        lock, running, finished = threading.Lock(), [0], []
+
+        def fn(i):
+            with lock:
+                running[0] += 1
+            try:
+                if i == 3:
+                    time.sleep(0.05)
+                    raise ValueError("item 3")
+                if i == 4:
+                    raise KeyError("item 4")     # fails first, but comes later
+                time.sleep(0.1 if i > 4 else 0.0)
+                return i
+            finally:
+                with lock:
+                    running[0] -= 1
+                    finished.append(i)
+
+        got = []
+        with pytest.raises(ValueError, match="item 3"):
+            for r in ordered_map(fn, range(10), workers):
+                got.append(r)
+        assert got == [0, 1, 2]
+        # no task of the call is still running, and none starts later
+        assert running[0] == 0
+        done = sorted(finished)
+        time.sleep(0.3)
+        assert sorted(finished) == done
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_at_most_workers_plus_one_items_in_flight(self, workers):
+        from skewdiff.sde import ordered_map, thread_count
+        lock, started, taken, peak = threading.Lock(), [0], [0], [0]
+
+        def fn(i):
+            with lock:
+                started[0] += 1
+                peak[0] = max(peak[0], started[0] - taken[0])
+            return i
+
+        for _ in ordered_map(fn, range(40), workers):
+            time.sleep(0.002)          # a slow consumer lets the pool run ahead
+            with lock:
+                taken[0] += 1
+        assert peak[0] <= thread_count(workers) + 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_tasks_run_under_the_callers_error_state(self, workers):
+        from skewdiff.sde import ordered_map
+
+        def square(i):
+            return np.float64(1e200) * np.float64(1e200) if i == 2 else float(i)
+
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                list(ordered_map(square, range(4), workers))
+        with np.errstate(over="ignore"):
+            assert list(ordered_map(square, range(4), workers)) == [0.0, 1.0, math.inf, 3.0]
+
+    @pytest.mark.parametrize("env", [None, "1"])
+    def test_one_worker_runs_inline(self, env, monkeypatch):
+        from skewdiff import sde
+        if env is None:
+            monkeypatch.delenv("SKEWDIFF_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SKEWDIFF_THREADS", env)
+        pool = sde._pool
+        caller = threading.get_ident()
+        threads = list(sde.ordered_map(lambda i: threading.get_ident(), range(5),
+                                       1 if env is None else 3))
+        assert threads == [caller] * 5
+        assert sde._pool is pool
+
+    def test_import_and_one_thread_start_no_thread_and_build_no_pool(self):
+        out = _run_script(
+            "import os, threading, numpy as np\n"
+            "os.environ['SKEWDIFF_THREADS'] = '1'\n"
+            "import skewdiff.cli\n"
+            "from skewdiff import sde, DensityGrid, DriftSpec, SimConfig, TimeGrid\n"
+            "from skewdiff.io import density_grid_to_csv\n"
+            "assert threading.active_count() == 1 and sde._pool is None\n"
+            "zero = DriftSpec(mu_fn=lambda x, t: np.zeros_like(x))\n"
+            "sde.simulate(zero, 0.0, TimeGrid(0.0, 1.0, 10), SimConfig(n_paths=20000, seed=1,"
+            " n_threads=3))\n"
+            "x = np.linspace(0, 1, 1001)\n"
+            "import tempfile, pathlib\n"
+            "with tempfile.TemporaryDirectory() as d:\n"
+            "    density_grid_to_csv(DensityGrid(x, np.arange(40.0), np.ones((40, 1001))),"
+            " pathlib.Path(d) / 'd.csv')\n"
+            "print(threading.active_count(), sde._pool)\n")
+        assert out.split() == ["1", "None"]
+
+    def test_a_call_from_a_pool_task_runs_inline(self):
+        out = _run_script(
+            "import threading\n"
+            "from skewdiff.sde import ordered_map\n"
+            "def inner(i):\n"
+            "    return threading.get_ident()\n"
+            "def outer(i):\n"
+            "    me = threading.get_ident()\n"
+            "    return all(t == me for t in ordered_map(inner, range(6), 2))\n"
+            "print(all(ordered_map(outer, range(6), 2)))\n", timeout=60)
+        assert out.split() == ["True"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_builds_a_fresh_pool(self):
+        out = _run_script(
+            "import os, tempfile, pathlib, numpy as np\n"
+            "from skewdiff import sde, DensityGrid, DriftSpec, SimConfig, TimeGrid\n"
+            "from skewdiff.io import density_grid_to_csv\n"
+            "zero = DriftSpec(mu_fn=lambda x, t: np.zeros_like(x))\n"
+            "cfg = SimConfig(n_paths=20000, seed=1, n_threads=2)\n"
+            "grid = DensityGrid(np.linspace(0, 1, 1001), np.arange(40.0),"
+            " np.random.default_rng(1).random((40, 1001)))\n"
+            "d = pathlib.Path(tempfile.mkdtemp())\n"
+            "def work(tag):\n"
+            "    density_grid_to_csv(grid, d / f'{tag}.csv')\n"
+            "    return sde.simulate(zero, 0.0, TimeGrid(0.0, 1.0, 10), cfg).values\n"
+            "ref = work('parent')\n"
+            "parent_pool = sde._pool\n"
+            "assert parent_pool is not None\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    ok = sde._pool is None\n"
+            "    ok = ok and np.array_equal(work('child'), ref)\n"
+            "    ok = ok and sde._pool is not None and sde._pool is not parent_pool\n"
+            "    ok = ok and (d / 'child.csv').read_bytes() == (d / 'parent.csv').read_bytes()\n"
+            "    os._exit(0 if ok else 1)\n"
+            "_, status = os.waitpid(pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status))\n", timeout=60)
+        assert out.split() == ["0"]
