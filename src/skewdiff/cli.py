@@ -55,26 +55,35 @@ def _parse_range(text: str) -> np.ndarray:
     lo, hi, step = parts
     if not (0 < step < math.inf and -math.inf < lo < hi < math.inf):
         raise SchemaError(f"bad range {text!r}")
-    n = int(round((hi - lo) / step))
-    return lo + step * np.arange(n + 1)
+    # so is a node count that overflows, or that no array can hold
+    try:
+        return lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+    except (OverflowError, MemoryError, ValueError) as e:
+        raise SchemaError(f"bad range {text!r}: {e}") from e
 
 
-# the parameter flags a kind may read; each is None unless given
-_KIND_PARAMS = {"T": "horizon (horizon kind)", "alpha": "constant skewness",
-                "C": "constant correlation in [0,1)", "lam": "mean-reversion rate",
-                "rho": "censoring correlation"}
+# the parameter flags a kind may read, with their argparse settings; each is
+# None unless given, and a kind that reads --chirality without one gets +1
+_KIND_PARAMS = {"T": dict(type=float, help="horizon"),
+                "alpha": dict(type=float, help="constant skewness"),
+                "C": dict(type=float, help="constant correlation in [0,1)"),
+                "lam": dict(type=float, help="mean-reversion rate"),
+                "rho": dict(type=float, help="censoring correlation"),
+                "chirality": dict(type=int, choices=(-1, 1), help="skew side (default +1)")}
 
 
 def _params(args, flags, what):
     """The values of `flags`; a SchemaError names those left unset, or a
     parameter flag given that `what` does not read."""
-    missing = ["--" + f.replace("_", "-") for f in flags if getattr(args, f) is None]
+    values = [1 if f == "chirality" and getattr(args, f) is None else getattr(args, f)
+              for f in flags]
+    missing = ["--" + f.replace("_", "-") for f, v in zip(flags, values) if v is None]
     if missing:
         raise SchemaError(f"{what} requires {', '.join(missing)}")
     stray = [f for f in _KIND_PARAMS if f not in flags and getattr(args, f, None) is not None]
     if stray:
         raise SchemaError(f"{what} does not read --{stray[0]}")
-    return [getattr(args, f) for f in flags]
+    return values
 
 
 def _horizon_mixture(T, x0):
@@ -89,8 +98,22 @@ def _ou_mixture(lam, x0):
     return DriftSpec(ou=OuSkewSpec(lam, 1)), ou_mixture_probability(lam, x0), growing, "growing-ou"
 
 
-# One table per --kind axis: kind -> (constructor, the flags passed to it in
-# order).  A command has a parameter flag only if one of its kinds reads it.
+# an ou mode runs on (grid, cfg) and returns its ensembles by file stem, the
+# first being the process its law describes, and that law
+def _ou_htransform(lam, chirality, x0, grid, cfg):
+    drift = DriftSpec(ou=OuSkewSpec(lam, chirality))
+    return {"ou_htransform": simulate(drift, x0, grid, cfg)}, drift.law(x0)
+
+
+def _ou_sknoise(lam, x0, T, grid, cfg):
+    ensembles = simulate_ou_skew_noise(lam, x0, T, grid, cfg)
+    return (dict(zip(("ou_system", "ou_driver"), ensembles)),
+            Law(lambda t: ou_skew_driven_esn(t, lam, x0, T)))
+
+
+# One table per kind axis (--kind, ou's --mode, censor's --rho-kind): choice
+# -> (constructor, the flags passed to it in order).  A command has a
+# parameter flag only if one of its choices reads it.
 FAMILY_KINDS = {kind.replace("_", "-"): (make, (param, "chirality"))
                 for kind, (make, param) in CLOSED_FORM_FAMILIES.items()}
 # simulate, fokker-planck and density also take the OU h-transform drift
@@ -104,11 +127,20 @@ MIXTURE_KINDS = {
     "horizon": (_horizon_mixture, ("T", "x0")),
     "ou": (_ou_mixture, ("lam", "x0")),
 }
+OU_MODES = {
+    "htransform": (_ou_htransform, ("lam", "chirality", "x0")),
+    "sknoise": (_ou_sknoise, ("lam", "x0", "T")),
+}
+# the correlation of the censoring pair: a number, or rho(t) = sqrt(t / t_end)
+RHO_KINDS = {"constant": (float, ("rho",)),
+             "sqrt-ramp": (lambda T: lambda t: math.sqrt(max(t, 0.0) / T), ("t_end",))}
 
 
-def _make(table, args):
-    make, flags = table[args.kind]
-    return make(*_params(args, flags, f"kind={args.kind}"))
+def _make(table, args, axis="kind", *extra):
+    """The choice of --axis in `table`, made from the flags it reads and `extra`."""
+    choice = getattr(args, axis)
+    make, flags = table[choice]
+    return make(*_params(args, flags, f"{axis.replace('_', '-')}={choice}"), *extra)
 
 
 def _read_json(path, what) -> dict:
@@ -125,6 +157,8 @@ def _drift_from_args(args) -> DriftSpec:
     if args.drift_json:
         if args.kind is not None:
             raise SchemaError("--kind and --drift-json are exclusive")
+        # the descriptor holds every parameter of the drift
+        _params(args, (), "--drift-json")
         desc = _read_json(args.drift_json, "drift descriptor")
         try:
             return drift_spec_from_descriptor(desc)
@@ -207,14 +241,6 @@ def cmd_family(args, outdir: Path):
 def cmd_simulate(args, outdir: Path):
     drift = _drift_from_args(args)
     grid = _grid(args, drift.family, args.steps, args.t_start)
-    with np.errstate(invalid="ignore"):
-        probe = np.asarray(drift.mu(np.asarray([args.x0]), grid.t_start))
-    if not np.all(np.isfinite(probe)):
-        if drift.family is not None and grid.t_start == 0:
-            raise SchemaError("drift is singular at t=0 for this family; "
-                              "pass a positive --t-start")
-        raise SchemaError(f"the {drift.kind} drift is not finite at "
-                          f"x0={args.x0!r}, t={grid.t_start!r}")
     ens = simulate(drift, args.x0, grid, _sim_config(args))
     artifacts = [_emit_ensemble(ens, outdir, "ensemble", args.format)]
     terminal = ens.values[:, -1]
@@ -251,20 +277,16 @@ def cmd_density(args, outdir: Path):
         if law is None:
             raise SchemaError(f"the {drift.kind} drift has no closed-form law "
                               f"from x0={args.x0}")
+        if max(ts) >= horizon:
+            raise SchemaError(f"--t times must stay below the horizon {horizon:g}, "
+                              f"got {args.t!r}")
     else:
         esn, flags = DENSITY_KINDS[args.kind]
         params = _params(args, flags, f"kind={args.kind}")
-        if args.rho is not None and not abs(args.rho) < 1:
-            raise SchemaError(f"--rho must lie in (-1, 1), got {args.rho}")
-        if args.lam is not None and not 0 < args.lam < math.inf:
-            raise SchemaError(f"--lam must be positive and finite, got {args.lam}")
-        if args.T is not None and not args.T < math.inf:
-            raise SchemaError(f"--T must be finite, got {args.T}")
+        # the map refuses its parameters, and a time at or past its horizon,
+        # before any slice is evaluated
+        esn(max(ts), *params)
         law = Law(lambda t: esn(t, *params))
-        # the kinds here that read --T hold their law below it
-        horizon = math.inf if args.T is None else args.T
-    if max(ts) >= horizon:
-        raise SchemaError(f"--t times must stay below the horizon {horizon:g}, got {args.t!r}")
     grid = density_grid(law.pdf, xs, ts)
     csv_path = outdir / "density.csv"
     density_grid_to_csv(grid, csv_path)
@@ -287,43 +309,37 @@ def cmd_fokker_planck(args, outdir: Path):
 
 
 def cmd_censor(args, outdir: Path):
+    rho = _make(RHO_KINDS, args, "rho_kind")
     T = args.t_end
-    # --rho is read, and required, only under --rho-kind constant
-    if args.rho_kind == "sqrt-ramp":
-        _params(args, (), "rho-kind=sqrt-ramp")
-        rho = lambda t: math.sqrt(max(t, 0.0) / T)
-    else:
-        rho, = _params(args, ("rho",), "rho-kind=constant")
-        # the survivors' law exists only for |rho| < 1: reject before simulating
-        if not abs(rho) < 1:
-            raise SchemaError(f"--rho must lie in (-1, 1), got {rho}")
     grid = TimeGrid(t_start=0.0, t_end=T, n_steps=args.steps)
     cfg = SimConfig(n_paths=args.paths, seed=args.seed,
                     record_stride=args.record_stride, n_threads=args.threads)
-    # each check time must be a positive recorded time
     times = grid.times()[::cfg.record_stride]
+    rho_vals = np.array([rho(t) if callable(rho) else rho for t in grid.times()[:-1]])
+    # each check time must be a positive recorded time; its reference, the
+    # survivors' law at the pair's time-t correlation, is built before any
+    # path is drawn, so a correlation that law refuses is refused first
     checks = []
     for t_check in _parse_floats(args.check_t):
         j = int(np.argmin(np.abs(times - t_check)))
-        if not (t_check > 0 and abs(times[j] - t_check) <= 1e-9):
+        if not (t_check > 0 and j > 0 and abs(times[j] - t_check) <= 1e-9):
             raise SchemaError(f"--check-t {t_check} is not a positive recorded time "
                               f"(every {grid.dt * cfg.record_stride:g} up to {T:g})")
-        checks.append(j)
-    # no check reads a step past the last check time, so none is run
-    n_run = max(checks) * cfg.record_stride
-    ens_x, ens_y = simulate_bivariate_censoring(rho, grid, cfg, n_steps=n_run)
-
-    rho_vals = np.array([rho(t) if callable(rho) else rho for t in grid.times()[:n_run]])
-    results = []
-    artifacts = []
-    for j in checks:
         t_j = float(times[j])
         n_sub = int(round(t_j / grid.dt))
         r_eff = float(rho_vals[:n_sub].sum() * grid.dt / t_j)  # time-t correlation of the pair
+        checks.append((j, t_j, r_eff, censored_esn(t_j, r_eff)))
+    # no check reads a step past the last check time, so none is run
+    n_run = max(j for j, *_ in checks) * cfg.record_stride
+    ens_x, ens_y = simulate_bivariate_censoring(rho, grid, cfg, n_steps=n_run)
+
+    results = []
+    artifacts = []
+    for j, t_j, r_eff, unit in checks:
         xg, dens, frac, n_surv = posterior_from_censored_sim(
             ens_x, ens_y, j, bandwidth=args.bandwidth)
         surv = ens_x.values[:, j][ens_y.values[:, j] >= 0.0]
-        ks = ks_statistic(surv, Law(lambda t: censored_esn(t, r_eff)).cdf(t_j))
+        ks = ks_statistic(surv, Law(lambda t: unit).cdf(t_j))
         results.append({"t": t_j, "survivor_fraction": frac, "ks": ks,
                         "threshold": ks_threshold(n_surv),
                         "n_effective": n_surv, "correlation": r_eff})
@@ -352,26 +368,14 @@ def cmd_mixture(args, outdir: Path):
 
 
 def cmd_ou(args, outdir: Path):
-    # each mode rejects the flag it does not read: --T via _params
-    if args.mode == "sknoise" and args.chirality is not None:
-        raise SchemaError("--chirality is not read under --mode sknoise")
     cfg = _sim_config(args)
     # the skew-noise horizon is --T, not --t-end, so no cutoff by default
     grid = _grid(args, None, args.steps)
-    term = grid.t_final
-    if args.mode == "htransform":
-        _params(args, ("lam",), "mode=htransform")
-        drift = DriftSpec(ou=OuSkewSpec(args.lam, 1 if args.chirality is None else args.chirality))
-        ens = simulate(drift, args.x0, grid, cfg)
-        ks = ks_statistic(ens.values[:, -1], drift.law(args.x0).cdf(term))
-        artifacts = [_emit_ensemble(ens, outdir, "ou_htransform", args.format)]
-    else:
-        _, T = _params(args, ("lam", "T"), "mode=sknoise")
-        ens_x, ens_z = simulate_ou_skew_noise(args.lam, args.x0, T, grid, cfg)
-        law = Law(lambda t: ou_skew_driven_esn(t, args.lam, args.x0, T))
-        ks = ks_statistic(ens_x.values[:, -1], law.cdf(term))
-        artifacts = [_emit_ensemble(ens_x, outdir, "ou_system", args.format),
-                     _emit_ensemble(ens_z, outdir, "ou_driver", args.format)]
+    ensembles, law = _make(OU_MODES, args, "mode", grid, cfg)
+    first = next(iter(ensembles.values()))
+    ks = ks_statistic(first.values[:, -1], law.cdf(grid.t_final))
+    artifacts = [_emit_ensemble(ens, outdir, stem, args.format)
+                 for stem, ens in ensembles.items()]
     thr = ks_threshold(args.paths)
     rp = outdir / "ou_results.json"
     write_json(rp, {"terminal_ks": ks, "threshold": thr})
@@ -398,18 +402,18 @@ def _add_common(p):
                    help="JSON file whose keys override the flags")
 
 
-def _add_family_params(p, kinds, kind_required=True):
-    """--kind over `kinds`, the parameter flags they read and --chirality;
-    where --kind is optional, --drift-json stands in for it."""
-    p.add_argument("--kind", choices=kinds, required=kind_required, default=None)
-    if not kind_required:
+def _add_kind(p, table, flag="--kind", default=None, drift_json=False):
+    """`flag` over the choices of `table`, and the parameter flags they read;
+    `flag` is required unless it has a default or --drift-json stands in for it."""
+    p.add_argument(flag, choices=table, default=default,
+                   required=default is None and not drift_json)
+    if drift_json:
         p.add_argument("--drift-json", default=None,
                        help="drift (or family) descriptor file, instead of --kind")
-    read = {f for _, flags in kinds.values() for f in flags}
-    for name, about in _KIND_PARAMS.items():
+    read = {f for _, flags in table.values() for f in flags}
+    for name, settings in _KIND_PARAMS.items():
         if name in read:
-            p.add_argument(f"--{name}", type=float, default=None, help=about)
-    p.add_argument("--chirality", type=int, choices=(-1, 1), default=1)
+            p.add_argument(f"--{name}", default=None, **settings)
 
 
 def _add_sim_params(p):
@@ -437,26 +441,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="construct a drift family and export it")
     _add_common(p)
-    _add_family_params(p, FAMILY_KINDS)
+    _add_kind(p, FAMILY_KINDS)
     p.add_argument("--table-t", default=None, help="comma list of times to tabulate")
 
     p = sub.add_parser("simulate", help="Euler-Maruyama ensemble for a drift")
     _add_common(p)
-    _add_family_params(p, DRIFT_KINDS, kind_required=False)
+    _add_kind(p, DRIFT_KINDS, drift_json=True)
     _add_sim_params(p)
     p.add_argument("--t-start", type=float, default=0.0)
     p.add_argument("--shift", type=float, default=0.0)
 
     p = sub.add_parser("density", help="tabulate a closed-form density")
     _add_common(p)
-    _add_family_params(p, {**DRIFT_KINDS, **DENSITY_KINDS}, kind_required=False)
+    _add_kind(p, {**DRIFT_KINDS, **DENSITY_KINDS}, drift_json=True)
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--t", required=True, help="comma list of times")
     p.add_argument("--x", required=True, help="x grid as lo:hi:step")
 
     p = sub.add_parser("fokker-planck", help="finite-difference forward solve")
     _add_common(p)
-    _add_family_params(p, DRIFT_KINDS, kind_required=False)
+    _add_kind(p, DRIFT_KINDS, drift_json=True)
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--epsilon", type=float, default=None,
@@ -469,8 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("censor", help="bivariate censoring simulation and checks")
     _add_common(p)
-    p.add_argument("--rho-kind", choices=("constant", "sqrt-ramp"), default="sqrt-ramp")
-    p.add_argument("--rho", type=float, default=None, help="constant correlation")
+    _add_kind(p, RHO_KINDS, "--rho-kind", default="sqrt-ramp")
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--paths", type=int, required=True)
@@ -481,18 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mixture", help="chirality-mixture simulation and identity check")
     _add_common(p)
-    p.add_argument("--kind", choices=MIXTURE_KINDS, default="horizon")
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--lam", type=float, default=None)
+    _add_kind(p, MIXTURE_KINDS, default="horizon")
     _add_sim_params(p)
 
     p = sub.add_parser("ou", help="mean-reversion extensions")
     _add_common(p)
-    p.add_argument("--mode", choices=("htransform", "sknoise"), default="htransform")
-    p.add_argument("--lam", type=float, required=True)
-    p.add_argument("--T", type=float, default=None, help="noise horizon (sknoise)")
-    p.add_argument("--chirality", type=int, choices=(-1, 1), default=None,
-                   help="skew side (htransform; default 1)")
+    _add_kind(p, OU_MODES, "--mode", default="htransform")
     _add_sim_params(p)
 
     p = sub.add_parser("validate", help="run the verification suite")

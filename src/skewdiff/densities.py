@@ -19,7 +19,7 @@ import numpy as np
 
 from .dists import (ExtendedSkewNormalParams, LOG_SQRT_2PI, esn_moments, esn_pdf,
                     std_normal_logcdf)
-from .errors import HorizonError
+from .errors import HorizonError, SchemaError
 from .sde import ordered_map
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -226,11 +226,13 @@ def censored_posterior(x, t: float, rho_t: float):
 
 
 def censored_esn(t: float, rho_t: float):
-    """The skew-normal law with scale sqrt(t) and shape rho_t / sqrt(1 - rho_t^2)."""
+    """The skew-normal law with scale sqrt(t) and shape rho_t / sqrt(1 - rho_t^2).
+    A rho_t outside (-1, 1) is a SchemaError (the limit |rho_t| = 1 is the
+    half-normal, which has no such shape)."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     if not abs(rho_t) < 1:
-        raise ValueError("|rho_t| must be < 1 (degenerate limit is half-normal)")
+        raise SchemaError(f"rho must lie in (-1, 1), got {rho_t}")
     shape = rho_t / math.sqrt(1.0 - rho_t * rho_t)
     return ExtendedSkewNormalParams(0.0, math.sqrt(t), shape, 0.0)
 
@@ -299,9 +301,14 @@ def ou_skew_driven_esn(t: float, lam: float, x0: float, T: float):
         k(t) = (2 / (1 + e^{-lam t})) / sqrt(T - (2/lam) tanh(lam t / 2)).
 
     k(t) -> 1/sqrt(T - t) as lam -> 0, recovering the pure noise law.
+    A rate that is not positive and finite, or a t and T other than
+    0 < t < T < inf, is a SchemaError: the rates `OuSkewSpec` refuses, and
+    the horizons and times `simulate_ou_skew_noise` refuses.
     """
-    if not (0 < t < T and lam > 0):
-        raise ValueError("need 0 < t < T and lam > 0")
+    if not 0 < lam < math.inf:
+        raise SchemaError(f"lam must be positive and finite, got {lam}")
+    if not 0 < t < T < math.inf:
+        raise SchemaError(f"the skew noise law needs 0 < t < T < inf, got t={t} and T={T}")
     m_minus, s2_minus = _ou_moments(t, -lam, x0)
     s = math.sqrt(s2_minus)
     u = math.exp(-lam * t)

@@ -384,8 +384,20 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
     return outs, sum(events)
 
 
-def _check_horizon(grid: TimeGrid, drift: "DriftSpec"):
-    """HorizonError when the grid runs past the drift's validity horizon."""
+def _check_run(drift: "DriftSpec", x0: float, grid: TimeGrid, labels=(1.0,)):
+    """SchemaError unless each drift lab * mu(lab * x, t) that a run follows
+    is finite at its start (x0, grid.t_start); then HorizonError when the
+    grid runs past the drift's validity horizon.  A custom mu_fn is the
+    caller's and is not called here: a value of it that is not finite is a
+    SimulationError at its step, as at any other step."""
+    t0 = grid.t_start
+    with np.errstate(all="ignore"):
+        mu = [drift.mu(np.asarray([lab * x0]), t0) for lab in labels
+              if drift.mu_fn is None]
+    if not np.isfinite(mu).all():
+        # a later start can help only a drift that depends on t
+        hint = "; pass a positive t_start" if t0 == 0 and not drift.time_free else ""
+        raise SchemaError(f"the {drift.kind} drift is not finite at x0={x0!r}, t={t0!r}{hint}")
     if grid.t_final > drift.validity_horizon + 1e-12:
         raise HorizonError(f"grid reaches t={grid.t_final} beyond the drift "
                            f"validity horizon {drift.validity_horizon}")
@@ -423,8 +435,9 @@ def _drift_ensemble(mu_for: Callable, sigma: float, x0: float, grid: TimeGrid,
 
 def simulate(drift: "DriftSpec", x0: float, grid: TimeGrid, cfg: SimConfig) -> PathEnsemble:
     """Euler-Maruyama integration of dX = mu(X, t) dt + sigma dW, where sigma
-    is drift.diffusion_scale (see _drift_ensemble for the clamp)."""
-    _check_horizon(grid, drift)
+    is drift.diffusion_scale (see _drift_ensemble for the clamp).  A family
+    or OU drift that is not finite at (x0, grid.t_start) is a SchemaError."""
+    _check_run(drift, x0, grid)
     return _drift_ensemble(lambda lo, hi: drift.mu, drift.diffusion_scale, x0, grid, cfg)
 
 
@@ -438,11 +451,12 @@ def simulate_mixture(drift: "DriftSpec", p_plus: float, x0: float, grid: TimeGri
     OU h-transform satisfy mu_-(x, t) = -mu_+(-x, t) bit for bit, so the
     reflection of a chirality +1 drift is its chirality -1 drift.  The
     reflection is taken about 0: that of a drift shifted by s is the
-    opposite chirality shifted by -s."""
+    opposite chirality shifted by -s.  The start is checked as in
+    `simulate`, for each label drawn."""
     if not 0.0 <= p_plus <= 1.0:
         raise ValueError(f"p_plus must be a probability, got {p_plus}")
-    _check_horizon(grid, drift)
     labels = _draw_labels(cfg.seed, cfg.n_paths, p_plus)
+    _check_run(drift, x0, grid, np.unique(labels).astype(float))
 
     def mu_for(lo, hi):
         # one drift call per step; the product is a new array, since a

@@ -74,6 +74,11 @@ def ks_threshold(n: int) -> float:
     return float(kolmogi(1.0 - 0.99)) / math.sqrt(n)
 
 
+def _mean_and_se(v: np.ndarray):
+    """Sample mean and standard error of v."""
+    return float(v.mean()), float(v.std(ddof=1) / math.sqrt(len(v)))
+
+
 def martingale_mean(h: Callable, ensemble: PathEnsemble, x0: float, checkpoints):
     """Sample mean and standard error of h(X_t, t) / h(x0, t_start) at the
     recorded times nearest the checkpoints.
@@ -87,8 +92,7 @@ def martingale_mean(h: Callable, ensemble: PathEnsemble, x0: float, checkpoints)
     for tc in checkpoints:
         j = int(np.argmin(np.abs(times - tc)))
         vals = np.asarray(h(ensemble.values[:, j], float(times[j])), dtype=float) / h0
-        out.append((float(times[j]), float(vals.mean()),
-                    float(vals.std(ddof=1) / math.sqrt(len(vals)))))
+        out.append((float(times[j]), *_mean_and_se(vals)))
     return out
 
 
@@ -109,8 +113,7 @@ def girsanov_energy(family: SkewFamily, paths: PathEnsemble):
     """Monte Carlo estimate of half the time-integrated squared drift along
     an ensemble simulated under the skewed dynamics (left Riemann on the
     recorded grid).  Returns (estimate, standard_error)."""
-    energy = _energy_paths(family, paths)
-    return float(energy.mean()), float(energy.std(ddof=1) / math.sqrt(len(energy)))
+    return _mean_and_se(_energy_paths(family, paths))
 
 
 def _log_ratio_paths(family: SkewFamily, paths: PathEnsemble, x0: float) -> np.ndarray:
@@ -128,16 +131,14 @@ def path_kl_telescoped(family: SkewFamily, paths: PathEnsemble, x0: float):
     measures, so this telescopes the divergence without density estimation.
     Orientation: KL(skewed || Brownian), the quantity the quadratic drift
     energy equals.  Returns (estimate, standard_error)."""
-    vals = _log_ratio_paths(family, paths, x0)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
+    return _mean_and_se(_log_ratio_paths(family, paths, x0))
 
 
 def girsanov_kl_gap(family: SkewFamily, paths: PathEnsemble, x0: float):
     """Per-path gap between the telescoped log ratio and the quadratic
     energy; zero in the mean exactly when the optimality equality holds.
     Returns (gap_mean, gap_se)."""
-    gap = _log_ratio_paths(family, paths, x0) - _energy_paths(family, paths)
-    return float(gap.mean()), float(gap.std(ddof=1) / math.sqrt(len(gap)))
+    return _mean_and_se(_log_ratio_paths(family, paths, x0) - _energy_paths(family, paths))
 
 
 def normalization_audit(family: SkewFamily, x0_list, t_list,

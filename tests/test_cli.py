@@ -278,7 +278,7 @@ class TestSimulateCommand:
                 "--t-end", "1.0", "--steps", "50", "--paths", "16",
                 "--record-stride", "50")
         assert run(tmp_path, *args) == 2
-        assert "pass a positive --t-start" in capsys.readouterr().err
+        assert "pass a positive t_start" in capsys.readouterr().err
         assert run(tmp_path, *args, "--t-start", "0.01") == 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -323,6 +323,8 @@ class TestConfigurationErrors:
         (*CENSOR, "--check-t", "0.3"),
         (*CENSOR, "--check-t", "2"),
         (*CENSOR, "--check-t", "0"),
+        # nearest to the recorded time 0, whose law was a numerical failure
+        (*CENSOR, "--check-t", "1e-300,0.5"),
         (*CENSOR, "--check-t", "0.5", "--rho-kind", "constant", "--rho", "1.5"),
         (*CENSOR, "--check-t", "0.5", "--bandwidth", "-1"),
         # simulated, then failed in censored_posterior: exit 3
@@ -353,7 +355,8 @@ class TestConfigurationErrors:
         # wrote nan cells and exited 0
         ("density", "--kind", "ou-noise-marginal", "--lam", "1", "--T", "inf",
          "--x0", "1e308", "--t", "0.125", "--x=-5:1:0.5"),
-    ], ids=["check_t_between", "check_t_past_end", "check_t_zero", "rho_above_one",
+    ], ids=["check_t_between", "check_t_past_end", "check_t_zero", "check_t_near_zero",
+            "rho_above_one",
             "negative_bandwidth", "rho_one", "rho_minus_one", "density_t_zero",
             "density_t_negative", "zero_threads",
             "rho_without_constant_kind", "constant_kind_without_rho", "check_t_empty",
@@ -424,6 +427,11 @@ class TestRunSettingsReadOnce:
     FP = ("fokker-planck", "--kind", "constant-skew", "--alpha", "1", "--t-end", "1",
           "--x-min", "-5", "--x-max", "5")
     DENSITY = ("density", "--kind", "constant-skew", "--alpha", "1")
+    FAMILY = ("--drift-json", "{tmp}/family.json")
+    FROM_FAMILY = {"simulate": ("simulate", *FAMILY, *SIM),
+                   "fokker-planck": ("fokker-planck", *FAMILY, "--t-end", "1", "--x-min", "-5",
+                                     "--x-max", "5"),
+                   "density": ("density", *FAMILY, "--t", "1", "--x", "0:1:0.5")}
 
     @pytest.mark.parametrize("argv", [
         (*DENSITY, "--t", "1", "--x", "a:b:c"),
@@ -443,8 +451,17 @@ class TestRunSettingsReadOnce:
         # a parameter flag that only another kind reads
         ("simulate", "--kind", "constant-skew", "--alpha", "1", "--T", "2", *SIM),
         ("density", "--kind", "censored", "--rho", "0.5", "--lam", "1", "--t", "1",
-         "--x", "0:1:0.5")])
+         "--x", "0:1:0.5"),
+        # a descriptor holds every parameter of its drift: these flags were
+        # ignored
+        *((*argv, flag, value) for argv in FROM_FAMILY.values()
+          for flag, value in (("--alpha", "5"), ("--chirality", "-1"))),
+        # a range whose width overflowed exited 3; one too long to allocate
+        # (8 TB, refused at once) ended in a traceback with exit 1
+        (*DENSITY, "--t", "1", "--x=-1e308:1e308:1"),
+        (*DENSITY, "--t", "1", "--x=0:1e6:1e-6")])
     def test_configuration_error_exits_2(self, tmp_path, capsys, argv):
+        (tmp_path / "family.json").write_text(json.dumps(constant_skew_family(1.0).descriptor()))
         (tmp_path / "list_params.json").write_text(
             json.dumps({"kind": "horizon", "parameters": []}))
         (tmp_path / "two_sources.json").write_text(json.dumps(
@@ -498,6 +515,11 @@ class TestHorizonAndModeFlags:
         ((*OU, "--mode", "sknoise", "--T", "2", "--chirality", "-1"), 2),
         ((*OU, "--mode", "htransform", "--T", "2"), 2),
         ((*OU, "--mode", "htransform", "--chirality", "-1"), 0),
+        # so does each density kind that is not the law of a drift
+        (("density", "--kind", "censored", "--rho", "0.5", "--t", "1", "--x=-1:1:0.5",
+          "--chirality", "-1"), 2),
+        (("density", "--kind", "ou-noise-marginal", "--lam", "1", "--T", "2", "--t", "1",
+          "--x=-1:1:0.5", "--chirality", "-1"), 2),
     ])
     def test_exit_code(self, tmp_path, capsys, argv, code):
         assert run(tmp_path, *argv) == code

@@ -13,10 +13,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from skewdiff import cli
-from skewdiff import (DriftSpec, ExtendedSkewNormalParams, HorizonError,
+from skewdiff import (DriftSpec, ExtendedSkewNormalParams, HorizonError, OuSkewSpec,
                       SchemaError, SimConfig, SimulationError,
-                      TimeGrid, constant_skew_family, horizon_family,
-                      mixture_probability, simulate,
+                      TimeGrid, constant_correlation_family, constant_skew_family,
+                      horizon_family, mixture_probability, simulate,
                       simulate_bivariate_censoring, simulate_mixture,
                       sn_moments)
 
@@ -191,6 +191,27 @@ class TestSafeguards:
                      SimConfig(n_paths=9000, seed=1, record_stride=100))
         assert (err.value.path_index, err.value.step_index) == (0, 4)
         assert "step 4" in str(err.value)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("run", [
+        lambda drift, grid, cfg: simulate(drift, 0.0, grid, cfg),
+        lambda drift, grid, cfg: simulate_mixture(drift, 0.5, 0.0, grid, cfg)],
+        ids=["simulate", "mixture"])
+    def test_singular_start_is_a_schema_error(self, run):
+        # the coefficient psi * alpha is infinite at t = 0: this warned
+        # "invalid value encountered in multiply", then failed at step 1
+        drift = DriftSpec(family=constant_correlation_family(0.5))
+        with pytest.raises(SchemaError, match="t=0.0; pass a positive t_start"):
+            run(drift, TimeGrid(0.0, 1.0, 10), SimConfig(n_paths=4, seed=1, record_stride=10))
+
+    def test_mixture_checks_the_start_of_each_label_drawn(self):
+        # the OU h-transform drift is finite at 1e308 and infinite at -1e308,
+        # where the reflected paths' drift is evaluated
+        drift = DriftSpec(ou=OuSkewSpec(1.0))
+        grid, cfg = TimeGrid(0.0, 0.125, 10), SimConfig(n_paths=64, seed=1, record_stride=10)
+        assert np.isfinite(simulate_mixture(drift, 1.0, 1e308, grid, cfg).values).all()
+        with pytest.raises(SchemaError, match=r"ou_htransform drift is not finite at x0=1e\+308"):
+            simulate_mixture(drift, 0.5, 1e308, grid, cfg)
 
     def test_horizon_guard(self):
         drift = DriftSpec(family=horizon_family(1.0, +1))
