@@ -19,9 +19,8 @@ from .densities import (DensityGrid, Law, cdf_from_pdf, censored_posterior,
                         restart_tpd)
 from .fokker_planck import (FpConfig, brownian_h_residual, forward_residual,
                             ou_h_residual, solve_kfe)
-from .censoring import (TruncatedNormalSpec, posterior_from_censored_sim,
-                        truncated_normal_mean, verify_ou_selection,
-                        verify_selection_representation)
+from .censoring import (posterior_from_censored_sim, truncated_normal_mean,
+                        verify_ou_selection, verify_selection_representation)
 from .ou_skew import (ou_h, ou_h_log, ou_identity_residual, ou_mixture_probability,
                       repulsive_ou_tpd, simulate_ou_skew_noise, stationary_ou_tpd)
 from .validation import (CheckResult, ValidationReport, girsanov_energy,

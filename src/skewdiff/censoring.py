@@ -8,7 +8,6 @@ survivor-conditioned state density from a censored bivariate ensemble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,32 +20,22 @@ from .sde import PathEnsemble, ordered_map
 _KDE_ROWS = 32      # grid points per block of the kernel matrix
 
 
-@dataclass(frozen=True)
-class TruncatedNormalSpec:
-    """One-sided truncation of a Gaussian: keep mass above or below threshold."""
-
-    mean: float
-    std: float
-    threshold: float
-    side: str = "above"
-
-    def __post_init__(self):
-        if not self.std > 0:
-            raise ValueError("std must be positive")
-        if self.side not in ("above", "below"):
-            raise ValueError("side must be 'above' or 'below'")
-
-
-def truncated_normal_mean(spec: TruncatedNormalSpec) -> float:
-    """E[z | z > a] (side='above') or E[z | z < a] for z ~ N(mean, std^2).
+def truncated_normal_mean(mean: float, std: float, threshold: float, side: str) -> float:
+    """E[z | z > threshold] (side='above') or E[z | z < threshold] for
+    z ~ N(mean, std^2).  A std that is not positive, or a side other than
+    'above' and 'below', is a ValueError.
 
     Computed through the log-space Mills ratio, so thresholds 40 standard
     deviations into either tail are handled without over/underflow.
     """
-    a = (spec.threshold - spec.mean) / spec.std
-    if spec.side == "above":
-        return spec.mean + spec.std * float(mills(-a))
-    return spec.mean - spec.std * float(mills(a))
+    if not std > 0:
+        raise ValueError("std must be positive")
+    if side not in ("above", "below"):
+        raise ValueError("side must be 'above' or 'below'")
+    a = (threshold - mean) / std
+    if side == "above":
+        return mean + std * float(mills(-a))
+    return mean - std * float(mills(a))
 
 
 def verify_selection_representation(family: SkewFamily, x: float, t: float,
@@ -65,13 +54,9 @@ def verify_selection_representation(family: SkewFamily, x: float, t: float,
     p = float(family.psi(t))
     u = x - shift
     if family.chirality > 0:
-        sel_mean = truncated_normal_mean(
-            TruncatedNormalSpec(mean=0.0, std=1.0, threshold=-a * u, side="above"))
-        via = p * a * sel_mean
+        via = p * a * truncated_normal_mean(0.0, 1.0, -a * u, "above")
     else:
-        sel_mean = truncated_normal_mean(
-            TruncatedNormalSpec(mean=0.0, std=1.0, threshold=a * u, side="below"))
-        via = p * (-a) * sel_mean
+        via = p * (-a) * truncated_normal_mean(0.0, 1.0, a * u, "below")
     return direct, via, abs(direct - via)
 
 
@@ -89,9 +74,8 @@ def verify_ou_selection(lam: float, x: float, chirality: int = 1):
     by that factor.  Returns (drift_direct, drift_via_selection, abs_diff).
     """
     direct = float(ou_htransform_drift(x, OuSkewSpec(lam=lam, chirality=chirality)))
-    side = "below" if chirality > 0 else "above"
-    censored = truncated_normal_mean(TruncatedNormalSpec(
-        mean=-lam * x, std=math.sqrt(lam / 2.0), threshold=0.0, side=side))
+    censored = truncated_normal_mean(-lam * x, math.sqrt(lam / 2.0), 0.0,
+                                     "below" if chirality > 0 else "above")
     via = -2.0 * censored - lam * x
     return direct, via, abs(direct - via)
 

@@ -118,10 +118,11 @@ FAMILY_KINDS = {kind.replace("_", "-"): (make, (param, "chirality"))
                 for kind, (make, param) in CLOSED_FORM_FAMILIES.items()}
 # simulate, fokker-planck and density also take the OU h-transform drift
 DRIFT_KINDS = {**FAMILY_KINDS, "ou-htransform": (OuSkewSpec, ("lam", "chirality"))}
-# plain densities, not the law of a drift: ESN maps called as f(t, *flags)
+# plain densities, not the law of a drift: each makes its Law from its flags
 DENSITY_KINDS = {
-    "censored": (censored_esn, ("rho",)),
-    "ou-noise-marginal": (ou_skew_driven_esn, ("lam", "x0", "T")),
+    "censored": (lambda rho: Law(lambda t: censored_esn(t, rho)), ("rho",)),
+    "ou-noise-marginal": (lambda lam, x0, T: Law(lambda t: ou_skew_driven_esn(t, lam, x0, T)),
+                          ("lam", "x0", "T")),
 }
 MIXTURE_KINDS = {
     "horizon": (_horizon_mixture, ("T", "x0")),
@@ -154,11 +155,14 @@ def _read_json(path, what) -> dict:
 
 
 def _drift_from_args(args) -> DriftSpec:
+    shift = getattr(args, "shift", None)
     if args.drift_json:
         if args.kind is not None:
             raise SchemaError("--kind and --drift-json are exclusive")
-        # the descriptor holds every parameter of the drift
+        # the descriptor holds every parameter of the drift, its shift included
         _params(args, (), "--drift-json")
+        if shift is not None:
+            raise SchemaError("--drift-json does not read --shift")
         desc = _read_json(args.drift_json, "drift descriptor")
         try:
             return drift_spec_from_descriptor(desc)
@@ -169,7 +173,7 @@ def _drift_from_args(args) -> DriftSpec:
     source = _make(DRIFT_KINDS, args)
     ou = isinstance(source, OuSkewSpec)
     return DriftSpec(family=None if ou else source, ou=source if ou else None,
-                     shift=getattr(args, "shift", 0.0))
+                     shift=0.0 if shift is None else shift)
 
 
 def _grid(args, family, n_steps: int, t_start: float = 0.0) -> TimeGrid:
@@ -270,23 +274,19 @@ def cmd_density(args, outdir: Path):
     ts = _parse_floats(args.t)
     if not all(0 < t < math.inf for t in ts):
         raise SchemaError(f"--t times must be positive and finite, got {args.t!r}")
-    if args.drift_json or args.kind not in DENSITY_KINDS:
+    if args.kind in DENSITY_KINDS and not args.drift_json:
+        law, what, horizon = _make(DENSITY_KINDS, args), f"kind={args.kind}", math.inf
+    else:
         # a drift's own law; --kind beside --drift-json is refused here
         drift = _drift_from_args(args)
-        law, horizon = drift.law(args.x0), drift.validity_horizon
-        if law is None:
-            raise SchemaError(f"the {drift.kind} drift has no closed-form law "
-                              f"from x0={args.x0}")
-        if max(ts) >= horizon:
-            raise SchemaError(f"--t times must stay below the horizon {horizon:g}, "
-                              f"got {args.t!r}")
-    else:
-        esn, flags = DENSITY_KINDS[args.kind]
-        params = _params(args, flags, f"kind={args.kind}")
-        # the map refuses its parameters, and a time at or past its horizon,
-        # before any slice is evaluated
-        esn(max(ts), *params)
-        law = Law(lambda t: esn(t, *params))
+        law, what, horizon = drift.law(args.x0), f"the {drift.kind} drift", drift.validity_horizon
+    if law is None:
+        raise SchemaError(f"{what} has no closed-form law from x0={args.x0}")
+    if max(ts) >= horizon:
+        raise SchemaError(f"--t times must stay below the horizon {horizon:g}, got {args.t!r}")
+    # the law refuses its parameters, and a time at or past its horizon,
+    # before any slice is evaluated
+    law.unit(max(ts))
     grid = density_grid(law.pdf, xs, ts)
     csv_path = outdir / "density.csv"
     density_grid_to_csv(grid, csv_path)
@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kind(p, DRIFT_KINDS, drift_json=True)
     _add_sim_params(p)
     p.add_argument("--t-start", type=float, default=0.0)
-    p.add_argument("--shift", type=float, default=0.0)
+    p.add_argument("--shift", type=float, default=None, help="shift of a --kind drift (default 0)")
 
     p = sub.add_parser("density", help="tabulate a closed-form density")
     _add_common(p)

@@ -153,17 +153,26 @@ def esn_moments(p: ExtendedSkewNormalParams):
 
 def esn_logpdf(x, p: ExtendedSkewNormalParams):
     """log phi(z) Phi(truncation + shape z) / (scale Phi(truncation/sqrt(1 + shape^2)))
-    at z = (x - location)/scale; every closed-form law is evaluated here."""
+    at z = (x - location)/scale; every closed-form law is evaluated here.
+
+    A z, shape * z or z * z that overflows is +-inf, and the log density's
+    IEEE limit there is the right value, so the overflow is not reported."""
     x, scalar = _as_array(x)
-    z = (x - p.location) / p.scale
     if scalar:
-        z = z[()]   # a NumPy scalar: its arithmetic is cheaper than a 0-d array's
+        # a Python float is cheaper than a NumPy scalar, and its overflow is
+        # silent
+        return float(_esn_log_kernel(float(x), p))
+    with np.errstate(over="ignore"):
+        return _esn_log_kernel(x, p)
+
+
+def _esn_log_kernel(x, p: ExtendedSkewNormalParams):
+    z = (x - p.location) / p.scale
     norm = log_ndtr(p.truncation / math.sqrt(1.0 + p.shape * p.shape))
     # at shape 0 the truncation itself: truncation + 0 * z has its bits at
     # every finite z and is nan where z overflows
     skew = log_ndtr(p.truncation + p.shape * z if p.shape else p.truncation)
-    out = -math.log(p.scale) + (-0.5 * z * z - LOG_SQRT_2PI) + skew - norm
-    return _ret(out, scalar)
+    return -math.log(p.scale) + (-0.5 * z * z - LOG_SQRT_2PI) + skew - norm
 
 
 def esn_pdf(x, p: ExtendedSkewNormalParams):

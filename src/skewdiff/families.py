@@ -516,13 +516,16 @@ def drift_value(spec: DriftSpec, x, t):
     fam = spec.family
     fam.check_time(t)
     a = fam.alpha(t)
-    # sigma * psi * alpha * m, with the coefficient's product formed first
-    if not rows:
-        m = mills(a * u)
-        m *= float(spec.diffusion_scale * fam.psi(t) * a)
+    # sigma * psi * alpha * m, with the coefficient's product formed first.
+    # A state so large that a product overflows (or meets inf * 0) gives a
+    # drift that is not finite, which its caller refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not rows:
+            m = mills(a * u)
+            m *= float(spec.diffusion_scale * fam.psi(t) * a)
+            return m
+        coef = spec.diffusion_scale * fam.psi(t) * a
+        a_rows, row_of = np.unique(a, return_inverse=True)
+        m = mills(np.multiply.outer(a_rows, u))[row_of]
+        m *= coef.reshape(coef.shape + (1,) * u.ndim)
         return m
-    coef = spec.diffusion_scale * fam.psi(t) * a
-    a_rows, row_of = np.unique(a, return_inverse=True)
-    m = mills(np.multiply.outer(a_rows, u))[row_of]
-    m *= coef.reshape(coef.shape + (1,) * u.ndim)
-    return m

@@ -29,7 +29,7 @@ import numpy as np
 from .dists import std_normal_cdf
 from .densities import DensityGrid
 from .errors import PdeInstabilityError, SchemaError
-from .families import DriftSpec, OuSkewSpec, SkewFamily
+from .families import DriftSpec, OuSkewSpec, horizon_family
 from .sde import TimeGrid
 
 _N_STORE = 201              # time slices kept, the start included
@@ -203,26 +203,24 @@ def _banded_matvec(ab, v):
     return out
 
 
-def brownian_h_residual(family: SkewFamily, x_grid, t_grid,
+def brownian_h_residual(T: float, chirality: int, x_grid, t_grid,
                         alpha_scale: float = 1.0) -> float:
-    """Max |dh/dt + (1/2) d2h/dx2| for the finite-horizon harmonic factor,
-    using the analytic derivatives.
+    """Max |dh/dt + (1/2) d2h/dx2| for the harmonic factor of the horizon
+    family with horizon T and skew side `chirality`, using the analytic
+    derivatives.
 
     With h = unnormalized Gaussian mass below alpha_t * x, every term is
     proportional to x * exp(-(alpha_t x)^2 / 2) times (alpha' - alpha^3/2),
     which vanishes identically for alpha_t = 1/sqrt(T - t).  `alpha_scale`
     perturbs the skewness path for negative controls.
     """
-    if family.kind != "horizon":
-        raise ValueError("residual defined for unit-amplitude horizon families")
-    T = family.params["T"]
-    chir = family.chirality
+    horizon_family(T, chirality)   # a SchemaError (a ValueError) for a bad horizon or side
     x = np.asarray(x_grid, dtype=float)[:, None]
     t = np.asarray(t_grid, dtype=float)[None, :]
     if np.any(t >= T):
         raise ValueError("t_grid must stay below the horizon")
-    a = alpha_scale * chir / np.sqrt(T - t)
-    a_dot = alpha_scale * chir * 0.5 * (T - t) ** -1.5
+    a = alpha_scale * chirality / np.sqrt(T - t)
+    a_dot = alpha_scale * chirality * 0.5 * (T - t) ** -1.5
     envelope = x * np.exp(-0.5 * (a * x) ** 2)
     residual = envelope * (a_dot - 0.5 * a**3)
     return float(np.max(np.abs(residual)))

@@ -17,7 +17,7 @@ from .dists import esn_pdf, std_normal_cdf, std_normal_logcdf
 from .errors import SchemaError, SkewDiffError
 # OuSkewSpec and ou_htransform_drift, defined beside the drifts, keep this path
 from .families import DriftSpec, OuSkewSpec, horizon_family, ou_htransform_drift
-from .sde import PathEnsemble, SimConfig, TimeGrid, _clamp, _integrate
+from .sde import SimConfig, TimeGrid, _clamp, _integrate
 
 
 def ou_h_log(x, t, spec: OuSkewSpec):
@@ -116,10 +116,5 @@ def simulate_ou_skew_noise(lam: float, x0: float, T: float, grid: TimeGrid,
         dz += z
         return (x_new, dz), n
 
-    (xv, zv), clamps = _integrate(lambda lo, hi: partial(step, lo=lo), (x0, 0.0), grid, cfg,
-                                  scales=(sqdt,))
-    ens_x = PathEnsemble(grid=grid, values=xv, seed=cfg.seed,
-                         record_stride=cfg.record_stride, clamp_events=clamps)
-    ens_z = PathEnsemble(grid=grid, values=zv, seed=cfg.seed,
-                         record_stride=cfg.record_stride, clamp_events=clamps)
-    return ens_x, ens_z
+    return _integrate(lambda lo, hi: partial(step, lo=lo), (x0, 0.0), grid, cfg,
+                      scales=(sqdt,))

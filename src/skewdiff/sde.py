@@ -313,8 +313,8 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
     `n_steps` (a multiple of the stride, default grid.n_steps) runs only the
     grid's first n_steps steps; the draws of those steps are the same as in
     a whole run, so the recorded columns keep their bits.  Returns one
-    n_paths x n_recorded array per component (started at x0s) and the
-    total clamp events.
+    PathEnsemble per component (started at x0s), each carrying the grid,
+    seed, record stride and the run's total clamp events.
     """
     if grid.n_steps % cfg.record_stride:
         raise SchemaError("record_stride must divide n_steps")
@@ -380,8 +380,10 @@ def _integrate(step_for: Callable, x0s, grid: TimeGrid, cfg: SimConfig,
         return clamps
 
     workers = min(thread_count(cfg.n_threads), len(_blocks(cfg.n_paths)))
-    events = ordered_map(worker, _runs(cfg.n_paths, workers), workers)
-    return outs, sum(events)
+    clamps = sum(ordered_map(worker, _runs(cfg.n_paths, workers), workers))
+    return tuple(PathEnsemble(grid=grid, values=v, seed=cfg.seed,
+                              record_stride=cfg.record_stride, clamp_events=clamps)
+                 for v in outs)
 
 
 def _check_run(drift: "DriftSpec", x0: float, grid: TimeGrid, labels=(1.0,)):
@@ -428,9 +430,9 @@ def _drift_ensemble(mu_for: Callable, sigma: float, x0: float, grid: TimeGrid,
             return (x,), n
         return step
 
-    (values,), clamps = _integrate(step_for, (x0,), grid, cfg, scales=(sigma * sqdt,))
-    return PathEnsemble(grid=grid, values=values, seed=cfg.seed, labels=labels,
-                        record_stride=cfg.record_stride, clamp_events=clamps)
+    ens, = _integrate(step_for, (x0,), grid, cfg, scales=(sigma * sqdt,))
+    ens.labels = labels
+    return ens
 
 
 def simulate(drift: "DriftSpec", x0: float, grid: TimeGrid, cfg: SimConfig) -> PathEnsemble:
@@ -497,11 +499,8 @@ def simulate_bivariate_censoring(rho, grid: TimeGrid, cfg: SimConfig,
         y_new += dw
         return (x + dx, y_new), 0
 
-    (xv, yv), _ = _integrate(lambda lo, hi: step, (0.0, 0.0), grid, cfg,
-                             scales=(sqdt, ortho * sqdt), n_steps=n_steps)
-    ens_x = PathEnsemble(grid=grid, values=xv, seed=cfg.seed, record_stride=cfg.record_stride)
-    ens_y = PathEnsemble(grid=grid, values=yv, seed=cfg.seed, record_stride=cfg.record_stride)
-    return ens_x, ens_y
+    return _integrate(lambda lo, hi: step, (0.0, 0.0), grid, cfg,
+                      scales=(sqdt, ortho * sqdt), n_steps=n_steps)
 
 
 def mixture_probability(x0: float, T: float):

@@ -57,11 +57,10 @@ def _check_family_recovery(report: ValidationReport):
 
 def _check_backward_residuals(report: ValidationReport):
     xg = np.linspace(-3, 3, 101)
-    fam = horizon_family(1.0, +1)
     tg = np.linspace(0.01, 0.9, 101)
-    report.add("pde/horizon-h-residual", brownian_h_residual(fam, xg, tg), 1e-12)
+    report.add("pde/horizon-h-residual", brownian_h_residual(1.0, +1, xg, tg), 1e-12)
     report.add("pde/horizon-h-residual-perturbed",
-               brownian_h_residual(fam, xg, tg, alpha_scale=1.01), 1e-3,
+               brownian_h_residual(1.0, +1, xg, tg, alpha_scale=1.01), 1e-3,
                larger_is_failure=False, notes="negative control must exceed 1e-3")
     tg2 = np.linspace(0.0, 2.0, 101)
     report.add("pde/ou-h-residual", ou_h_residual(1.0, +1, xg, tg2), 1e-10)

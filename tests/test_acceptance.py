@@ -119,10 +119,9 @@ def test_criterion_1_amplitude_skewness_system():
 def test_criterion_2_backward_equation_residuals():
     t0 = time.perf_counter()
     xg = np.linspace(-3, 3, 101)
-    fam = horizon_family(1.0, +1)
     tg_b = np.linspace(0.01, 0.9, 101)
-    res_b = brownian_h_residual(fam, xg, tg_b)
-    neg_b = brownian_h_residual(fam, xg, tg_b, alpha_scale=1.01)
+    res_b = brownian_h_residual(1.0, +1, xg, tg_b)
+    neg_b = brownian_h_residual(1.0, +1, xg, tg_b, alpha_scale=1.01)
     tg_o = np.linspace(0.0, 2.0, 101)
     res_o = ou_h_residual(1.0, +1, xg, tg_o)
     neg_o = ou_h_residual(1.0, +1, xg, tg_o, drop_time_factor=True)

@@ -10,9 +10,8 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from skewdiff import cli
-from skewdiff import (SimConfig, TimeGrid, TruncatedNormalSpec,
-                      censored_posterior, constant_correlation_family,
-                      constant_skew_family, horizon_family,
+from skewdiff import (SimConfig, TimeGrid, censored_posterior,
+                      constant_correlation_family, constant_skew_family, horizon_family,
                       posterior_from_censored_sim, simulate_bivariate_censoring,
                       truncated_normal_mean, verify_ou_selection,
                       verify_selection_representation)
@@ -29,21 +28,17 @@ def truncated_mean_oracle(mean, std, threshold, side):
 
 class TestTruncatedNormalMean:
     def test_vacuous_truncation(self):
-        spec = TruncatedNormalSpec(mean=1.3, std=0.7, threshold=-1e8, side="above")
-        assert_allclose(truncated_normal_mean(spec), 1.3, rtol=1e-12)
+        assert_allclose(truncated_normal_mean(1.3, 0.7, -1e8, "above"), 1.3, rtol=1e-12)
 
     def test_standard_half(self):
-        spec = TruncatedNormalSpec(mean=0.0, std=1.0, threshold=0.0, side="above")
         oracle = truncated_mean_oracle(0.0, 1.0, 0.0, "above")
         assert_allclose(oracle, math.sqrt(2 / math.pi), rtol=1e-11)
-        assert_allclose(truncated_normal_mean(spec), oracle, rtol=1e-11)
+        assert_allclose(truncated_normal_mean(0.0, 1.0, 0.0, "above"), oracle, rtol=1e-11)
 
     def test_mirror_symmetry(self):
         for mu, a in ((0.4, 1.0), (-1.0, 0.3)):
-            below = truncated_normal_mean(
-                TruncatedNormalSpec(mean=mu, std=1.2, threshold=a, side="below"))
-            above = truncated_normal_mean(
-                TruncatedNormalSpec(mean=-mu, std=1.2, threshold=-a, side="above"))
+            below = truncated_normal_mean(mu, 1.2, a, "below")
+            above = truncated_normal_mean(-mu, 1.2, -a, "above")
             assert_allclose(below, -above, rtol=1e-13)
 
     @pytest.mark.parametrize("mean,std,thr,side", [
@@ -51,14 +46,20 @@ class TestTruncatedNormalMean:
         (-1.0, 2.0, -4.0, "above"), (0.3, 1.0, 3.0, "below"),
     ])
     def test_against_quadrature(self, mean, std, thr, side):
-        spec = TruncatedNormalSpec(mean=mean, std=std, threshold=thr, side=side)
-        assert_allclose(truncated_normal_mean(spec),
+        assert_allclose(truncated_normal_mean(mean, std, thr, side),
                         truncated_mean_oracle(mean, std, thr, side), rtol=1e-9)
 
     def test_deep_tail_finite(self):
-        spec = TruncatedNormalSpec(mean=0.0, std=1.0, threshold=38.0, side="above")
-        val = truncated_normal_mean(spec)
+        val = truncated_normal_mean(0.0, 1.0, 38.0, "above")
         assert math.isfinite(val) and val > 38.0
+
+    @pytest.mark.parametrize("std,side,message", [
+        (0.0, "above", "std must be positive"), (-1.0, "below", "std must be positive"),
+        (math.nan, "above", "std must be positive"),
+        (1.0, "left", "side must be 'above' or 'below'")])
+    def test_bad_std_or_side_rejected(self, std, side, message):
+        with pytest.raises(ValueError, match=message):
+            truncated_normal_mean(0.0, std, 0.0, side)
 
 
 class TestSelectionIdentity:
@@ -120,8 +121,7 @@ class TestOuSelection:
         gaps = []
         for x in (-2.0, -0.5, 0.7):
             direct, _, _ = verify_ou_selection(1.0, x, +1)
-            censored = truncated_normal_mean(TruncatedNormalSpec(
-                mean=-x, std=math.sqrt(2.0), threshold=0.0, side="below"))
+            censored = truncated_normal_mean(-x, math.sqrt(2.0), 0.0, "below")
             gaps.append(abs(direct + censored))
         assert max(gaps) > 1e-2
 

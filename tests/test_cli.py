@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,14 @@ class TestDensityCommand:
         rows = [tuple(float(v) for v in ln.split(",")) for ln in lines[1:]]
         for x, t, q in rows[:6]:
             assert q == float(constant_skew_tpd(np.asarray(x), t, 1.0, +1))
+
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "ou-noise-marginal", "--lam", "1", "--T", "2", "--t", "0.5,2"),
+        ("--kind", "censored", "--rho", "1", "--t", "0.5,2")])
+    def test_a_law_is_refused_before_any_slice(self, tmp_path, monkeypatch, argv):
+        # the kind's law is evaluated at the latest --t first
+        monkeypatch.setattr(cli, "density_grid", lambda *a: pytest.fail("a slice was evaluated"))
+        assert run(tmp_path, "density", *argv, "--x=-1:1:0.5") == 2
 
     def test_missing_parameter_is_schema_error(self, tmp_path):
         code = run(tmp_path, "density", "--kind", "constant-skew",
@@ -216,10 +225,16 @@ class TestSimulateCommand:
         # the OU drift once dropped --shift: both runs wrote the same bytes
         argv = ("simulate", "--kind", "ou-htransform", "--lam", "1", "--x0", "0.3",
                 "--t-end", "0.5", "--steps", "50", "--paths", "2000", "--record-stride", "50")
-        a, b = tmp_path / "a", tmp_path / "b"
+        a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         assert main([*argv, "--shift", "0", "--output-dir", str(a)]) == 0
         assert main([*argv, "--shift", "0.5", "--output-dir", str(b)]) == 0
         assert (a / "ensemble.csv").read_bytes() != (b / "ensemble.csv").read_bytes()
+        # no --shift is a shift of 0, and the manifest records it as not given
+        assert main([*argv, "--output-dir", str(c)]) == 0
+        assert (a / "ensemble.csv").read_bytes() == (c / "ensemble.csv").read_bytes()
+        shifts = [json.loads((d / "manifest.json").read_text())["configuration"]["shift"]
+                  for d in (a, c)]
+        assert shifts == [0.0, None]
         terminal = np.loadtxt(b / "ensemble.csv", delimiter=",", skiprows=2)[:, -1]
         summary = json.loads((b / "summary.json").read_text())
         # the KS is taken against the law started from x0 - shift
@@ -459,7 +474,9 @@ class TestRunSettingsReadOnce:
         # a range whose width overflowed exited 3; one too long to allocate
         # (8 TB, refused at once) ended in a traceback with exit 1
         (*DENSITY, "--t", "1", "--x=-1e308:1e308:1"),
-        (*DENSITY, "--t", "1", "--x=0:1e6:1e-6")])
+        (*DENSITY, "--t", "1", "--x=0:1e6:1e-6"),
+        # the descriptor holds its own shift: --shift was ignored
+        (*FROM_FAMILY["simulate"], "--shift", "0.5")])
     def test_configuration_error_exits_2(self, tmp_path, capsys, argv):
         (tmp_path / "family.json").write_text(json.dumps(constant_skew_family(1.0).descriptor()))
         (tmp_path / "list_params.json").write_text(
@@ -495,6 +512,39 @@ class TestInfiniteRate:
         assert run(tmp_path, *argv, "--lam", "inf") == 2
         assert "must be positive and finite, got inf" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+
+class TestOverflowIsItsLimit:
+    """An overflow in a log density or a drift is +-inf, whose IEEE limit is
+    the right value; it is not a RuntimeWarning (an error in this suite)."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv,digest", [
+        (("--kind", "constant-skew", "--alpha=1e+308", "--t=1.0"),
+         "6cbb22541458a37d6bbc9a03f5d113e0760ffc51288543c15ed24f9d40dec9f5"),
+        (("--kind", "horizon", "--T=1e+308", "--x0=1e+308", "--t=0.25"),
+         "5e61b72151c856595aa5ca2b1e1460845f6f5a8899c40b65e9ab942a44031026"),
+        (("--kind", "horizon", "--T=1e+308", "--x0=1e+308", "--t=1.0"),
+         "caa57ac6edda3c86bf5a74bd41161fa06662cddd7de16124257fd099a049c89f")],
+        ids=["shape_times_z", "z", "z_squared"])
+    def test_density_keeps_its_bytes(self, tmp_path, argv, digest):
+        argv = ("density", *argv, "--x=-5:1:0.5")
+        assert run(tmp_path / "strict", *argv) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(tmp_path / "quiet", *argv) == 0
+        strict, quiet = ((tmp_path / d / "density.csv").read_bytes() for d in ("strict", "quiet"))
+        assert strict == quiet
+        assert hashlib.sha256(strict).hexdigest() == digest
+
+    def test_simulate_from_an_extreme_start(self, tmp_path, capsys):
+        # alpha * x overflows once paths move; the terminal statistics of
+        # eight paths near 1e308 overflow too, which is the exit 3
+        assert run(tmp_path, "simulate", "--kind", "horizon", "--T", "0.25", "--x0", "1e308",
+                   "--t-end", "0.125", "--steps", "10", "--paths", "8") == 3
+        assert "summary.json: not finite at terminal_mean" in capsys.readouterr().err
+        assert np.isfinite(np.loadtxt(tmp_path / "ensemble.csv", delimiter=",",
+                                      skiprows=2)).all()
 
 
 class TestHorizonAndModeFlags:

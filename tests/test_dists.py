@@ -298,9 +298,20 @@ class TestExtendedSkewNormal:
     def test_zero_shape_far_from_its_location_is_zero(self):
         # z = (x - location)/scale overflows to -inf, where 0 * z would be nan
         p = ExtendedSkewNormalParams(8.8e307, 0.33, 0.0, 0.0)
-        with np.errstate(over="ignore"):
-            assert esn_pdf(-5.0, p) == 0.0
-            assert np.array_equal(esn_pdf(np.array([-5.0, -6.0]), p), [0.0, 0.0])
+        assert esn_pdf(-5.0, p) == 0.0
+        assert np.array_equal(esn_pdf(np.array([-5.0, -6.0]), p), [0.0, 0.0])
+
+    @pytest.mark.parametrize("p,x,want", [
+        (ExtendedSkewNormalParams(8.8e307, 0.33, 1.0, 0.0), -5.0, -math.inf),   # z
+        (ExtendedSkewNormalParams(0.0, 1.0, 1e308, 0.0), 10.0,                  # shape * z
+         -50.0 - LOG_SQRT_2PI + math.log(2.0)),
+        (ExtendedSkewNormalParams(0.0, 1.0, 1.0, 0.0), 1e200, -math.inf)],      # z * z
+        ids=["z", "shape_times_z", "z_squared"])
+    def test_an_overflow_is_its_limit(self, p, x, want):
+        # without a RuntimeWarning (an error in this suite), on either path
+        one, row = esn_logpdf(x, p), esn_logpdf(np.array([x, 0.0]), p)
+        assert np.float64(one).tobytes() == row[0].tobytes()
+        assert one == pytest.approx(want, rel=1e-15)
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(xs=st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=4),

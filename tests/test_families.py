@@ -418,6 +418,20 @@ class TestTimeRows:
         with pytest.raises(HorizonError):
             drift_value(spec, np.zeros(3), np.array([0.5, 1.0]))
 
+    def test_an_overflowing_product_is_its_limit(self):
+        # without a RuntimeWarning (an error in this suite), at one time and
+        # in rows: alpha * x overflows to +-inf, where mills is 0 or inf
+        spec = DriftSpec(family=horizon_family(0.25, +1))
+        xs = np.array([1e308, -1e308, 0.0])
+        one = drift_value(spec, xs, 0.125)
+        assert one[0] == 0.0 and one[1] == math.inf and np.isfinite(one[2])
+        assert np.array_equal(drift_value(spec, xs, np.array([0.0, 0.125]))[1], one)
+        # a coefficient that overflows meets a mills of 0: a drift of nan,
+        # which its caller refuses
+        wide = DriftSpec(family=constant_skew_family(1e308), diffusion_scale=4.0)
+        assert np.isnan(drift_value(wide, np.ones(2), 0.5)).all()
+        assert np.isnan(drift_value(wide, np.ones(2), np.array([0.5, 1.0]))).all()
+
 
 class TestReflection:
     """The opposite chirality's drift is the reflection -mu(-x, t) bit for

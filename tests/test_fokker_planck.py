@@ -375,26 +375,27 @@ def test_factor_once_gives_the_per_step_bits(lam, chirality, theta):
 
 class TestBrownianBackwardResidual:
     def test_exact_family(self):
-        fam = horizon_family(1.0, +1)
-        res = brownian_h_residual(fam, np.linspace(-3, 3, 101),
+        res = brownian_h_residual(1.0, +1, np.linspace(-3, 3, 101),
                                   np.linspace(0.01, 0.9, 101))
         assert res < 1e-12
 
     def test_perturbed_family_fails(self):
-        fam = horizon_family(1.0, +1)
-        res = brownian_h_residual(fam, np.linspace(-3, 3, 101),
+        res = brownian_h_residual(1.0, +1, np.linspace(-3, 3, 101),
                                   np.linspace(0.01, 0.9, 101), alpha_scale=1.01)
         assert res > 1e-3
 
     def test_origin_row_exactly_zero(self):
-        fam = horizon_family(1.0, +1)
-        res = brownian_h_residual(fam, np.array([0.0]), np.linspace(0.01, 0.9, 11))
+        res = brownian_h_residual(1.0, +1, np.array([0.0]), np.linspace(0.01, 0.9, 11))
         assert res == 0.0
 
-    def test_wrong_family_kind_rejected(self):
-        with pytest.raises(ValueError):
-            brownian_h_residual(constant_skew_family(1.0, +1),
-                                np.array([0.0]), np.array([0.5]))
+    @pytest.mark.parametrize("T,chirality", [(-1.0, +1), (math.inf, +1), (1.0, 0)])
+    def test_bad_horizon_or_side_rejected(self, T, chirality):
+        with pytest.raises(SchemaError):
+            brownian_h_residual(T, chirality, np.array([0.0]), np.array([0.5]))
+
+    def test_times_past_the_horizon_rejected(self):
+        with pytest.raises(ValueError, match="below the horizon"):
+            brownian_h_residual(1.0, -1, np.array([0.0]), np.array([0.5, 1.0]))
 
 
 class TestOuBackwardResidual:

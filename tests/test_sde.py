@@ -231,6 +231,22 @@ class TestSafeguards:
                        SimConfig(n_paths=3, seed=1))
         assert err.value.path_index == 0
 
+    def test_one_ensemble_per_component(self):
+        # each carries the run's grid, seed, stride and total clamp events
+        from skewdiff.sde import _integrate
+        grid, cfg = TimeGrid(0.0, 1.0, 10), SimConfig(n_paths=3, seed=5, record_stride=5)
+
+        def step(states, zs, k):
+            x, y = states
+            return (x + zs[0], y + 1.0), 2
+
+        ens = _integrate(lambda lo, hi: step, (0.0, 1.0), grid, cfg)
+        assert len(ens) == 2
+        for e in ens:
+            assert (e.grid, e.seed, e.record_stride, e.clamp_events) == (grid, 5, 5, 20)
+            assert e.labels is None and e.values.shape == (3, 3)
+        assert np.array_equal(ens[1].values, np.tile([1.0, 6.0, 11.0], (3, 1)))
+
     @pytest.mark.parametrize("n_threads", [1, 2, 3])
     @pytest.mark.parametrize("detect", ["state", "drift"])
     def test_lowest_failing_block_is_reported(self, detect, n_threads, monkeypatch):
